@@ -8,9 +8,9 @@ eigenvalue-perturbation identity and by finite differences, and cross-checks
 spectral relaxation times against seeded Monte Carlo dynamics.
 """
 
-from .ising import (Distribution, ModelParams, N_MAX_FULL, SpinConfiguration,
+from .ising import (Distribution, ModelParams, N_MAX_FULL,
                     check_detailed_balance, full_transition_matrix,
-                    gibbs_log_weight, stationary_full)
+                    stationary_full)
 from .magchain import (DerivativeMatrix, ReducedChain, build_reduced_chain,
                        derivative_matrix, lump_vector, reduced_stationary,
                        s_values)
@@ -27,9 +27,8 @@ from .spectral import (EigensolverError, SpectralResult, StructureReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Distribution", "ModelParams", "N_MAX_FULL", "SpinConfiguration",
-    "check_detailed_balance", "full_transition_matrix", "gibbs_log_weight",
-    "stationary_full",
+    "Distribution", "ModelParams", "N_MAX_FULL", "check_detailed_balance",
+    "full_transition_matrix", "stationary_full",
     "DerivativeMatrix", "ReducedChain", "build_reduced_chain",
     "derivative_matrix", "lump_vector", "reduced_stationary", "s_values",
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",

@@ -9,10 +9,11 @@ Subcommands:
             value
 
 Exit codes (stable contract): 0 success, 1 property failure, 2 usage error,
-3 solver failure, 4 partial sweep.  All commands are deterministic given
-their arguments (simulate includes its seed; trajectory CSVs are
-byte-identical across runs).  The environment variable CWGLAUBER_OUTPUT_DIR
-sets the directory for default output filenames.
+3 solver failure (an eigensolver error or an exhausted memory, reported on
+one stderr line by ``main``), 4 partial sweep.  All commands are
+deterministic given their arguments (simulate includes its seed; trajectory
+CSVs are byte-identical across runs).  The environment variable
+CWGLAUBER_OUTPUT_DIR sets the directory for default output filenames.
 """
 
 import argparse
@@ -55,15 +56,9 @@ def _params_or_exit(parser, n, J, H) -> ModelParams:
 
 def cmd_gap(parser, args) -> int:
     params = _params_or_exit(parser, args.n, args.J, args.H)
-    try:
-        res = second_eigenpair(params)
-    except EigensolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    sep = (float(res.eigenvalues[1] - res.eigenvalues[2])
-           if len(res.eigenvalues) > 2 else None)
+    res = second_eigenpair(params)
     report = eigenvector_structure_report(res.second_vector, h=params.H,
-                                          eigen_separation=sep)
+                                          eigen_separation=res.separation)
     if args.format == "json":
         print(json.dumps({
             "n": params.n, "J": params.J, "H": params.H,
@@ -137,11 +132,7 @@ def cmd_verify(parser, args) -> int:
         parser.error(f"verify needs the full 2^n chain: n={args.n} exceeds "
                      f"n_max_full={args.n_max_full}")
     params = _params_or_exit(parser, args.n, args.J, args.H)
-    try:
-        results = run_verification(params, n_max_full=args.n_max_full)
-    except EigensolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    results = run_verification(params, n_max_full=args.n_max_full)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -246,7 +237,12 @@ _COMMANDS = {"gap": cmd_gap, "sweep": cmd_sweep,
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    try:
+        return _COMMANDS[args.command](parser, args)
+    except (EigensolverError, MemoryError) as exc:
+        print(f"solver failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

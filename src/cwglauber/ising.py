@@ -62,39 +62,6 @@ class ModelParams:
             raise ValueError(f"H must be finite, got {self.H!r}")
 
 
-@dataclass(frozen=True)
-class SpinConfiguration:
-    """One +-1 assignment to n vertices, identified with an integer index.
-
-    Bit i of ``index`` is set exactly when spin i is +1, so index <-> spins is
-    a bijection on [0, 2^n).
-    """
-
-    n: int
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < (1 << self.n):
-            raise ValueError(f"index {self.index} out of range for n={self.n}")
-
-    @classmethod
-    def from_spins(cls, spins):
-        spins = np.asarray(spins)
-        if not np.all(np.abs(spins) == 1):
-            raise ValueError("spins must be +-1")
-        index = int(sum(1 << i for i, s in enumerate(spins) if s > 0))
-        return cls(n=len(spins), index=index)
-
-    @property
-    def spins(self) -> np.ndarray:
-        bits = (self.index >> np.arange(self.n)) & 1
-        return 2 * bits - 1
-
-    @property
-    def plus_count(self) -> int:
-        return bin(int(self.index)).count("1")
-
-
 def all_plus_counts(n: int) -> np.ndarray:
     """Number of +1 spins for every configuration index 0..2^n-1."""
     idx = np.arange(1 << n)
@@ -123,20 +90,14 @@ class Distribution:
         return len(self.probabilities)
 
 
-def gibbs_log_weight(params: ModelParams, sigma: SpinConfiguration) -> float:
-    """Unnormalized log Gibbs weight J*sum_{x<y} s_x s_y + H*sum_x s_x.
+def log_weights_full(params: ModelParams) -> np.ndarray:
+    """Unnormalized log Gibbs weight J*sum_{x<y} s_x s_y + H*sum_x s_x for
+    every index 0..2^n-1 (bit i set exactly when spin i is +1).
 
     With k spins up the pair sum collapses to ((2k-n)^2 - n)/2, which is exact
     integer arithmetic before the float multiplies; the global flip symmetry
     at H=0 therefore holds exactly in the log-weights.
     """
-    n = params.n
-    m = 2 * sigma.plus_count - n  # total magnetization, integer
-    return params.J * ((m * m - n) / 2.0) + params.H * m
-
-
-def log_weights_full(params: ModelParams) -> np.ndarray:
-    """gibbs_log_weight for every index of the 2^n state space, vectorized."""
     n = params.n
     m = 2 * all_plus_counts(n) - n
     return params.J * ((m * m - n) / 2.0) + params.H * m

@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ising import ModelParams
-from .magchain import derivative_matrix, reduced_stationary
-from .spectral import DEGENERATE_GAP, second_eigenpair
+from .magchain import build_reduced_chain, derivative_matrix, reduced_stationary
+from .spectral import (DEGENERATE_GAP, SpectralResult,
+                       eigen_symmetric_tridiagonal, second_eigenpair,
+                       symmetrize)
 
 # Velocity of lambda_2 under J is O(1); 1e-5 balances central-difference
 # truncation against eigensolver rounding at double precision.
@@ -46,24 +48,39 @@ class DegenerateGapError(RuntimeError):
     formula assumes a simple eigenvalue."""
 
 
-def hellmann_feynman(params: ModelParams) -> float:
-    """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain.
+def coupling_derivative(params: ModelParams,
+                        res: SpectralResult) -> tuple[float, np.ndarray]:
+    """(d lambda_2/dJ, per-level terms) from the point's own eigenpair.
 
-    Uses the analytic derivative matrix (valid for all H) and the
-    pi-normalized increasing eigenvector.  Refuses when lambda_2 - lambda_3
-    < 1e-12, where the simple-eigenvalue assumption breaks down.
+    The derivative is <f, (dP/dJ) f>_pi with the analytic derivative matrix
+    (valid for all H) and the pi-normalized increasing eigenvector of res;
+    the terms are f_k ((dP/dJ) f)_k, whose pi-weighted sum is the derivative.
+    No solve happens here and degeneracy is not checked.
     """
-    res = second_eigenpair(params)
-    if len(res.eigenvalues) > 2:
-        sep = float(res.eigenvalues[1] - res.eigenvalues[2])
-        if sep < DEGENERATE_GAP:
-            raise DegenerateGapError(
-                f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
-                f"eigenvalue not numerically simple")
     dm = derivative_matrix(params, mode="analytic")
     pi = reduced_stationary(params).probabilities
     f = res.second_vector
-    return float(np.sum(pi * f * dm.apply(f)))
+    dmf = dm.apply(f)
+    return float(np.sum(pi * f * dmf)), f * dmf
+
+
+def _require_simple(res: SpectralResult) -> None:
+    sep = res.separation
+    if sep is not None and sep < DEGENERATE_GAP:
+        raise DegenerateGapError(
+            f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
+            f"eigenvalue not numerically simple")
+
+
+def hellmann_feynman(params: ModelParams) -> float:
+    """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain.
+
+    Refuses when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue
+    assumption breaks down.
+    """
+    res = second_eigenpair(params)
+    _require_simple(res)
+    return coupling_derivative(params, res)[0]
 
 
 def finite_difference_gap(params: ModelParams, delta: float = FD_DELTA_DEFAULT) -> float:
@@ -71,14 +88,16 @@ def finite_difference_gap(params: ModelParams, delta: float = FD_DELTA_DEFAULT) 
 
     Central difference (lambda_2(J+d) - lambda_2(J-d)) / 2d away from the
     J = 0 boundary; there, a second-order one-sided forward stencil keeps the
-    truncation error at O(d^2) as well.
+    truncation error at O(d^2) as well.  Each lambda_2 comes from the
+    eigenvalue solve alone; no eigenvector is built.
     """
     if not 1e-8 <= delta <= 1e-3:
         raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta!r}")
     n, J, H = params.n, params.J, params.H
 
     def lam2(j):
-        return second_eigenpair(ModelParams(n=n, J=j, H=H)).lambda2
+        chain = build_reduced_chain(ModelParams(n=n, J=j, H=H))
+        return float(eigen_symmetric_tridiagonal(*symmetrize(chain))[0][1])
 
     if J >= delta:
         return (lam2(J + delta) - lam2(J - delta)) / (2.0 * delta)
@@ -98,10 +117,7 @@ def sign_structure_terms(params: ModelParams) -> np.ndarray:
             "sign_structure_terms applies at H = 0 only (the s-based sign "
             "argument does not cover H != 0); use sweep_monotonicity to "
             "report H != 0 behavior numerically")
-    res = second_eigenpair(params)
-    dm = derivative_matrix(params, mode="analytic")
-    f = res.second_vector
-    return f * dm.apply(f)
+    return coupling_derivative(params, second_eigenpair(params))[1]
 
 
 @dataclass(frozen=True)
@@ -152,13 +168,10 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
         params = ModelParams(n=n, J=J, H=H)
         try:
             res = second_eigenpair(params)
-            hf = hellmann_feynman(params)
+            _require_simple(res)
+            hf, terms = coupling_derivative(params, res)
             fd = finite_difference_gap(params)
-            if H == 0.0:
-                terms = sign_structure_terms(params)
-                sign_ok = bool(np.all(terms >= -SIGN_TERM_TOL))
-            else:
-                sign_ok = None
+            sign_ok = bool(np.all(terms >= -SIGN_TERM_TOL)) if H == 0.0 else None
             points.append(SweepPoint(J=J, H=float(H), n=n,
                                      lambda2=res.lambda2, gap=res.gap,
                                      t_rel=res.t_rel, hf_derivative=hf,
@@ -189,13 +202,6 @@ def temperature_view(report: SweepReport, c: float = 1.0):
     pairs = [(c / p.J, p.t_rel) for p in report.points]
     pairs.sort(key=lambda tp: tp[0])
     return pairs
-
-
-def spectral_t_rel(n: int, J: float, H: float = 0.0) -> float:
-    """Relaxation time 1/(1 - lambda_2) of the reduced chain, in single-site
-    steps (divide by n for sweep units)."""
-    res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-    return res.t_rel
 
 
 def supercritical_slowdown_table(ns=(4, 8, 12, 16, 20), coupling_times_n: float = 1.6):

@@ -61,6 +61,13 @@ class SpectralResult:
     second_vector: np.ndarray
     increasing: bool
 
+    @property
+    def separation(self) -> float | None:
+        """lambda_2 - lambda_3, or None when the chain has two levels (n = 1)."""
+        if len(self.eigenvalues) < 3:
+            return None
+        return float(self.eigenvalues[1] - self.eigenvalues[2])
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -177,7 +184,8 @@ def full_chain_spectrum(params: ModelParams, n_max_full: int | None = None) -> n
     The chain is symmetrized by diag(sqrt(pi)) (reversibility makes the
     result symmetric up to rounding, which is folded away) and handed to the
     dense LAPACK solver; the Jacobi oracle above validates this path at small
-    n in the test suite.
+    n in the test suite.  A LAPACK failure (non-convergence, or a non-finite
+    matrix once pi underflows) is raised as EigensolverError.
     """
     kwargs = {} if n_max_full is None else {"n_max_full": n_max_full}
     P = full_transition_matrix(params, **kwargs)
@@ -185,7 +193,10 @@ def full_chain_spectrum(params: ModelParams, n_max_full: int | None = None) -> n
     s = np.sqrt(pi.probabilities)
     S = (s[:, None] * P) / s[None, :]
     S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
+    try:
+        w = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
     return w[::-1]
 
 
@@ -244,9 +255,14 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
     increments, centred so that <f,1>_pi = 0 and normalized to
     <f,f>_pi = 1.  f is increasing exactly when the computed increments are
     positive.  gap = 1 - lambda_2; t_rel = 1/gap, +inf if the gap rounds to
-    zero or below.
+    zero or below.  A chain with an up or down entry that underflowed to 0
+    leaves f undefined (pi underflows with it) and raises EigensolverError.
     """
     chain = build_reduced_chain(params)
+    if not (chain.up.all() and chain.down.all()):
+        raise EigensolverError(
+            f"reduced chain has transition entries that underflow to 0 at "
+            f"n={params.n}, J={params.J:g}, H={params.H:g}")
     pi = reduced_stationary(params).probabilities
     evals = eigen_symmetric_tridiagonal(*symmetrize(chain))[0]
     lambda2 = float(evals[1])

@@ -58,6 +58,21 @@ class TestGapCommand:
         assert run_cli(["gap", "--n", "6", "--J", "0.1"]) == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_memory_error_exits_3_on_one_line(self, dstevd_out_of_memory,
+                                              capsys):
+        assert run_cli(["gap", "--n", "100000", "--J", "0"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Unable to allocate")
+        assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_chain_exits_3(self, capsys):
+        # up[0..3] underflow to 0 at n = 12, J = 100: f is undefined there
+        assert run_cli(["gap", "--n", "12", "--J", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver failure" in captured.err and "underflow" in captured.err
+
 
 class TestSweepCommand:
     def test_h0_sweep_monotone_and_roundtrip(self, tmp_path, capsys):
@@ -129,6 +144,17 @@ class TestSweepCommand:
         assert len(report.points) == 4
         assert report.failures and report.failures[0]["J"] == 0.2
 
+    def test_underflowed_point_is_a_failure(self, tmp_path, capsys):
+        out = tmp_path / "big_j.csv"
+        code = run_cli(["sweep", "--n", "8", "--J-min", "0", "--J-max", "100",
+                        "--J-steps", "3", "--output", str(out)])
+        assert code == 4
+        report = sweep_from_csv(out.read_text())
+        assert [p.J for p in report.points] == [0.0, 50.0]
+        assert [f["J"] for f in report.failures] == [100.0]
+        assert "EigensolverError" in report.failures[0]["error"]
+        assert not any(np.isnan(p.hf_derivative) for p in report.points)
+
 
 class TestVerifyCommand:
     def test_passes_at_desk_point(self, capsys):
@@ -143,6 +169,19 @@ class TestVerifyCommand:
 
     def test_oversized_n_exits_2(self):
         assert run_cli(["verify", "--n", "14", "--J", "0.1"]) == 2
+
+    def test_solver_failure_exits_3(self, dstemr_fails, capsys):
+        assert run_cli(["verify", "--n", "4", "--J", "0.1"]) == 3
+        assert capsys.readouterr().err.startswith("solver failure: dstemr")
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_chain_exits_3_before_full_chain_checks(self, capsys):
+        # the full-chain checks would overflow here; the refusal comes first
+        assert run_cli(["verify", "--n", "8", "--J", "100"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: reduced chain")
+        assert captured.err.count("\n") == 1
 
 
 class TestSimulateCommand:
@@ -160,6 +199,13 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         stdout = capsys.readouterr().out
         assert "t_rel_hat" in stdout and "spectral" in stdout
+
+    def test_solver_failure_exits_3(self, dstemr_fails, tmp_path, capsys):
+        code = run_cli(["simulate", "--n", "6", "--J", "0.1", "--steps",
+                        "10000", "--seed", "3", "--output",
+                        str(tmp_path / "t.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver failure: dstemr")
 
     def test_full_chain_flag(self, tmp_path):
         out = tmp_path / "full.csv"

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from cwglauber.ising import (Distribution, ModelParams, SpinConfiguration,
-                             all_plus_counts, check_detailed_balance,
-                             full_transition_matrix, gibbs_log_weight,
+from cwglauber.ising import (Distribution, ModelParams, all_plus_counts,
+                             check_detailed_balance, full_transition_matrix,
                              log_weights_full, logistic, stationary_full)
 
 
@@ -15,6 +14,11 @@ def pair_sum_log_weight(J, H, spins):
     n = len(spins)
     pair = sum(spins[x] * spins[y] for x in range(n) for y in range(x + 1, n))
     return J * pair + H * sum(spins)
+
+
+def index_of(spins):
+    """Configuration index of a +-1 list: bit i set exactly when spin i is +1."""
+    return sum(1 << i for i, s in enumerate(spins) if s > 0)
 
 
 class TestModelParams:
@@ -31,49 +35,30 @@ class TestModelParams:
             ModelParams(**kwargs)
 
 
-class TestSpinConfiguration:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_index_spins_bijection(self, n):
-        for idx in range(1 << n):
-            sigma = SpinConfiguration(n=n, index=idx)
-            assert SpinConfiguration.from_spins(sigma.spins).index == idx
-            assert sigma.plus_count == int(np.sum(sigma.spins == 1))
-
-    def test_rejects_bad_spins(self):
-        with pytest.raises(ValueError):
-            SpinConfiguration.from_spins([1, 0, -1])
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            SpinConfiguration(n=2, index=4)
-
-
 class TestGibbsLogWeight:
     def test_two_aligned_spins(self):
         # J * ((2*2-2)^2 - 2)/2 = J at n=2, k=2
         p = ModelParams(n=2, J=1.0, H=0.0)
-        sigma = SpinConfiguration.from_spins([1, 1])
-        assert gibbs_log_weight(p, sigma) == 1.0
+        assert log_weights_full(p)[index_of([1, 1])] == 1.0
 
     def test_zero_couplings(self):
         p = ModelParams(n=5, J=0.0, H=0.0)
-        for idx in range(32):
-            assert gibbs_log_weight(p, SpinConfiguration(n=5, index=idx)) == 0.0
+        assert np.array_equal(log_weights_full(p), np.zeros(32))
 
     def test_hand_value(self):
         # 0.2*((4-3)^2-3)/2 + 0.1*1 = -0.1
         p = ModelParams(n=3, J=0.2, H=0.1)
-        sigma = SpinConfiguration.from_spins([1, 1, -1])
-        assert gibbs_log_weight(p, sigma) == pytest.approx(-0.1, abs=1e-15)
+        assert log_weights_full(p)[index_of([1, 1, -1])] == \
+            pytest.approx(-0.1, abs=1e-15)
 
     @pytest.mark.parametrize("n,J,H", [(2, 1.0, 0.0), (4, 0.3, 0.2),
                                        (6, 0.7, -0.4), (7, 0.05, 1.3)])
     def test_matches_pair_sum_oracle(self, n, J, H):
-        p = ModelParams(n=n, J=J, H=H)
+        lw = log_weights_full(ModelParams(n=n, J=J, H=H))
         for idx in range(1 << n):
-            sigma = SpinConfiguration(n=n, index=idx)
-            expected = pair_sum_log_weight(J, H, sigma.spins)
-            assert gibbs_log_weight(p, sigma) == pytest.approx(expected, abs=1e-13)
+            spins = 2 * ((idx >> np.arange(n)) & 1) - 1
+            expected = pair_sum_log_weight(J, H, spins)
+            assert lw[idx] == pytest.approx(expected, abs=1e-13)
 
     def test_spin_flip_symmetry_exact_at_h0(self):
         p = ModelParams(n=7, J=0.4, H=0.0)

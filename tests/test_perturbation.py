@@ -11,6 +11,7 @@ from cwglauber.perturbation import (DegenerateGapError,
                                     sign_structure_terms,
                                     supercritical_slowdown_table,
                                     sweep_monotonicity, temperature_view)
+from cwglauber.verification import run_verification
 
 
 class TestHellmannFeynman:
@@ -125,6 +126,22 @@ class TestSweep:
         report = sweep_monotonicity(10, 0.0, np.linspace(0.0, 0.4, 21))
         lam = [p.lambda2 for p in report.points]
         assert all(b >= a - 1e-10 for a, b in zip(lam, lam[1:]))
+
+
+class TestOneSolvePerPoint:
+    """Each point's eigenpair is solved once and read by every consumer;
+    only the finite-difference oracle solves again, for eigenvalues alone."""
+
+    @pytest.mark.parametrize("H", [0.0, 0.2])
+    def test_sweep_lapack_calls(self, lapack_calls, H):
+        report = sweep_monotonicity(8, H, [0.1, 0.2, 0.3])
+        assert len(report.points) == 3 and not report.failures
+        # per point: one full solve and one top pair, plus two FD solves
+        assert lapack_calls == {"dstevd": 9, "dstemr": 3}
+
+    def test_verification_lapack_calls(self, lapack_calls):
+        run_verification(ModelParams(n=6, J=0.2, H=0.0))
+        assert lapack_calls == {"dstevd": 3, "dstemr": 1}
 
 
 class TestTemperatureView:

@@ -222,6 +222,32 @@ class TestSecondEigenpair:
         assert res.eigenvalues[0] - res.eigenvalues[1] < 1e-12  # the regime
 
 
+class TestSeparation:
+    def test_is_lambda2_minus_lambda3(self):
+        res = second_eigenpair(ModelParams(n=6, J=0.2, H=0.1))
+        assert res.separation == float(res.eigenvalues[1] - res.eigenvalues[2])
+
+    def test_none_for_single_spin(self):
+        assert second_eigenpair(ModelParams(n=1, J=0.3, H=0.0)).separation is None
+
+
+class TestSolverFailures:
+    @pytest.mark.parametrize("n,J,H", [(12, 100.0, 0.0), (1, 0.0, -400.0)])
+    def test_underflowed_chain_refused(self, n, J, H):
+        params = ModelParams(n=n, J=J, H=H)
+        assert build_reduced_chain(params).up[0] == 0.0
+        with pytest.raises(EigensolverError, match="underflow"):
+            second_eigenpair(params)
+
+    def test_dense_oracle_failure_is_eigensolver_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            full_chain_spectrum(ModelParams(n=4, J=0.1, H=0.0))
+
+
 class TestIncrementVector:
     @pytest.mark.parametrize("n,J,H", [(12, 0.1, 0.0), (12, 0.1, 0.3),
                                        (30, 0.05, 0.2)])
