@@ -16,11 +16,11 @@ expressible through
 
     s_k = (k(n-2k+1)/n) * 1/(1 + cosh[(n-2k+1)2J - 2H]),
 
-but the s-based form of the upper diagonal is valid only at H = 0: under the
-reflection k -> n-k the cosh argument flips the sign of its J part and not of
-its -2H part.  ``derivative_matrix`` therefore offers the closed-form
-``analytic`` mode (correct for all H, finite-difference validated in tests)
-and the ``s_form`` mode; at H = 0 they coincide bitwise.
+but the s-based form of the upper diagonal (d_up[k] = s_{n-k}) is valid only
+at H = 0: under the reflection k -> n-k the cosh argument flips the sign of
+its J part and not of its -2H part.  ``derivative_matrix`` therefore
+differentiates the chain entries in closed form, which is correct for all H
+and coincides bitwise with the s-based form at H = 0.
 """
 
 from dataclasses import dataclass
@@ -66,13 +66,6 @@ class DerivativeMatrix:
     d_up: np.ndarray
     d_down: np.ndarray
     d_diag: np.ndarray
-    mode: str
-
-    def as_dense(self) -> np.ndarray:
-        M = np.diag(self.d_diag)
-        M += np.diag(self.d_up, k=1)
-        M += np.diag(self.d_down, k=-1)
-        return M
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -123,32 +116,22 @@ def s_values(params: ModelParams) -> np.ndarray:
     return (k * (n - 2 * k + 1) / n) * inv_one_plus_cosh((n - 2 * k + 1) * 2 * J - 2 * H)
 
 
-def derivative_matrix(params: ModelParams, mode: str = "analytic") -> DerivativeMatrix:
-    """Tridiagonal d/dJ of the reduced chain.
-
-    mode="analytic": direct closed-form differentiation of the chain entries,
-        d_down[k] = s_k (always), d_up at row k =
-        ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).
-    mode="s_form": the s-based entries d_up = s_{n-k}, d_down = s_k,
-        d_diag = -s_k - s_{n-k}; agrees with analytic exactly when H = 0.
+def derivative_matrix(params: ModelParams) -> DerivativeMatrix:
+    """Tridiagonal d/dJ of the reduced chain, by direct closed-form
+    differentiation of the chain entries: d_down[k] = s_k, and d_up at row
+    k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).
 
     The diagonal is assembled so every row sums to zero to rounding.
     """
     n, J, H = params.n, params.J, params.H
-    s = s_values(params)
-    d_down = s[1:]
-    if mode == "analytic":
-        ku = np.arange(n, dtype=float)
-        d_up = (((n - ku) * (2 * ku - n + 1) / n)
-                * inv_one_plus_cosh((n - 2 * ku - 1) * 2 * J - 2 * H))
-    elif mode == "s_form":
-        d_up = s[::-1][:n]  # s_{n-k} for k = 0..n-1
-    else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
+    d_down = s_values(params)[1:]
+    ku = np.arange(n, dtype=float)
+    d_up = (((n - ku) * (2 * ku - n + 1) / n)
+            * inv_one_plus_cosh((n - 2 * ku - 1) * 2 * J - 2 * H))
     up_full = np.concatenate([d_up, [0.0]])
     down_full = np.concatenate([[0.0], d_down])
     d_diag = -(up_full + down_full)
-    return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down, d_diag=d_diag, mode=mode)
+    return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down, d_diag=d_diag)
 
 
 def lump_vector(f_levels, n: int) -> np.ndarray:

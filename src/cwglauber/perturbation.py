@@ -28,12 +28,12 @@ import numpy as np
 
 from .ising import ModelParams
 from .magchain import build_reduced_chain, derivative_matrix, reduced_stationary
-from .spectral import (DEGENERATE_GAP, SpectralResult,
-                       eigen_symmetric_tridiagonal, second_eigenpair,
-                       symmetrize)
+from .spectral import (DEGENERATE_GAP, SpectralResult, eigen_top_tridiagonal,
+                       increment_chain, second_eigenpair)
 
-# Velocity of lambda_2 under J is O(1); 1e-5 balances central-difference
-# truncation against eigensolver rounding at double precision.
+# lambda_2 varies with J on the scale 1/n, so a default step of
+# FD_DELTA_DEFAULT / n balances central-difference truncation against
+# eigensolver rounding at double precision at every n.
 FD_DELTA_DEFAULT = 1e-5
 
 # Decrements of lambda_2 along a sweep below this are rounding, not
@@ -57,7 +57,7 @@ def coupling_derivative(params: ModelParams,
     the terms are f_k ((dP/dJ) f)_k, whose pi-weighted sum is the derivative.
     No solve happens here and degeneracy is not checked.
     """
-    dm = derivative_matrix(params, mode="analytic")
+    dm = derivative_matrix(params)
     pi = reduced_stationary(params).probabilities
     f = res.second_vector
     dmf = dm.apply(f)
@@ -83,21 +83,25 @@ def hellmann_feynman(params: ModelParams) -> float:
     return coupling_derivative(params, res)[0]
 
 
-def finite_difference_gap(params: ModelParams, delta: float = FD_DELTA_DEFAULT) -> float:
+def finite_difference_gap(params: ModelParams, delta: float | None = None) -> float:
     """Finite-difference oracle for d lambda_2 / dJ.
 
     Central difference (lambda_2(J+d) - lambda_2(J-d)) / 2d away from the
     J = 0 boundary; there, a second-order one-sided forward stencil keeps the
-    truncation error at O(d^2) as well.  Each lambda_2 comes from the
-    eigenvalue solve alone; no eigenvector is built.
+    truncation error at O(d^2) as well.  The step d defaults to
+    FD_DELTA_DEFAULT / n; an explicit delta must lie in [1e-8, 1e-3].  Each
+    lambda_2 is the increment chain's top eigenvalue, the quantity
+    second_eigenpair reports; no increments are formed.
     """
-    if not 1e-8 <= delta <= 1e-3:
-        raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta!r}")
     n, J, H = params.n, params.J, params.H
+    if delta is None:
+        delta = FD_DELTA_DEFAULT / n
+    elif not 1e-8 <= delta <= 1e-3:
+        raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta!r}")
 
     def lam2(j):
         chain = build_reduced_chain(ModelParams(n=n, J=j, H=H))
-        return float(eigen_symmetric_tridiagonal(*symmetrize(chain))[0][1])
+        return float(eigen_top_tridiagonal(*increment_chain(chain))[0][0])
 
     if J >= delta:
         return (lam2(J + delta) - lam2(J - delta)) / (2.0 * delta)

@@ -2,21 +2,20 @@
 
 A reversible chain is similar to a symmetric matrix through conjugation by
 diag(sqrt(pi)); for the tridiagonal magnetization chain the symmetrized
-off-diagonal collapses to sqrt(up_k * down_k).  The reduced chain is solved
-with a symmetric-tridiagonal eigensolver; the full 2^n chain, symmetrized the
-same way, provides the brute-force oracle for the lumping equivalence, and an
-independent cyclic-Jacobi rotation solver cross-validates both eigensolver
-paths at desk scale.
+off-diagonal collapses to sqrt(up_k * down_k).  A parameter point is solved
+on the increment chain below; the reduced chain's full spectrum and the full
+2^n chain, symmetrized the same way, are the oracles for the lumping
+equivalence, and an independent cyclic-Jacobi rotation solver
+cross-validates the LAPACK paths at desk scale.
 
 Conventions for the second eigenpair (lambda_2, f): eigenvalues are sorted
 descending, f is reported in chain coordinates with <f, f>_pi = 1 and the
-increasing representative chosen (f_n > f_0).  The eigenvalues come from the
-symmetrized chain; f is built from the increment chain, whose eigenvector
-is the vector of increments f_{k+1} - f_k.  That chain lacks the eigenvalue
-1, so lambda_2 is its top eigenvalue and cannot mix with lambda_1 even deep
-in the supercritical regime, where lambda_1 - lambda_2 underflows; and no
-step divides by sqrt(pi), whose tiny tail entries would amplify the
-eigensolver's rounding error.
+increasing representative chosen (f_n > f_0).  lambda_2, lambda_3 and f
+come from the increment chain, whose eigenvectors are the increments
+f_{k+1} - f_k.  That chain lacks the eigenvalue 1, so lambda_2 is its top
+eigenvalue and cannot mix with lambda_1 even deep in the supercritical
+regime, where lambda_1 - lambda_2 underflows; and no step divides by
+sqrt(pi), whose tiny tail entries would amplify the solver's rounding error.
 """
 
 import math
@@ -45,17 +44,16 @@ class EigensolverError(RuntimeError):
 class SpectralResult:
     """Spectrum summary of the reduced chain at one parameter point.
 
-    eigenvalues are sorted descending (eigenvalues[0] = 1 up to rounding);
-    gap = 1 - lambda2 and t_rel = 1/gap count single-site steps.  The second
-    eigenvector is the cumulative sum of the increment chain's top
-    eigenvector, centred to <f,1>_pi = 0 and pi-normalized, <f,f>_pi = 1,
-    with f_n > f_0 whenever those increments are positive; ``increasing``
-    records whether its coordinates are nondecreasing at the default
-    structure tolerance.
+    lambda3 is None when the chain has two levels (n = 1); gap = 1 - lambda2
+    and t_rel = 1/gap count single-site steps.  The second eigenvector is the
+    cumulative sum of the increment chain's top eigenvector, centred to
+    <f,1>_pi = 0 and pi-normalized, <f,f>_pi = 1, with f_n > f_0 whenever
+    those increments are positive; ``increasing`` records whether its
+    coordinates are nondecreasing at the default structure tolerance.
     """
 
-    eigenvalues: np.ndarray
     lambda2: float
+    lambda3: float | None
     gap: float
     t_rel: float
     second_vector: np.ndarray
@@ -64,9 +62,9 @@ class SpectralResult:
     @property
     def separation(self) -> float | None:
         """lambda_2 - lambda_3, or None when the chain has two levels (n = 1)."""
-        if len(self.eigenvalues) < 3:
+        if self.lambda3 is None:
             return None
-        return float(self.eigenvalues[1] - self.eigenvalues[2])
+        return self.lambda2 - self.lambda3
 
 
 @dataclass(frozen=True)
@@ -201,58 +199,63 @@ def full_chain_spectrum(params: ModelParams, n_max_full: int | None = None) -> n
 
 
 def eigen_top_tridiagonal(diag, offdiag):
-    """Largest eigenpair (w, v) of a real symmetric tridiagonal matrix.
+    """Two largest eigenvalues w (descending; one for a 1x1 matrix) and the
+    top eigenvector v of a real symmetric tridiagonal matrix.
 
-    Only that pair is computed, with LAPACK's MRRR driver (dstemr): its
+    Only these are computed, with LAPACK's MRRR driver (dstemr): its
     eigenvectors keep tiny components to high relative accuracy, where
     inverse iteration leaves them at the absolute level eps * ||v||.  The
     sign of v is whatever the solver returns.  Nonzero LAPACK info is
     surfaced as EigensolverError, never silently.
     """
-    diag = np.asarray(diag, dtype=float)
     m = len(diag)
-    if m == 1:
-        return float(diag[0]), np.ones(1)
-    e = np.empty(m)  # dstemr takes m off-diagonal slots; the last is workspace
-    e[:-1] = offdiag
-    _, w, z, info = scipy.linalg.lapack.dstemr(diag, e, 3, 0.0, 0.0, m, m)
+    e = np.append(offdiag, 0.0)  # dstemr takes m off-diagonal slots
+    k, w, z, info = scipy.linalg.lapack.dstemr(diag, e, 3, 0.0, 0.0,
+                                               max(m - 1, 1), m)
     if info != 0:
         raise EigensolverError(f"dstemr failed with info={info}")
-    return float(w[0]), z[:, 0]
+    # w[:k] ascending; the slots after it are not eigenvalues
+    return w[:k][::-1], z[:, k - 1]
 
 
-def increment_vector(chain: ReducedChain) -> np.ndarray:
-    """Increments g_k = f_{k+1} - f_k of the second eigenvector, up to scale.
+def increment_chain(chain: ReducedChain):
+    """(diag, offdiag) of S = D Q D^-1, the symmetrized increment chain.
 
     The increments of any eigenvector of the chain solve lambda g = Q g, Q
     tridiagonal on {0..n-1} with diagonal 1 - up[k] - down[k], superdiagonal
-    up[k+1] and subdiagonal down[k].  Q carries the spectrum of the chain
-    without the eigenvalue 1, so lambda_2 is its top eigenvalue, well
-    separated from anything it could mix with, and its eigenvector is g > 0.
-    Q = D^-1 S D with S symmetric and log D_{k+1} - log D_k =
-    log(up[k+1]/down[k]) / 2; the top eigenvector u of S gives g = D^-1 u,
-    formed in log space (D overflows at large n) and scaled so that
-    max |g| = 1 up to rounding.  One global sign makes sum(u) > 0, so a g
-    that is not positive stays visible in the result.
+    up[k+1] and subdiagonal down[k]; log D_{k+1} - log D_k =
+    log(up[k+1]/down[k]) / 2.  Q carries the spectrum of the chain without
+    the eigenvalue 1, so lambda_2 is its top eigenvalue, well separated from
+    anything it could mix with.
     """
     up, down = chain.up, chain.down
-    _, u = eigen_top_tridiagonal(1.0 - (up + down),
-                                 np.sqrt(up[1:] * down[:-1]))
+    return 1.0 - (up + down), np.sqrt(up[1:] * down[:-1])
+
+
+def increment_eigenpair(chain: ReducedChain):
+    """(lambda_2 and lambda_3, increments g_k = f_{k+1} - f_k up to scale).
+
+    One top-pair solve of ``increment_chain``: its top eigenvector u gives
+    g = D^-1 u > 0, formed in log space (D overflows at large n) and scaled
+    so that max |g| = 1 up to rounding.  One global sign makes sum(u) > 0,
+    so a g that is not positive stays visible in the result.
+    """
+    w, u = eigen_top_tridiagonal(*increment_chain(chain))
     if u.sum() < 0:
         u = -u
     log_d = np.zeros(chain.n)
-    np.cumsum(0.5 * np.log(up[1:] / down[:-1]), out=log_d[1:])
+    np.cumsum(0.5 * np.log(chain.up[1:] / chain.down[:-1]), out=log_d[1:])
     with np.errstate(divide="ignore"):
         log_g = np.log(np.abs(u)) - log_d
-    return np.copysign(np.exp(log_g - log_g.max()), u)
+    return w, np.copysign(np.exp(log_g - log_g.max()), u)
 
 
 def second_eigenpair(params: ModelParams) -> SpectralResult:
     """(lambda_2, f) of the magnetization chain, increasing representative.
 
-    The eigenvalues come from the symmetrized chain; f is built from the
-    increment chain (``increment_vector``) as the cumulative sum of its
-    increments, centred so that <f,1>_pi = 0 and normalized to
+    lambda_2, lambda_3 and the increments of f come from one solve of the
+    increment chain (``increment_eigenpair``); f is the cumulative sum of
+    those increments, centred so that <f,1>_pi = 0 and normalized to
     <f,f>_pi = 1.  f is increasing exactly when the computed increments are
     positive.  gap = 1 - lambda_2; t_rel = 1/gap, +inf if the gap rounds to
     zero or below.  A chain with an up or down entry that underflowed to 0
@@ -264,16 +267,17 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
             f"reduced chain has transition entries that underflow to 0 at "
             f"n={params.n}, J={params.J:g}, H={params.H:g}")
     pi = reduced_stationary(params).probabilities
-    evals = eigen_symmetric_tridiagonal(*symmetrize(chain))[0]
-    lambda2 = float(evals[1])
+    w, g = increment_eigenpair(chain)
+    lambda2 = float(w[0])
+    lambda3 = float(w[1]) if len(w) > 1 else None
     gap = 1.0 - lambda2
     t_rel = 1.0 / gap if gap > 0 else math.inf
     f = np.zeros(params.n + 1)
-    np.cumsum(increment_vector(chain), out=f[1:])
+    np.cumsum(g, out=f[1:])
     f -= pi @ f
     f /= math.sqrt(pi @ (f * f))
     increasing = bool(np.all(np.diff(f) >= -STRUCTURE_TOL))
-    return SpectralResult(eigenvalues=evals, lambda2=lambda2, gap=gap,
+    return SpectralResult(lambda2=lambda2, lambda3=lambda3, gap=gap,
                           t_rel=t_rel, second_vector=f, increasing=increasing)
 
 

@@ -19,8 +19,9 @@ from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
 from .magchain import (build_reduced_chain, derivative_matrix, lump_vector,
                        reduced_stationary, s_values)
 from .perturbation import coupling_derivative, finite_difference_gap
-from .spectral import (eigenvector_structure_report, full_chain_spectrum,
-                       second_eigenpair)
+from .spectral import (eigen_symmetric_tridiagonal,
+                       eigenvector_structure_report, full_chain_spectrum,
+                       second_eigenpair, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,16 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     full_spec = full_chain_spectrum(params, n_max_full=n_max_full)
     out.append(CheckResult.from_violation(
         "lumping_lambda2", abs(res.lambda2 - full_spec[1]), 1e-10))
-    dist = np.abs(res.eigenvalues[:, None] - full_spec[None, :]).min(axis=1)
+    # the reduced chain's whole spectrum is needed only here
+    red_spec = eigen_symmetric_tridiagonal(*symmetrize(chain))[0]
+    dist = np.abs(red_spec[:, None] - full_spec[None, :]).min(axis=1)
     out.append(CheckResult.from_violation(
         "spectrum_subset", dist.max(), 1e-10,
         note="reduced eigenvalues inside the full spectrum"))
     out.append(CheckResult.from_violation(
-        "eigenvalue_range", max(0.0, np.abs(res.eigenvalues).max() - 1.0), 1e-12))
+        "eigenvalue_range", max(0.0, np.abs(red_spec).max() - 1.0), 1e-12))
     out.append(CheckResult.from_violation(
-        "top_eigenvalue", abs(res.eigenvalues[0] - 1.0), 1e-10))
+        "top_eigenvalue", abs(red_spec[0] - 1.0), 1e-10))
     lf = lump_vector(res.second_vector, n)
     out.append(CheckResult.from_violation(
         "lumped_eigenvector", np.abs(P @ lf - res.lambda2 * lf).max(), 1e-10))
@@ -139,13 +142,11 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         "eigenvector_normalization", abs(norm - 1.0), 1e-10))
 
     # --- derivative structure ---------------------------------------------
-    for mode in ("analytic", "s_form"):
-        dm = derivative_matrix(params, mode=mode)
-        rs = np.concatenate([dm.d_up, [0.0]]) \
-            + np.concatenate([[0.0], dm.d_down]) + dm.d_diag
-        out.append(CheckResult.from_violation(
-            f"derivative_row_sums[{mode}]", np.abs(rs).max(), 1e-14))
-    dm = derivative_matrix(params, mode="analytic")
+    dm = derivative_matrix(params)
+    rs = np.concatenate([dm.d_up, [0.0]]) \
+        + np.concatenate([[0.0], dm.d_down]) + dm.d_diag
+    out.append(CheckResult.from_violation(
+        "derivative_row_sums", np.abs(rs).max(), 1e-14))
     d = 1e-6
     hi = build_reduced_chain(ModelParams(n=n, J=J + d, H=H))
     lo = build_reduced_chain(ModelParams(n=n, J=max(J - d, 0.0), H=H))

@@ -15,12 +15,13 @@ def dstemr_fails(monkeypatch):
 
 
 @pytest.fixture
-def dstevd_out_of_memory(monkeypatch):
-    """Make LAPACK dstevd raise MemoryError, as a full solve at n = 10^5 does."""
+def dstemr_out_of_memory(monkeypatch):
+    """Make LAPACK dstemr raise MemoryError, as its n x n eigenvector array
+    does at n = 10^5, without allocating anything."""
     def failing(*args, **kwargs):
         raise MemoryError("Unable to allocate 74.5 GiB for the eigenvectors")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", failing)
 
 
 @pytest.fixture

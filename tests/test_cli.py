@@ -58,7 +58,7 @@ class TestGapCommand:
         assert run_cli(["gap", "--n", "6", "--J", "0.1"]) == 3
         assert "solver failure" in capsys.readouterr().err
 
-    def test_memory_error_exits_3_on_one_line(self, dstevd_out_of_memory,
+    def test_memory_error_exits_3_on_one_line(self, dstemr_out_of_memory,
                                               capsys):
         assert run_cli(["gap", "--n", "100000", "--J", "0"]) == 3
         err = capsys.readouterr().err

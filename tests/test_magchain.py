@@ -128,24 +128,29 @@ class TestSValues:
 class TestDerivativeMatrix:
     @pytest.mark.parametrize("n,J", [(2, 0.0), (4, 0.3), (7, 0.6), (10, 0.1)])
     def test_modes_agree_bitwise_at_h0(self, n, J):
-        a = derivative_matrix(ModelParams(n=n, J=J, H=0.0), mode="analytic")
-        s = derivative_matrix(ModelParams(n=n, J=J, H=0.0), mode="s_form")
-        np.testing.assert_array_equal(a.d_up, s.d_up)
-        np.testing.assert_array_equal(a.d_down, s.d_down)
-        np.testing.assert_array_equal(a.d_diag, s.d_diag)
+        """The paper's s-form, d_up[k] = s_{n-k} and d_down[k] = s_{k+1}
+        with rows summing to zero, is the analytic derivative at H = 0."""
+        params = ModelParams(n=n, J=J, H=0.0)
+        a = derivative_matrix(params)
+        s = s_values(params)
+        d_up, d_down = s[::-1][:n], s[1:]
+        d_diag = -(np.concatenate([d_up, [0.0]])
+                   + np.concatenate([[0.0], d_down]))
+        np.testing.assert_array_equal(a.d_up, d_up)
+        np.testing.assert_array_equal(a.d_down, d_down)
+        np.testing.assert_array_equal(a.d_diag, d_diag)
 
     def test_down_entry_is_s_value(self):
         params = ModelParams(n=3, J=0.0, H=0.0)
-        dm = derivative_matrix(params, mode="analytic")
+        dm = derivative_matrix(params)
         assert dm.d_down[0] == s_values(params)[1] == pytest.approx(1 / 3, rel=1e-15)
 
     @pytest.mark.parametrize("n,J,H", GRID)
     def test_row_sums_zero(self, n, J, H):
-        for mode in ("analytic", "s_form"):
-            dm = derivative_matrix(ModelParams(n=n, J=J, H=H), mode=mode)
-            rs = (np.concatenate([dm.d_up, [0.0]])
-                  + np.concatenate([[0.0], dm.d_down]) + dm.d_diag)
-            assert np.abs(rs).max() < 1e-14
+        dm = derivative_matrix(ModelParams(n=n, J=J, H=H))
+        rs = (np.concatenate([dm.d_up, [0.0]])
+              + np.concatenate([[0.0], dm.d_down]) + dm.d_diag)
+        assert np.abs(rs).max() < 1e-14
 
     @pytest.mark.parametrize("n,J,H", [(4, 0.2, 0.0), (6, 0.5, 0.3),
                                        (9, 0.05, -0.2), (3, 0.0, 0.1)])
@@ -162,7 +167,7 @@ class TestDerivativeMatrix:
             fd = (entries(J + d) - entries(J - d)) / (2 * d)
         else:
             fd = (-3 * entries(J) + 4 * entries(J + d) - entries(J + 2 * d)) / (2 * d)
-        dm = derivative_matrix(ModelParams(n=n, J=J, H=H), mode="analytic")
+        dm = derivative_matrix(ModelParams(n=n, J=J, H=H))
         analytic = np.concatenate([dm.d_up, dm.d_down, dm.d_diag])
         assert np.abs(fd - analytic).max() < 1e-8
 
@@ -170,15 +175,11 @@ class TestDerivativeMatrix:
         """Negative control: the s-based upper diagonal fails the
         finite-difference oracle once a field is switched on."""
         n, J, H, d = 5, 0.3, 0.4, 1e-6
-        dm = derivative_matrix(ModelParams(n=n, J=J, H=H), mode="s_form")
+        s_form_up = s_values(ModelParams(n=n, J=J, H=H))[::-1][:n]
         hi = build_reduced_chain(ModelParams(n=n, J=J + d, H=H))
         lo = build_reduced_chain(ModelParams(n=n, J=J - d, H=H))
         fd_up = (hi.up - lo.up) / (2 * d)
-        assert np.abs(fd_up - dm.d_up).max() > 1e-4
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown derivative mode"):
-            derivative_matrix(ModelParams(n=3, J=0.1), mode="exact")
+        assert np.abs(fd_up - s_form_up).max() > 1e-4
 
 
 class TestLumpVector:

@@ -40,8 +40,7 @@ class TestHellmannFeynman:
     def test_refuses_degenerate_gap(self, monkeypatch):
         from cwglauber.spectral import SpectralResult
         fake = SpectralResult(
-            eigenvalues=np.array([1.0, 0.5, 0.5 + 1e-13, 0.1]),
-            lambda2=0.5, gap=0.5, t_rel=2.0,
+            lambda2=0.5, lambda3=0.5 + 1e-13, gap=0.5, t_rel=2.0,
             second_vector=np.array([-1.0, -0.5, 0.5, 1.0]), increasing=True)
         monkeypatch.setattr(perturbation, "second_eigenpair", lambda p: fake)
         with pytest.raises(DegenerateGapError):
@@ -68,6 +67,14 @@ class TestFiniteDifference:
         a = finite_difference_gap(params, delta=1e-5)
         b = finite_difference_gap(params, delta=5e-6)
         assert abs(a - b) < 1e-7
+
+    def test_default_step_scales_with_n(self):
+        """lambda_2 varies on the J scale 1/n; a step fixed at 1e-5 leaves a
+        truncation error of 2.8e-3 relative here, near criticality."""
+        params = ModelParams(n=1000, J=0.001, H=0.0)
+        hf = hellmann_feynman(params)
+        fd = finite_difference_gap(params)
+        assert abs(hf - fd) <= 1e-6 * abs(fd)
 
 
 class TestSignStructure:
@@ -129,19 +136,21 @@ class TestSweep:
 
 
 class TestOneSolvePerPoint:
-    """Each point's eigenpair is solved once and read by every consumer;
-    only the finite-difference oracle solves again, for eigenvalues alone."""
+    """Each point's eigenpair is solved once, on the increment chain, and
+    read by every consumer; only the finite-difference oracle solves again,
+    for eigenvalues alone."""
 
     @pytest.mark.parametrize("H", [0.0, 0.2])
     def test_sweep_lapack_calls(self, lapack_calls, H):
         report = sweep_monotonicity(8, H, [0.1, 0.2, 0.3])
         assert len(report.points) == 3 and not report.failures
-        # per point: one full solve and one top pair, plus two FD solves
-        assert lapack_calls == {"dstevd": 9, "dstemr": 3}
+        # per point: one top pair, plus two FD solves; no full spectrum
+        assert lapack_calls == {"dstevd": 0, "dstemr": 9}
 
     def test_verification_lapack_calls(self, lapack_calls):
+        # the point and two FD solves, plus the reduced spectrum it checks
         run_verification(ModelParams(n=6, J=0.2, H=0.0))
-        assert lapack_calls == {"dstevd": 3, "dstemr": 1}
+        assert lapack_calls == {"dstevd": 1, "dstemr": 3}
 
 
 class TestTemperatureView:

@@ -13,7 +13,7 @@ from cwglauber.spectral import (EigensolverError, eigen_dense_symmetric,
                                 eigen_symmetric_tridiagonal,
                                 eigen_top_tridiagonal,
                                 eigenvector_structure_report,
-                                full_chain_spectrum, increment_vector,
+                                full_chain_spectrum, increment_eigenpair,
                                 second_eigenpair, symmetrize)
 
 
@@ -104,7 +104,7 @@ class TestTopEigenpair:
         offdiag = rng.standard_normal(m - 1)
         w_all, v_all = eigen_symmetric_tridiagonal(diag, offdiag)
         w, v = eigen_top_tridiagonal(diag, offdiag)
-        assert w == pytest.approx(w_all[0], abs=1e-12)
+        np.testing.assert_allclose(w, w_all[:2], rtol=0, atol=1e-12)
         assert abs(abs(v @ v_all[:, 0]) - 1.0) < 1e-12
 
     def test_single_element(self):
@@ -163,9 +163,14 @@ class TestSecondEigenpair:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
     def test_free_chain_closed_form(self, n):
         """At J = 0 the whole reduced spectrum is 1 - j/n."""
-        res = second_eigenpair(ModelParams(n=n, J=0.0, H=0.0))
-        np.testing.assert_allclose(res.eigenvalues,
-                                   1.0 - np.arange(n + 1) / n, atol=1e-12)
+        params = ModelParams(n=n, J=0.0, H=0.0)
+        res = second_eigenpair(params)
+        w = eigen_symmetric_tridiagonal(
+            *symmetrize(build_reduced_chain(params)))[0]
+        np.testing.assert_allclose(w, 1.0 - np.arange(n + 1) / n, atol=1e-12)
+        assert res.lambda2 == pytest.approx(w[1], abs=1e-12)
+        if n >= 2:
+            assert res.lambda3 == pytest.approx(w[2], abs=1e-12)
         assert res.gap == pytest.approx(1.0 / n, abs=1e-12)
         assert res.t_rel == pytest.approx(n, rel=1e-12)
 
@@ -183,13 +188,18 @@ class TestSecondEigenpair:
 
     @pytest.mark.parametrize("n,J,H", [(5, 0.2, 0.0), (10, 0.6, 0.2), (7, 0.0, 0.0)])
     def test_conventions(self, n, J, H):
-        res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-        pi = reduced_stationary(ModelParams(n=n, J=J, H=H)).probabilities
+        params = ModelParams(n=n, J=J, H=H)
+        res = second_eigenpair(params)
+        pi = reduced_stationary(params).probabilities
         f = res.second_vector
         assert abs(np.sum(pi * f * f) - 1.0) < 1e-10
         assert f[-1] > f[0]
-        assert abs(res.eigenvalues[0] - 1.0) < 1e-10
-        assert np.abs(res.eigenvalues).max() <= 1.0 + 1e-12
+        w = eigen_symmetric_tridiagonal(
+            *symmetrize(build_reduced_chain(params)))[0]
+        assert abs(w[0] - 1.0) < 1e-10
+        assert np.abs(w).max() <= 1.0 + 1e-12
+        assert abs(res.lambda2 - w[1]) < 1e-12
+        assert abs(res.lambda3 - w[2]) < 1e-12
         assert res.increasing
 
     def test_power_iteration_cross_check(self):
@@ -219,13 +229,13 @@ class TestSecondEigenpair:
         res = second_eigenpair(ModelParams(n=12, J=0.6, H=0.0))
         f = res.second_vector
         assert np.abs(f + f[::-1]).max() < 1e-9
-        assert res.eigenvalues[0] - res.eigenvalues[1] < 1e-12  # the regime
+        assert res.gap < 1e-12  # the regime
 
 
 class TestSeparation:
     def test_is_lambda2_minus_lambda3(self):
         res = second_eigenpair(ModelParams(n=6, J=0.2, H=0.1))
-        assert res.separation == float(res.eigenvalues[1] - res.eigenvalues[2])
+        assert res.separation == res.lambda2 - res.lambda3 > 0
 
     def test_none_for_single_spin(self):
         assert second_eigenpair(ModelParams(n=1, J=0.3, H=0.0)).separation is None
@@ -257,7 +267,8 @@ class TestIncrementVector:
         params = ModelParams(n=n, J=J, H=H)
         chain = build_reduced_chain(params)
         res = second_eigenpair(params)
-        g = increment_vector(chain)
+        w, g = increment_eigenpair(chain)
+        assert w[0] == res.lambda2 and w[1] == res.lambda3
         Q = (np.diag(1.0 - (chain.up + chain.down))
              + np.diag(chain.up[1:], 1) + np.diag(chain.down[:-1], -1))
         assert g.min() > 0 and abs(g.max() - 1.0) < 1e-15
@@ -315,9 +326,9 @@ class TestIncrementVector:
 class TestStructureReport:
     def test_all_flags_at_h0(self):
         res = second_eigenpair(ModelParams(n=7, J=0.15, H=0.0))
-        sep = float(res.eigenvalues[1] - res.eigenvalues[2])
         rep = eigenvector_structure_report(res.second_vector, tol=1e-9,
-                                           h=0.0, eigen_separation=sep)
+                                           h=0.0,
+                                           eigen_separation=res.separation)
         assert rep.increasing and rep.strictly
         assert rep.antisymmetric_at_h0 and rep.sign_split and rep.reliable
 
@@ -351,11 +362,48 @@ class TestStructureReport:
 
 @pytest.mark.parametrize("n,J,H", [(3, 0.4, 0.2), (6, 0.1, 0.0), (8, 0.0, 0.5)])
 def test_oracle_equivalence_spectrum_subset(n, J, H):
-    """Every reduced-chain eigenvalue appears in the full-chain spectrum."""
-    res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-    full = full_chain_spectrum(ModelParams(n=n, J=J, H=H))
-    dist = np.abs(res.eigenvalues[:, None] - full[None, :]).min(axis=1)
+    """Every reduced-chain eigenvalue appears in the full-chain spectrum, and
+    the point's lambda_2 and lambda_3 are the reduced chain's."""
+    params = ModelParams(n=n, J=J, H=H)
+    res = second_eigenpair(params)
+    w = eigen_symmetric_tridiagonal(*symmetrize(build_reduced_chain(params)))[0]
+    full = full_chain_spectrum(params)
+    dist = np.abs(w[:, None] - full[None, :]).min(axis=1)
     assert dist.max() < 1e-10
+    assert abs(res.lambda2 - w[1]) < 1e-10
+    assert abs(res.lambda3 - w[2]) < 1e-10
+
+
+def _mp_reduced_spectrum(params):
+    """Eigenvalues, descending, of the symmetrized reduced chain at 50
+    digits, built from the closed-form heat-bath rates."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        n, J, H = params.n, mp.mpf(params.J), mp.mpf(params.H)
+        up = [mp.mpf(n - k) / n / (1 + mp.exp((n - 2 * k - 1) * 2 * J - 2 * H))
+              for k in range(n)]
+        down = [mp.mpf(k) / n / (1 + mp.exp(-(n - 2 * k + 1) * 2 * J + 2 * H))
+                for k in range(1, n + 1)]
+        S = mp.zeros(n + 1, n + 1)
+        for k in range(n + 1):
+            S[k, k] = 1 - (up[k] if k < n else 0) - (down[k - 1] if k else 0)
+        for k in range(n):
+            S[k, k + 1] = S[k + 1, k] = mp.sqrt(up[k] * down[k])
+        return [float(x) for x in
+                sorted(mp.eigsy(S, eigvals_only=True), reverse=True)]
+
+
+@pytest.mark.parametrize("n", [2, 12, 40])
+@pytest.mark.parametrize("H", [0.0, 0.3])
+@pytest.mark.parametrize("coupling_times_n", [0.0, 1.0, 3.0])
+def test_lambda2_lambda3_against_mpmath(n, H, coupling_times_n):
+    """lambda_2 and lambda_3 of the point solve agree with a 50-digit
+    reference to within 1e-15."""
+    params = ModelParams(n=n, J=coupling_times_n / n, H=H)
+    res = second_eigenpair(params)
+    ref = _mp_reduced_spectrum(params)
+    assert abs(res.lambda2 - ref[1]) <= 1e-15
+    assert abs(res.lambda3 - ref[2]) <= 1e-15
 
 
 def test_distribution_type_reused():
