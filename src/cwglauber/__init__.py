@@ -21,7 +21,7 @@ from .perturbation import (SweepPoint, SweepReport, finite_difference_gap,
                            sweep_monotonicity, temperature_view)
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
                        eigen_dense_symmetric, eigen_symmetric_tridiagonal,
-                       eigenvector_structure_report, full_chain_spectrum,
+                       eigenvector_structure_report, full_chain_top_eigenvalues,
                        second_eigenpair, symmetrize)
 
 __version__ = "0.1.0"
@@ -37,6 +37,6 @@ __all__ = [
     "sign_structure_terms", "sweep_monotonicity", "temperature_view",
     "EigensolverError", "SpectralResult", "StructureReport",
     "eigen_dense_symmetric", "eigen_symmetric_tridiagonal",
-    "eigenvector_structure_report", "full_chain_spectrum", "second_eigenpair",
-    "symmetrize",
+    "eigenvector_structure_report", "full_chain_top_eigenvalues",
+    "second_eigenpair", "symmetrize",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-# Full-chain constructions hold a dense 2^n x 2^n matrix; 12 keeps that at
-# 4096^2 doubles (~134 MB) which is the largest desk-scale size we accept.
+# Full-chain builds store the 2^n-state chain sparsely, n + 1 entries per
+# row; 12 (4096 states) is the default cap, raised by `verify --n-max-full`.
 N_MAX_FULL = 12
 
 
@@ -103,8 +103,8 @@ def log_weights_full(params: ModelParams) -> np.ndarray:
     return params.J * ((m * m - n) / 2.0) + params.H * m
 
 
-def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL) -> np.ndarray:
-    """Dense 2^n x 2^n heat-bath transition matrix.
+def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL):
+    """Sparse 2^n x 2^n heat-bath transition matrix, as a scipy csr_array.
 
     A step picks a vertex x uniformly and resets its spin from the conditional
     Gibbs law given the others:
@@ -112,9 +112,10 @@ def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL) ->
         P(sigma -> sigma^x) = (1/n) * logistic(2 s'_x (J * S_x + H)),
 
     with S_x the sum of the other spins and s'_x the flipped value; the
-    diagonal absorbs the remaining mass.  Rows sum to 1 by construction and
-    entries vanish whenever configurations differ in >= 2 coordinates.
+    diagonal absorbs the remaining mass.  A row stores only its diagonal and
+    its n flips, and sums to 1 by construction.
     """
+    import scipy.sparse  # deferred: ~30 ms of import only the oracle needs
     n = params.n
     if n > n_max_full:
         raise ValueError(
@@ -122,15 +123,13 @@ def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL) ->
             f"(2^n state space)")
     m = 1 << n
     idx = np.arange(m)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    spins = 2 * bits - 1
+    spins = 2 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1
     others = spins.sum(axis=1)[:, None] - spins  # S_x for every (sigma, x)
     p_flip = logistic(2.0 * (-spins) * (params.J * others + params.H)) / n
-    P = np.zeros((m, m))
-    cols = idx[:, None] ^ (1 << np.arange(n))[None, :]
-    P[idx[:, None], cols] = p_flip
-    P[idx, idx] = 1.0 - p_flip.sum(axis=1)
-    return P
+    data = np.column_stack([1.0 - p_flip.sum(axis=1), p_flip])
+    cols = np.column_stack([idx, idx[:, None] ^ (1 << np.arange(n))[None, :]])
+    return scipy.sparse.csr_array(
+        (data.ravel(), (np.repeat(idx, n + 1), cols.ravel())), shape=(m, m))
 
 
 def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> Distribution:
@@ -142,16 +141,16 @@ def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> Distri
     return Distribution.from_log_weights(log_weights_full(params))
 
 
-def check_detailed_balance(chain: np.ndarray, pi: Distribution) -> float:
+def check_detailed_balance(chain, pi: Distribution) -> float:
     """Largest detailed-balance violation max_ij |pi_i P_ij - pi_j P_ji|.
 
+    One expression serves a dense ndarray and a scipy sparse array alike.
     Returned on the probability scale; the caller compares against its own
     tolerance.  Zero exactly for a symmetric chain with uniform pi.
     """
-    P = np.asarray(chain, dtype=float)
     p = pi.probabilities
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] != len(p):
+    if chain.shape != (len(p), len(p)):
         raise ValueError(
-            f"dimension mismatch: chain {P.shape}, distribution {len(p)}")
-    flux = p[:, None] * P
-    return float(np.abs(flux - flux.T).max())
+            f"dimension mismatch: chain {chain.shape}, distribution {len(p)}")
+    flux = chain * p[:, None]
+    return float(abs(flux - flux.T).max())

@@ -103,9 +103,14 @@ def finite_difference_gap(params: ModelParams, delta: float | None = None) -> fl
         chain = build_reduced_chain(ModelParams(n=n, J=j, H=H))
         return float(eigen_top_tridiagonal(*increment_chain(chain))[0][0])
 
+    return difference_quotient(lam2, J, delta)
+
+
+def difference_quotient(fn, J: float, delta: float):
+    """d fn/dJ: central difference, or a second-order forward one at J < delta."""
     if J >= delta:
-        return (lam2(J + delta) - lam2(J - delta)) / (2.0 * delta)
-    return (-3.0 * lam2(J) + 4.0 * lam2(J + delta) - lam2(J + 2 * delta)) / (2.0 * delta)
+        return (fn(J + delta) - fn(J - delta)) / (2.0 * delta)
+    return (-3.0 * fn(J) + 4.0 * fn(J + delta) - fn(J + 2 * delta)) / (2.0 * delta)
 
 
 def sign_structure_terms(params: ModelParams) -> np.ndarray:

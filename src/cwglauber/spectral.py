@@ -3,9 +3,9 @@
 A reversible chain is similar to a symmetric matrix through conjugation by
 diag(sqrt(pi)); for the tridiagonal magnetization chain the symmetrized
 off-diagonal collapses to sqrt(up_k * down_k).  A parameter point is solved
-on the increment chain below; the reduced chain's full spectrum and the full
-2^n chain, symmetrized the same way, are the oracles for the lumping
-equivalence, and an independent cyclic-Jacobi rotation solver
+on the increment chain below; the reduced chain's full spectrum and the top
+of the sparse 2^n chain's spectrum, from Lanczos, are the oracles for the
+lumping equivalence, and an independent cyclic-Jacobi rotation solver
 cross-validates the LAPACK paths at desk scale.
 
 Conventions for the second eigenpair (lambda_2, f): eigenvalues are sorted
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ising import (Distribution, ModelParams, full_transition_matrix,
-                    stationary_full)
+from .ising import (Distribution, ModelParams, all_plus_counts,
+                    full_transition_matrix)
 from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
 
 # Below this separation of lambda_2 from lambda_3 the eigenvector analysis is
@@ -176,26 +176,38 @@ def eigen_dense_symmetric(matrix, tol: float = 1e-12, max_sweeps: int = 60):
         f"Jacobi iteration did not reach tol={tol} in {max_sweeps} sweeps")
 
 
-def full_chain_spectrum(params: ModelParams, n_max_full: int | None = None) -> np.ndarray:
-    """All 2^n eigenvalues of the full Glauber chain, sorted descending.
+def full_chain_top_eigenvalues(params: ModelParams, n_max_full=None) -> np.ndarray:
+    """The 3 largest eigenvalues of the full Glauber chain, descending.
 
-    The chain is symmetrized by diag(sqrt(pi)) (reversibility makes the
-    result symmetric up to rounding, which is folded away) and handed to the
-    dense LAPACK solver; the Jacobi oracle above validates this path at small
-    n in the test suite.  A LAPACK failure (non-convergence, or a non-finite
-    matrix once pi underflows) is raised as EigensolverError.
+    Lanczos (ARPACK eigsh) runs on S = sqrt(P_ij P_ji) entrywise, which by
+    reversibility is diag(sqrt(pi)) P diag(sqrt(pi))^-1 without forming pi.
+    Its start vector is seeded Gaussian, so results repeat exactly and the
+    start has weight in every symmetry sector, not only in the lumped chain
+    this oracle checks.  n = 1 (two states, below ARPACK's limit) takes a
+    dense 2 x 2 solve.  Failures are raised as EigensolverError.
     """
+    import scipy.sparse.linalg  # deferred: ~30 ms of import only the oracle needs
     kwargs = {} if n_max_full is None else {"n_max_full": n_max_full}
     P = full_transition_matrix(params, **kwargs)
-    pi = stationary_full(params, **kwargs)
-    s = np.sqrt(pi.probabilities)
-    S = (s[:, None] * P) / s[None, :]
-    S = 0.5 * (S + S.T)
+    S = (P * P.T).sqrt()
     try:
-        w = np.linalg.eigvalsh(S)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
-    return w[::-1]
+        if params.n == 1:
+            return np.linalg.eigvalsh(S.toarray())[::-1]
+        v0 = np.random.default_rng(0).standard_normal(S.shape[0])
+        w = scipy.sparse.linalg.eigsh(S, k=3, which="LA", v0=v0,
+                                      return_eigenvectors=False)
+    except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError) as exc:
+        raise EigensolverError(f"full-chain eigensolver failed: {exc}") from exc
+    return np.sort(w)[::-1]
+
+
+def lifted_residual(P, w, v) -> float:
+    """max_j ||S u_j - w_j u_j||_2, S = sqrt(P_ij P_ji), over the reduced
+    eigenpairs (w_j, v[:, j]) lifted to unit u_j = v_j[level]/sqrt(C(n, level));
+    S is symmetric, so (Bauer-Fike) a full-chain eigenvalue is that near w_j."""
+    levels = all_plus_counts(len(v) - 1)
+    u = v[levels] / np.sqrt(np.bincount(levels))[levels, None]
+    return float(np.linalg.norm((P * P.T).sqrt() @ u - u * w, axis=0).max())
 
 
 def eigen_top_tridiagonal(diag, offdiag):

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS/FAIL line
 per criterion as it completes.  Grids and tolerances are pinned here, not
 configurable: criterion 1/3/7 share the (n in 2..10) x (J in 0..0.5 step
 0.05) x (H in {0, 0.1}) grid; criterion 2/4/5 use 61-point J sweeps on
-[0, 0.6]; criterion 6 runs n = 1..12 against the dense full-chain solver;
+[0, 0.6]; criterion 6 runs n = 1..12 against the sparse full-chain solver;
 criterion 8 uses 10^6-sweep seeded simulations.
 
 Criterion 9 asserts the growth-factor comparison exactly as specified; the
@@ -24,7 +24,7 @@ from cwglauber.perturbation import (DegenerateGapError, finite_difference_gap,
                                     hellmann_feynman, sign_structure_terms,
                                     supercritical_slowdown_table,
                                     sweep_monotonicity, temperature_view)
-from cwglauber.spectral import full_chain_spectrum, second_eigenpair
+from cwglauber.spectral import full_chain_top_eigenvalues, second_eigenpair
 
 GRID_N = range(2, 11)
 GRID_J = [round(0.05 * i, 2) for i in range(11)]  # 0, 0.05, ..., 0.5
@@ -54,7 +54,7 @@ def full_grid():
                 red_rows = (np.concatenate([chain.up, [0.0]])
                             + np.concatenate([[0.0], chain.down]) + chain.diag)
                 rows[(n, J, H)] = {
-                    "lambda2_full": float(full_chain_spectrum(params)[1]),
+                    "lambda2_full": float(full_chain_top_eigenvalues(params)[1]),
                     "lambda2_red": second_eigenpair(params).lambda2,
                     "db_full": check_detailed_balance(P, pi),
                     "db_red": float(np.abs(pi_red.probabilities[:-1] * chain.up
@@ -172,7 +172,7 @@ def test_criterion_05_relaxation_decreasing_in_temperature(h0_sweeps):
 
 
 def test_criterion_06_free_chain_anchor():
-    """gap = 1/n and t_rel = n at J = 0, against the dense full-chain solver."""
+    """gap = 1/n and t_rel = n at J = 0, against the sparse full-chain solver."""
     worst_red = 0.0
     worst_full = 0.0
     for n in range(1, 13):
@@ -180,7 +180,7 @@ def test_criterion_06_free_chain_anchor():
         res = second_eigenpair(params)
         worst_red = max(worst_red, abs(res.gap - 1.0 / n),
                         abs(res.t_rel - n) / n)
-        lam2_full = float(full_chain_spectrum(params)[1])
+        lam2_full = float(full_chain_top_eigenvalues(params)[1])
         worst_full = max(worst_full, abs((1.0 - lam2_full) - 1.0 / n))
     ok = verdict(6, "closed-form anchor at J=0",
                  worst_red < 1e-10 and worst_full < 1e-10,

@@ -1,10 +1,15 @@
 """CLI contract: commands, exit codes, artifact formats and round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cwglauber
 from cwglauber.cli import main
 from cwglauber.mcmc import simulate_reduced
 from cwglauber.ising import ModelParams
@@ -183,6 +188,16 @@ class TestVerifyCommand:
         assert captured.err.startswith("solver failure: reduced chain")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_full_chain_exits_3(self, capsys):
+        # the reduced entries are subnormal, not 0, so the reduced solve
+        # runs; the full chain's flip ratios would overflow
+        assert run_cli(["verify", "--n", "8", "--J", "52"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: full chain")
+        assert captured.err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_too_few_steps_exits_2(self):
@@ -215,6 +230,17 @@ class TestSimulateCommand:
         assert code == 0
         traj = trajectory_from_csv(out.read_text())
         assert traj.sweeps == 10000
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """scipy.sparse costs tens of milliseconds of import, and only the
+    full-chain oracle needs it."""
+    src = str(Path(cwglauber.__file__).resolve().parents[1])
+    code = "import sys, cwglauber.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"
 
 
 class TestSerializationRoundTrips:

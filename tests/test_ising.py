@@ -80,7 +80,7 @@ class TestLogistic:
 
 class TestFullTransitionMatrix:
     def test_two_spins_free(self):
-        P = full_transition_matrix(ModelParams(n=2, J=0.0, H=0.0))
+        P = full_transition_matrix(ModelParams(n=2, J=0.0, H=0.0)).toarray()
         off = P - np.diag(np.diag(P))
         assert np.all((off == 0) | (off == 0.25))
         np.testing.assert_array_equal(np.diag(P), 0.5)
@@ -88,7 +88,7 @@ class TestFullTransitionMatrix:
     def test_single_spin_any_coupling(self):
         # no neighbors exist, so J is irrelevant and each flip has rate 1/2
         for J in (0.0, 3.0, 17.0):
-            P = full_transition_matrix(ModelParams(n=1, J=J, H=0.0))
+            P = full_transition_matrix(ModelParams(n=1, J=J, H=0.0)).toarray()
             np.testing.assert_array_equal(P, [[0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("n,J,H", [(3, 0.5, 0.2), (5, 0.1, 0.0),

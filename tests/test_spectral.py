@@ -13,8 +13,19 @@ from cwglauber.spectral import (EigensolverError, eigen_dense_symmetric,
                                 eigen_symmetric_tridiagonal,
                                 eigen_top_tridiagonal,
                                 eigenvector_structure_report,
-                                full_chain_spectrum, increment_eigenpair,
+                                full_chain_top_eigenvalues,
+                                increment_eigenpair, lifted_residual,
                                 second_eigenpair, symmetrize)
+from cwglauber.ising import full_transition_matrix, stationary_full
+
+
+def _dense_full_spectrum(params):
+    """All 2^n eigenvalues, descending, of the dense full chain symmetrized
+    by diag(sqrt(pi)); an independent route for n <= 8."""
+    P = full_transition_matrix(params).toarray()
+    s = np.sqrt(stationary_full(params).probabilities)
+    S = (s[:, None] * P) / s[None, :]
+    return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
 
 
 class TestSymmetrize:
@@ -147,16 +158,15 @@ class TestJacobiSolver:
         assert np.abs(v.T @ v - np.eye(20)).max() < 1e-12
 
     def test_symmetrized_full_chain_top_eigenvalue(self):
-        spec = full_chain_spectrum(ModelParams(n=6, J=0.2, H=0.0))
+        top = full_chain_top_eigenvalues(ModelParams(n=6, J=0.2, H=0.0))
         params = ModelParams(n=6, J=0.2, H=0.0)
-        from cwglauber.ising import full_transition_matrix, stationary_full
-        P = full_transition_matrix(params)
+        P = full_transition_matrix(params).toarray()
         s = np.sqrt(stationary_full(params).probabilities)
         S = (s[:, None] * P) / s[None, :]
         w, _ = eigen_dense_symmetric(0.5 * (S + S.T))
         assert abs(w[0] - 1.0) < 1e-10
-        # Jacobi route agrees with the LAPACK route on the physical matrix
-        np.testing.assert_allclose(w, spec, atol=1e-12)
+        # Jacobi route agrees with the Lanczos route on the physical matrix
+        np.testing.assert_allclose(w[:3], top, atol=1e-12)
 
 
 class TestSecondEigenpair:
@@ -183,7 +193,7 @@ class TestSecondEigenpair:
                                        (9, 0.25, 0.0), (4, 0.0, 0.6)])
     def test_matches_full_chain(self, n, J, H):
         res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-        full = full_chain_spectrum(ModelParams(n=n, J=J, H=H))
+        full = full_chain_top_eigenvalues(ModelParams(n=n, J=J, H=H))
         assert abs(res.lambda2 - full[1]) < 1e-10
 
     @pytest.mark.parametrize("n,J,H", [(5, 0.2, 0.0), (10, 0.6, 0.2), (7, 0.0, 0.0)])
@@ -250,12 +260,61 @@ class TestSolverFailures:
             second_eigenpair(params)
 
     def test_dense_oracle_failure_is_eigensolver_error(self, monkeypatch):
-        def failing(a):
+        import scipy.sparse.linalg
+
+        def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(EigensolverError, match="did not converge"):
-            full_chain_spectrum(ModelParams(n=4, J=0.1, H=0.0))
+            full_chain_top_eigenvalues(ModelParams(n=4, J=0.1, H=0.0))
+
+
+class TestFullChainTopEigenvalues:
+    def test_reaches_beyond_the_symmetric_sector(self):
+        """The third value is not a reduced-chain eigenvalue: Lanczos sees
+        the whole 2^n space, not only the lumped chain it is checked
+        against."""
+        params = ModelParams(n=3, J=0.4, H=0.2)
+        top = full_chain_top_eigenvalues(params)
+        assert abs(top[2] - _dense_full_spectrum(params)[2]) < 1e-12
+        assert abs(top[2] - second_eigenpair(params).lambda3) > 1e-3
+
+    def test_deterministic(self):
+        params = ModelParams(n=10, J=0.3, H=0.1)
+        first = full_chain_top_eigenvalues(params)
+        assert np.array_equal(first, full_chain_top_eigenvalues(params))
+
+    def test_single_spin_dense_route(self):
+        params = ModelParams(n=1, J=0.0, H=0.4)
+        np.testing.assert_allclose(full_chain_top_eigenvalues(params),
+                                   [1.0, second_eigenpair(params).lambda2],
+                                   atol=1e-15)
+
+    def test_arpack_no_convergence_is_eigensolver_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(EigensolverError, match="No convergence"):
+            full_chain_top_eigenvalues(ModelParams(n=4, J=0.1, H=0.0))
+
+
+class TestLiftedResidual:
+    def test_bounds_reduced_eigenvalues_and_can_fail(self):
+        """The spectrum_subset measurement: small for the true eigenpairs,
+        at least half the shift for a displaced eigenvalue."""
+        params = ModelParams(n=6, J=0.3, H=0.1)
+        w, v = eigen_symmetric_tridiagonal(
+            *symmetrize(build_reduced_chain(params)))
+        P = full_transition_matrix(params)
+        assert lifted_residual(P, w, v) < 1e-13
+        shifted = w.copy()
+        shifted[2] += 1e-6
+        assert lifted_residual(P, shifted, v) >= 5e-7
 
 
 class TestIncrementVector:
@@ -367,7 +426,7 @@ def test_oracle_equivalence_spectrum_subset(n, J, H):
     params = ModelParams(n=n, J=J, H=H)
     res = second_eigenpair(params)
     w = eigen_symmetric_tridiagonal(*symmetrize(build_reduced_chain(params)))[0]
-    full = full_chain_spectrum(params)
+    full = _dense_full_spectrum(params)
     dist = np.abs(w[:, None] - full[None, :]).min(axis=1)
     assert dist.max() < 1e-10
     assert abs(res.lambda2 - w[1]) < 1e-10
