@@ -9,8 +9,7 @@ spectral relaxation times against seeded Monte Carlo dynamics.
 """
 
 from .ising import (Distribution, ModelParams, N_MAX_FULL,
-                    check_detailed_balance, full_transition_matrix,
-                    stationary_full)
+                    full_transition_matrix, stationary_full)
 from .magchain import (DerivativeMatrix, ReducedChain, build_reduced_chain,
                        derivative_matrix, lump_vector, reduced_stationary,
                        s_values)
@@ -20,15 +19,15 @@ from .perturbation import (SweepPoint, SweepReport, finite_difference_gap,
                            hellmann_feynman, sign_structure_terms,
                            sweep_monotonicity, temperature_view)
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
-                       eigen_dense_symmetric, eigen_symmetric_tridiagonal,
+                       eigen_symmetric_tridiagonal,
                        eigenvector_structure_report, full_chain_top_eigenvalues,
                        second_eigenpair, symmetrize)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Distribution", "ModelParams", "N_MAX_FULL", "check_detailed_balance",
-    "full_transition_matrix", "stationary_full",
+    "Distribution", "ModelParams", "N_MAX_FULL", "full_transition_matrix",
+    "stationary_full",
     "DerivativeMatrix", "ReducedChain", "build_reduced_chain",
     "derivative_matrix", "lump_vector", "reduced_stationary", "s_values",
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",
@@ -36,7 +35,6 @@ __all__ = [
     "SweepPoint", "SweepReport", "finite_difference_gap", "hellmann_feynman",
     "sign_structure_terms", "sweep_monotonicity", "temperature_view",
     "EigensolverError", "SpectralResult", "StructureReport",
-    "eigen_dense_symmetric", "eigen_symmetric_tridiagonal",
-    "eigenvector_structure_report", "full_chain_top_eigenvalues",
-    "second_eigenpair", "symmetrize",
+    "eigen_symmetric_tridiagonal", "eigenvector_structure_report",
+    "full_chain_top_eigenvalues", "second_eigenpair", "symmetrize",
 ]

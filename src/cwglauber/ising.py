@@ -65,8 +65,10 @@ class ModelParams:
 def all_plus_counts(n: int) -> np.ndarray:
     """Number of +1 spins for every configuration index 0..2^n-1."""
     idx = np.arange(1 << n)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    return bits.sum(axis=1)
+    counts = np.zeros_like(idx)
+    for b in range(n):
+        counts += (idx >> b) & 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,28 @@ def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL):
         raise ValueError(
             f"full chain for n={n} refused: exceeds n_max_full={n_max_full} "
             f"(2^n state space)")
+    # A flip depends only on the site's spin s and the up-count k, since the
+    # other spins sum to 2k - n - s: table[b, k] holds it for s = 2b - 1.
+    s = np.array([[-1], [1]])
+    others = 2 * np.arange(n + 1) - n - s
+    table = logistic(2.0 * (-s) * (params.J * others + params.H)) / n
     m = 1 << n
-    idx = np.arange(m)
-    spins = 2 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1
-    others = spins.sum(axis=1)[:, None] - spins  # S_x for every (sigma, x)
-    p_flip = logistic(2.0 * (-spins) * (params.J * others + params.H)) / n
-    data = np.column_stack([1.0 - p_flip.sum(axis=1), p_flip])
-    cols = np.column_stack([idx, idx[:, None] ^ (1 << np.arange(n))[None, :]])
-    return scipy.sparse.csr_array(
-        (data.ravel(), (np.repeat(idx, n + 1), cols.ravel())), shape=(m, m))
+    nnz = m * (n + 1)
+    itype = np.int32 if nnz < 2**31 else np.int64
+    idx = np.arange(m, dtype=itype)
+    k = all_plus_counts(n)
+    data = np.empty((m, n + 1))
+    cols = np.empty((m, n + 1), dtype=itype)
+    cols[:, 0] = idx
+    for x in range(n):
+        data[:, x + 1] = table[(idx >> x) & 1, k]
+        cols[:, x + 1] = idx ^ (1 << x)
+    data[:, 0] = 1.0 - data[:, 1:].sum(axis=1)
+    P = scipy.sparse.csr_array(
+        (data.ravel(), cols.ravel(), np.arange(0, nnz + 1, n + 1, dtype=itype)),
+        shape=(m, m))
+    P.sort_indices()  # canonical CSR: columns ascending within each row
+    return P
 
 
 def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> Distribution:
@@ -139,18 +154,3 @@ def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> Distri
             f"stationary distribution for n={params.n} refused: exceeds "
             f"n_max_full={n_max_full}")
     return Distribution.from_log_weights(log_weights_full(params))
-
-
-def check_detailed_balance(chain, pi: Distribution) -> float:
-    """Largest detailed-balance violation max_ij |pi_i P_ij - pi_j P_ji|.
-
-    One expression serves a dense ndarray and a scipy sparse array alike.
-    Returned on the probability scale; the caller compares against its own
-    tolerance.  Zero exactly for a symmetric chain with uniform pi.
-    """
-    p = pi.probabilities
-    if chain.shape != (len(p), len(p)):
-        raise ValueError(
-            f"dimension mismatch: chain {chain.shape}, distribution {len(p)}")
-    flux = chain * p[:, None]
-    return float(abs(flux - flux.T).max())

@@ -51,12 +51,6 @@ class ReducedChain:
     down: np.ndarray
     diag: np.ndarray
 
-    def as_dense(self) -> np.ndarray:
-        P = np.diag(self.diag)
-        P += np.diag(self.up, k=1)
-        P += np.diag(self.down, k=-1)
-        return P
-
 
 @dataclass(frozen=True)
 class DerivativeMatrix:

@@ -212,18 +212,3 @@ def temperature_view(report: SweepReport, c: float = 1.0):
     pairs.sort(key=lambda tp: tp[0])
     return pairs
 
-
-def supercritical_slowdown_table(ns=(4, 8, 12, 16, 20), coupling_times_n: float = 1.6):
-    """t_rel at fixed J*n for a ladder of sizes, plus consecutive ratios.
-
-    Returns (rows, ratios): rows are (n, J, gap, t_rel) and ratios[i] is
-    t_rel(ns[i+1]) / t_rel(ns[i]).  With J*n above the critical value 1 the
-    relaxation time grows exponentially in n.
-    """
-    rows = []
-    for n in ns:
-        J = coupling_times_n / n
-        res = second_eigenpair(ModelParams(n=n, J=J, H=0.0))
-        rows.append((n, J, res.gap, res.t_rel))
-    ratios = [rows[i + 1][3] / rows[i][3] for i in range(len(rows) - 1)]
-    return rows, ratios

@@ -5,8 +5,7 @@ diag(sqrt(pi)); for the tridiagonal magnetization chain the symmetrized
 off-diagonal collapses to sqrt(up_k * down_k).  A parameter point is solved
 on the increment chain below; the reduced chain's full spectrum and the top
 of the sparse 2^n chain's spectrum, from Lanczos, are the oracles for the
-lumping equivalence, and an independent cyclic-Jacobi rotation solver
-cross-validates the LAPACK paths at desk scale.
+lumping equivalence.
 
 Conventions for the second eigenpair (lambda_2, f): eigenvalues are sorted
 descending, f is reported in chain coordinates with <f, f>_pi = 1 and the
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .ising import (Distribution, ModelParams, all_plus_counts,
-                    full_transition_matrix)
+from .ising import ModelParams, all_plus_counts
 from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
 
 # Below this separation of lambda_2 from lambda_3 the eigenvector analysis is
@@ -84,20 +82,12 @@ class StructureReport:
     reliable: bool
 
 
-def symmetrize(chain: ReducedChain, pi: Distribution | None = None):
+def symmetrize(chain: ReducedChain):
     """Symmetric tridiagonal (diag, offdiag) similar to the reduced chain.
 
     offdiag[k] = sqrt(up_k * down_k); a negative product signals an invalid
-    chain and is rejected.  When pi is supplied, reversibility of the chain
-    with respect to it is sanity-checked first.
+    chain and is rejected.
     """
-    if pi is not None:
-        p = pi.probabilities
-        viol = np.abs(p[:-1] * chain.up - p[1:] * chain.down).max()
-        if viol > 1e-8:
-            raise ValueError(
-                f"chain is not reversible w.r.t. the given distribution "
-                f"(flux mismatch {viol:.3e})")
     prod = chain.up * chain.down
     if np.any(prod < 0):
         raise ValueError("up[k]*down[k] < 0: not a valid birth-death chain")
@@ -125,59 +115,8 @@ def eigen_symmetric_tridiagonal(diag, offdiag):
     return w[::-1], v[:, ::-1]  # dstevd sorts ascending
 
 
-def eigen_dense_symmetric(matrix, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps of plane rotations annihilate off-diagonal entries until the
-    off-diagonal Frobenius norm drops below tol * ||A||_F.  Returns
-    (eigenvalues descending, eigenvector columns).  Quadratic convergence
-    makes a few sweeps enough at desk scale; this is the oracle route, kept
-    independent of the LAPACK-backed solvers it cross-checks.
-    """
-    A = np.array(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    norm = np.linalg.norm(A)
-    asym = np.abs(A - A.T).max()
-    if asym > 1e-12 * max(norm, 1.0):
-        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    A = 0.5 * (A + A.T)
-    m = A.shape[0]
-    V = np.eye(m)
-    if m == 1:
-        return np.array([A[0, 0]]), V
-    for _ in range(max_sweeps):
-        # off-diagonal Frobenius norm, formed directly: the difference
-        # sum(A^2) - sum(diag^2) cancels catastrophically near convergence
-        offmat = A - np.diag(np.diag(A))
-        off = np.linalg.norm(offmat)
-        if off <= tol * max(norm, np.finfo(float).tiny):
-            w = np.diag(A).copy()
-            order = np.argsort(w)[::-1]
-            return w[order], V[:, order]
-        # rotations below this threshold cannot move the off-norm meaningfully
-        skip = off / (m * m)
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= skip * 1e-3:
-                    continue
-                # stable rotation angle (Golub & Van Loan)
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                A[:, [p, q]] = A[:, [p, q]] @ rot
-                A[[p, q], :] = rot.T @ A[[p, q], :]
-                A[p, q] = A[q, p] = 0.0
-                V[:, [p, q]] = V[:, [p, q]] @ rot
-    raise EigensolverError(
-        f"Jacobi iteration did not reach tol={tol} in {max_sweeps} sweeps")
-
-
-def full_chain_top_eigenvalues(params: ModelParams, n_max_full=None) -> np.ndarray:
-    """The 3 largest eigenvalues of the full Glauber chain, descending.
+def full_chain_top_eigenvalues(P) -> np.ndarray:
+    """The 3 largest eigenvalues of the full Glauber chain P, descending.
 
     Lanczos (ARPACK eigsh) runs on S = sqrt(P_ij P_ji) entrywise, which by
     reversibility is diag(sqrt(pi)) P diag(sqrt(pi))^-1 without forming pi.
@@ -187,11 +126,9 @@ def full_chain_top_eigenvalues(params: ModelParams, n_max_full=None) -> np.ndarr
     dense 2 x 2 solve.  Failures are raised as EigensolverError.
     """
     import scipy.sparse.linalg  # deferred: ~30 ms of import only the oracle needs
-    kwargs = {} if n_max_full is None else {"n_max_full": n_max_full}
-    P = full_transition_matrix(params, **kwargs)
     S = (P * P.T).sqrt()
     try:
-        if params.n == 1:
+        if S.shape[0] == 2:
             return np.linalg.eigvalsh(S.toarray())[::-1]
         v0 = np.random.default_rng(0).standard_normal(S.shape[0])
         w = scipy.sparse.linalg.eigsh(S, k=3, which="LA", v0=v0,
@@ -204,10 +141,16 @@ def full_chain_top_eigenvalues(params: ModelParams, n_max_full=None) -> np.ndarr
 def lifted_residual(P, w, v) -> float:
     """max_j ||S u_j - w_j u_j||_2, S = sqrt(P_ij P_ji), over the reduced
     eigenpairs (w_j, v[:, j]) lifted to unit u_j = v_j[level]/sqrt(C(n, level));
-    S is symmetric, so (Bauer-Fike) a full-chain eigenvalue is that near w_j."""
+    S is symmetric, so (Bauer-Fike) a full-chain eigenvalue is that near w_j.
+    One u_j at a time, so memory stays O(2^n) beside S."""
     levels = all_plus_counts(len(v) - 1)
-    u = v[levels] / np.sqrt(np.bincount(levels))[levels, None]
-    return float(np.linalg.norm((P * P.T).sqrt() @ u - u * w, axis=0).max())
+    root_counts = np.sqrt(np.bincount(levels))[levels]
+    S = (P * P.T).sqrt()
+    residuals = []
+    for j in range(len(w)):
+        u = v[levels, j] / root_counts
+        residuals.append(np.linalg.norm(S @ u - u * w[j]))
+    return float(np.max(residuals))
 
 
 def eigen_top_tridiagonal(diag, offdiag):

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
-                    check_detailed_balance, full_transition_matrix,
-                    log_weights_full, stationary_full)
+                    full_transition_matrix, log_weights_full, stationary_full)
 from .magchain import (build_reduced_chain, derivative_matrix, lump_vector,
                        reduced_stationary, s_values)
 from .perturbation import (coupling_derivative, difference_quotient,
@@ -47,42 +46,46 @@ class CheckResult:
 def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     """Run every property check at one (n, J, H); returns CheckResults."""
     n, J, H = params.n, params.J, params.H
-    if n > n_max_full:
-        raise ValueError(f"verification needs the full chain: n={n} exceeds "
-                         f"n_max_full={n_max_full}")
     # solved first: a point the reduced solve refuses (underflowed chain
     # entries) stops here, before the full-chain checks overflow on it
     res = second_eigenpair(params)
     out = []
 
-    # --- full chain ------------------------------------------------------
+    # --- full chain, read one flipped bit at a time ----------------------
     P = full_transition_matrix(params, n_max_full=n_max_full)
-    pi_full = stationary_full(params, n_max_full=n_max_full)
-    entries = P.tocoo()  # its off-diagonal entries are the flips
-    off = entries.row != entries.col
-    rows, cols, vals = entries.row[off], entries.col[off], entries.data[off]
-    # ratios of subnormal flip probabilities carry no relative precision
-    if vals.min() < np.finfo(float).tiny:
-        raise EigensolverError(f"full chain has flip probabilities that "
-                               f"underflow at n={n}, J={J:g}, H={H:g}")
+    p = stationary_full(params, n_max_full=n_max_full).probabilities
+    lw = log_weights_full(params)
+    levels = all_plus_counts(n)  # also the popcount of every index
+    idx = np.arange(P.shape[0])
+    ratio_err, flux_err = [], []
+    up_mass = np.zeros(P.shape[0])
+    for x in range(n):
+        nb = idx ^ (1 << x)
+        fwd, rev = P[idx, nb], P[nb, idx]
+        # rev is fwd permuted, so this covers every flip; ratios of
+        # subnormal flip probabilities carry no relative precision
+        if fwd.min() < np.finfo(float).tiny:
+            raise EigensolverError(f"full chain has flip probabilities that "
+                                   f"underflow at n={n}, J={J:g}, H={H:g}")
+        expected = np.exp(lw[nb] - lw)
+        ratio_err.append((np.abs(fwd / rev - expected) / expected).max())
+        flux_err.append(np.abs(p * fwd - p[nb] * rev).max())
+        up_mass += np.where(nb > idx, fwd, 0.0)  # the flips that set bit x
     out.append(CheckResult.from_violation(
         "full_row_sums", np.abs(P.sum(axis=1) - 1.0).max(), 1e-14))
     out.append(CheckResult.from_violation(
         "full_entry_range", max(0.0, -P.min(), P.max() - 1.0), 1e-15))
-    levels = all_plus_counts(n)  # also the popcount of every index
-    bad = np.count_nonzero(levels[rows ^ cols] != 1)
+    # every stored entry: the popcount of row ^ column is the Hamming distance
+    bad = np.count_nonzero(
+        levels[np.repeat(idx, np.diff(P.indptr)) ^ P.indices] > 1)
     out.append(CheckResult.from_violation(
         "full_locality", float(bad), 0.0,
         note="nonzeros beyond Hamming distance 1"))
-    lw = log_weights_full(params)
-    expected = np.exp(lw[cols] - lw[rows])
-    rel = np.abs(vals / P[cols, rows] - expected) / expected
     out.append(CheckResult.from_violation(
-        "gibbs_flip_consistency", rel.max(), 1e-12,
+        "gibbs_flip_consistency", np.max(ratio_err), 1e-12,
         note="P(s->s^x)/P(s^x->s) vs Gibbs ratio"))
     out.append(CheckResult.from_violation(
-        "full_detailed_balance", check_detailed_balance(P, pi_full), 1e-13))
-    p = pi_full.probabilities
+        "full_detailed_balance", np.max(flux_err), 1e-13))
     out.append(CheckResult.from_violation(
         "full_stationarity", np.abs(p @ P - p).max(), 1e-12))
     if H == 0.0:
@@ -109,12 +112,9 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
                   - pi_red.probabilities[1:] * chain.down).max()
     out.append(CheckResult.from_violation(
         "reduced_detailed_balance", flux, 1e-13))
-    lumped = np.bincount(levels, weights=pi_full.probabilities,
-                         minlength=n + 1)
+    lumped = np.bincount(levels, weights=p, minlength=n + 1)
     out.append(CheckResult.from_violation(
         "stationary_lumping", np.abs(lumped - pi_red.probabilities).max(), 1e-12))
-    to_up = levels[cols] == levels[rows] + 1
-    up_mass = np.bincount(rows[to_up], weights=vals[to_up], minlength=P.shape[0])
     below = levels < n
     worst_lump = np.abs(up_mass[below] - chain.up[levels[below]]).max()
     out.append(CheckResult.from_violation(
@@ -122,7 +122,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         note="level-k -> level-k+1 mass vs reduced up entry"))
 
     # --- spectra ----------------------------------------------------------
-    full_top = full_chain_top_eigenvalues(params, n_max_full=n_max_full)
+    full_top = full_chain_top_eigenvalues(P)
     out.append(CheckResult.from_violation(
         "lumping_lambda2", abs(res.lambda2 - full_top[1]), 1e-10))
     # the reduced chain's whole spectrum is needed only here

@@ -1,8 +1,20 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+
+def dense_reduced_chain(chain):
+    """The reduced chain as a dense (n+1) x (n+1) matrix from up/down/diag."""
+    return (np.diag(chain.diag) + np.diag(chain.up, k=1)
+            + np.diag(chain.down, k=-1))
+
+
+def detailed_balance_violation(P, pi):
+    """max_ij |pi_i P_ij - pi_j P_ji| of a dense matrix P."""
+    flux = P * pi.probabilities[:, None]
+    return np.abs(flux - flux.T).max()
 
 
 @pytest.fixture

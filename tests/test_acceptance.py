@@ -16,13 +16,13 @@ reports is still printed and written to CSV.
 import numpy as np
 import pytest
 
-from cwglauber.ising import (ModelParams, check_detailed_balance,
-                             full_transition_matrix, stationary_full)
+from conftest import detailed_balance_violation
+from cwglauber.ising import (ModelParams, full_transition_matrix,
+                             stationary_full)
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import estimate_relaxation, simulate_reduced
 from cwglauber.perturbation import (DegenerateGapError, finite_difference_gap,
                                     hellmann_feynman, sign_structure_terms,
-                                    supercritical_slowdown_table,
                                     sweep_monotonicity, temperature_view)
 from cwglauber.spectral import full_chain_top_eigenvalues, second_eigenpair
 
@@ -32,6 +32,22 @@ GRID_H = [0.0, 0.1]
 
 SWEEP_N = range(2, 13)
 SWEEP_GRID = np.linspace(0.0, 0.6, 61).tolist()
+
+
+def supercritical_slowdown_table(ns=(4, 8, 12, 16, 20), coupling_times_n=1.6):
+    """t_rel at fixed J*n for a ladder of sizes, plus consecutive ratios.
+
+    Returns (rows, ratios): rows are (n, J, gap, t_rel) and ratios[i] is
+    t_rel(ns[i+1]) / t_rel(ns[i]).  With J*n above the critical value 1 the
+    relaxation time grows exponentially in n.
+    """
+    rows = []
+    for n in ns:
+        J = coupling_times_n / n
+        res = second_eigenpair(ModelParams(n=n, J=J, H=0.0))
+        rows.append((n, J, res.gap, res.t_rel))
+    ratios = [rows[i + 1][3] / rows[i][3] for i in range(len(rows) - 1)]
+    return rows, ratios
 
 
 def verdict(num, name, ok, detail):
@@ -54,9 +70,9 @@ def full_grid():
                 red_rows = (np.concatenate([chain.up, [0.0]])
                             + np.concatenate([[0.0], chain.down]) + chain.diag)
                 rows[(n, J, H)] = {
-                    "lambda2_full": float(full_chain_top_eigenvalues(params)[1]),
+                    "lambda2_full": float(full_chain_top_eigenvalues(P)[1]),
                     "lambda2_red": second_eigenpair(params).lambda2,
-                    "db_full": check_detailed_balance(P, pi),
+                    "db_full": detailed_balance_violation(P.toarray(), pi),
                     "db_red": float(np.abs(pi_red.probabilities[:-1] * chain.up
                                            - pi_red.probabilities[1:] * chain.down).max()),
                     "rowsum_full": float(np.abs(P.sum(axis=1) - 1.0).max()),
@@ -180,7 +196,8 @@ def test_criterion_06_free_chain_anchor():
         res = second_eigenpair(params)
         worst_red = max(worst_red, abs(res.gap - 1.0 / n),
                         abs(res.t_rel - n) / n)
-        lam2_full = float(full_chain_top_eigenvalues(params)[1])
+        lam2_full = float(full_chain_top_eigenvalues(
+            full_transition_matrix(params))[1])
         worst_full = max(worst_full, abs((1.0 - lam2_full) - 1.0 / n))
     ok = verdict(6, "closed-form anchor at J=0",
                  worst_red < 1e-10 and worst_full < 1e-10,

@@ -10,6 +10,7 @@ import pytest
 from numpy.linalg import matrix_power
 from scipy.stats import binom
 
+from conftest import dense_reduced_chain
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import (EstimationError, RelaxationEstimate, Trajectory,
@@ -70,7 +71,7 @@ class TestSimulateReduced:
         p = ModelParams(n=n, J=0.1, H=0.0)
         traj = simulate_reduced(p, seed=11, steps=T)
         k = ((traj.samples + n) / 2).astype(int)
-        M = matrix_power(build_reduced_chain(p).as_dense(), n)
+        M = matrix_power(dense_reduced_chain(build_reduced_chain(p)), n)
         counts = np.zeros((n + 1, n + 1))
         np.add.at(counts, (k[:-1], k[1:]), 1)
         visits = counts.sum(axis=1)

@@ -9,9 +9,9 @@ import cwglauber.perturbation as perturbation
 from cwglauber.perturbation import (DegenerateGapError,
                                     finite_difference_gap, hellmann_feynman,
                                     sign_structure_terms,
-                                    supercritical_slowdown_table,
                                     sweep_monotonicity, temperature_view)
 from cwglauber.verification import run_verification
+from test_acceptance import supercritical_slowdown_table
 
 
 class TestHellmannFeynman:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import cwglauber.spectral as spectral
+from conftest import dense_reduced_chain
 from cwglauber.ising import Distribution, ModelParams
 from cwglauber.magchain import (ReducedChain, build_reduced_chain,
                                 reduced_stationary)
-from cwglauber.spectral import (EigensolverError, eigen_dense_symmetric,
+from cwglauber.spectral import (EigensolverError,
                                 eigen_symmetric_tridiagonal,
                                 eigen_top_tridiagonal,
                                 eigenvector_structure_report,
@@ -47,24 +48,16 @@ class TestSymmetrize:
         with pytest.raises(ValueError, match="birth-death"):
             symmetrize(bad)
 
-    def test_reversibility_precondition(self):
-        chain = build_reduced_chain(ModelParams(n=4, J=0.3, H=0.0))
-        wrong_pi = reduced_stationary(ModelParams(n=4, J=0.0, H=0.5))
-        with pytest.raises(ValueError, match="not reversible"):
-            symmetrize(chain, wrong_pi)
-        symmetrize(chain, reduced_stationary(ModelParams(n=4, J=0.3, H=0.0)))
-
     @pytest.mark.parametrize("n,J,H", [(4, 0.2, 0.1), (8, 0.5, 0.0), (10, 0.05, -0.4)])
     def test_preserves_spectrum(self, n, J, H):
-        """Similarity invariance, checked against the dense Jacobi oracle on
-        the nonsymmetric chain matrix pushed through diag(sqrt(pi))."""
+        """Similarity invariance, checked against dense eigvalsh on the
+        nonsymmetric chain matrix pushed through diag(sqrt(pi))."""
         chain = build_reduced_chain(ModelParams(n=n, J=J, H=H))
         pi = reduced_stationary(ModelParams(n=n, J=J, H=H))
-        diag, offdiag = symmetrize(chain, pi)
-        w_tri, _ = eigen_symmetric_tridiagonal(diag, offdiag)
+        w_tri, _ = eigen_symmetric_tridiagonal(*symmetrize(chain))
         s = np.sqrt(pi.probabilities)
-        S = (s[:, None] * chain.as_dense()) / s[None, :]
-        w_dense, _ = eigen_dense_symmetric(0.5 * (S + S.T))
+        S = (s[:, None] * dense_reduced_chain(chain)) / s[None, :]
+        w_dense = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
         np.testing.assert_allclose(w_tri, w_dense, atol=1e-12)
 
 
@@ -91,7 +84,7 @@ class TestTridiagonalSolver:
         offdiag = rng.standard_normal(m - 1)
         w, v = eigen_symmetric_tridiagonal(diag, offdiag)
         A = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-        w_oracle, _ = eigen_dense_symmetric(A)
+        w_oracle = np.linalg.eigvalsh(A)[::-1]
         np.testing.assert_allclose(w, w_oracle, atol=1e-12 * max(1, np.abs(w).max()))
 
     @pytest.mark.parametrize("m", [5, 40])
@@ -129,46 +122,6 @@ class TestTopEigenpair:
             second_eigenpair(ModelParams(n=6, J=0.1, H=0.0))
 
 
-class TestJacobiSolver:
-    def test_identity(self):
-        w, v = eigen_dense_symmetric(np.eye(5))
-        np.testing.assert_array_equal(w, np.ones(5))
-
-    def test_swap_matrix(self):
-        w, _ = eigen_dense_symmetric(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-15)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            eigen_dense_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            eigen_dense_symmetric(np.zeros((2, 3)))
-
-    def test_offdiagonal_annihilation_contract(self):
-        rng = np.random.default_rng(11)
-        A = rng.standard_normal((20, 20))
-        A = A + A.T
-        w, v = eigen_dense_symmetric(A, tol=1e-12)
-        # V^T A V must be diagonal to the contracted level
-        D = v.T @ A @ v
-        off = D - np.diag(np.diag(D))
-        assert np.linalg.norm(off) < 1e-11 * np.linalg.norm(A)
-        assert np.abs(v.T @ v - np.eye(20)).max() < 1e-12
-
-    def test_symmetrized_full_chain_top_eigenvalue(self):
-        top = full_chain_top_eigenvalues(ModelParams(n=6, J=0.2, H=0.0))
-        params = ModelParams(n=6, J=0.2, H=0.0)
-        P = full_transition_matrix(params).toarray()
-        s = np.sqrt(stationary_full(params).probabilities)
-        S = (s[:, None] * P) / s[None, :]
-        w, _ = eigen_dense_symmetric(0.5 * (S + S.T))
-        assert abs(w[0] - 1.0) < 1e-10
-        # Jacobi route agrees with the Lanczos route on the physical matrix
-        np.testing.assert_allclose(w[:3], top, atol=1e-12)
-
-
 class TestSecondEigenpair:
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
     def test_free_chain_closed_form(self, n):
@@ -193,7 +146,8 @@ class TestSecondEigenpair:
                                        (9, 0.25, 0.0), (4, 0.0, 0.6)])
     def test_matches_full_chain(self, n, J, H):
         res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-        full = full_chain_top_eigenvalues(ModelParams(n=n, J=J, H=H))
+        full = full_chain_top_eigenvalues(
+            full_transition_matrix(ModelParams(n=n, J=J, H=H)))
         assert abs(res.lambda2 - full[1]) < 1e-10
 
     @pytest.mark.parametrize("n,J,H", [(5, 0.2, 0.0), (10, 0.6, 0.2), (7, 0.0, 0.0)])
@@ -218,7 +172,7 @@ class TestSecondEigenpair:
         params = ModelParams(n=6, J=0.2, H=0.0)
         chain = build_reduced_chain(params)
         pi = reduced_stationary(params).probabilities
-        P = chain.as_dense()
+        P = dense_reduced_chain(chain)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(7)
         lam = 0.0
@@ -267,7 +221,8 @@ class TestSolverFailures:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(EigensolverError, match="did not converge"):
-            full_chain_top_eigenvalues(ModelParams(n=4, J=0.1, H=0.0))
+            full_chain_top_eigenvalues(
+                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0)))
 
 
 class TestFullChainTopEigenvalues:
@@ -276,20 +231,20 @@ class TestFullChainTopEigenvalues:
         the whole 2^n space, not only the lumped chain it is checked
         against."""
         params = ModelParams(n=3, J=0.4, H=0.2)
-        top = full_chain_top_eigenvalues(params)
+        top = full_chain_top_eigenvalues(full_transition_matrix(params))
         assert abs(top[2] - _dense_full_spectrum(params)[2]) < 1e-12
         assert abs(top[2] - second_eigenpair(params).lambda3) > 1e-3
 
     def test_deterministic(self):
-        params = ModelParams(n=10, J=0.3, H=0.1)
-        first = full_chain_top_eigenvalues(params)
-        assert np.array_equal(first, full_chain_top_eigenvalues(params))
+        P = full_transition_matrix(ModelParams(n=10, J=0.3, H=0.1))
+        first = full_chain_top_eigenvalues(P)
+        assert np.array_equal(first, full_chain_top_eigenvalues(P))
 
     def test_single_spin_dense_route(self):
         params = ModelParams(n=1, J=0.0, H=0.4)
-        np.testing.assert_allclose(full_chain_top_eigenvalues(params),
-                                   [1.0, second_eigenpair(params).lambda2],
-                                   atol=1e-15)
+        np.testing.assert_allclose(
+            full_chain_top_eigenvalues(full_transition_matrix(params)),
+            [1.0, second_eigenpair(params).lambda2], atol=1e-15)
 
     def test_arpack_no_convergence_is_eigensolver_error(self, monkeypatch):
         import scipy.sparse.linalg
@@ -300,7 +255,20 @@ class TestFullChainTopEigenvalues:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(EigensolverError, match="No convergence"):
-            full_chain_top_eigenvalues(ModelParams(n=4, J=0.1, H=0.0))
+            full_chain_top_eigenvalues(
+                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0)))
+
+    def test_symmetrized_full_chain_top_eigenvalue(self):
+        """Dense eigvalsh of P symmetrized by diag(sqrt(pi)) agrees with the
+        Lanczos route on the same P."""
+        params = ModelParams(n=6, J=0.2, H=0.0)
+        P = full_transition_matrix(params)
+        top = full_chain_top_eigenvalues(P)
+        s = np.sqrt(stationary_full(params).probabilities)
+        S = (s[:, None] * P.toarray()) / s[None, :]
+        w = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
+        assert abs(w[0] - 1.0) < 1e-10
+        np.testing.assert_allclose(w[:3], top, atol=1e-12)
 
 
 class TestLiftedResidual:
