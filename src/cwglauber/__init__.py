@@ -21,7 +21,7 @@ from .perturbation import (SweepPoint, SweepReport, finite_difference_gap,
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
                        eigen_symmetric_tridiagonal,
                        eigenvector_structure_report, full_chain_top_eigenvalues,
-                       second_eigenpair, symmetrize)
+                       second_eigenpair, symmetrize, symmetrized_full_chain)
 
 __version__ = "0.1.0"
 
@@ -37,4 +37,5 @@ __all__ = [
     "EigensolverError", "SpectralResult", "StructureReport",
     "eigen_symmetric_tridiagonal", "eigenvector_structure_report",
     "full_chain_top_eigenvalues", "second_eigenpair", "symmetrize",
+    "symmetrized_full_chain",
 ]

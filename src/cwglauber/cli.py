@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .ising import ModelParams, N_MAX_FULL
-from .mcmc import (EstimationError, MIN_SAMPLES, estimate_relaxation,
-                   simulate_full, simulate_reduced)
+from .mcmc import (EstimationError, MIN_SAMPLES, N_MAX_SIMULATE_FULL,
+                   estimate_relaxation, simulate_full, simulate_reduced)
 from .perturbation import SweepReport, sweep_monotonicity, temperature_view
 from .reports import sweep_to_csv, sweep_to_json, trajectory_to_csv
 from .spectral import (EigensolverError, eigenvector_structure_report,
@@ -155,8 +155,10 @@ def cmd_verify(parser, args) -> int:
 def cmd_simulate(parser, args) -> int:
     if args.steps < MIN_SAMPLES:
         parser.error(f"--steps must be >= {MIN_SAMPLES} for relaxation estimation")
-    if args.burn_in < 0:
-        parser.error("--burn-in must be >= 0")
+    if args.burn_in < 0 or args.seed < 0:
+        parser.error("--burn-in and --seed must be >= 0")
+    if args.full and args.n > N_MAX_SIMULATE_FULL:
+        parser.error(f"--full needs n <= {N_MAX_SIMULATE_FULL}, got {args.n}")
     params = _params_or_exit(parser, args.n, args.J, args.H)
     simulate = simulate_full if args.full else simulate_reduced
     traj = simulate(params, seed=args.seed, steps=args.steps, burn_in=args.burn_in)

@@ -4,7 +4,7 @@ Both simulators advance one uniformly chosen site per elementary step and
 record the total magnetization m = 2k - n once per sweep (n elementary
 steps).  The reduced simulator walks the magnetization levels directly with
 the lumped up/down probabilities; the full simulator keeps the configuration
-in one machine word and resets single spins from their conditional law.  Both
+as a list of n spins and resets single spins from their conditional law.  Both
 start from an exact stationary sample, so stationarity tests need no burn-in
 (the argument is still honored for runs that want it).
 
@@ -25,7 +25,8 @@ import numpy as np
 from .ising import ModelParams, logistic
 from .magchain import build_reduced_chain, reduced_stationary
 
-# A full-chain configuration must fit one machine word with headroom.
+# The state (n spins) needs no cap; the full simulator only cross-checks the
+# reduced one, which samples the same law at any n, at the sizes tests pin.
 N_MAX_SIMULATE_FULL = 24
 
 MIN_SAMPLES = 10_000
@@ -69,6 +70,15 @@ class RelaxationEstimate:
     floor_limited: bool = False
 
 
+def _record(samples: np.ndarray, ks: list, n: int, t: int) -> None:
+    """Store m = 2k - n per sweep of ks; t < 0 indexes burn-in sweeps."""
+    levels = ks[n - 1 + max(-t, 0) * n::n]
+    m = samples[max(t, 0):max(t, 0) + len(levels)]
+    m[:] = levels
+    m *= 2
+    m -= n
+
+
 def simulate_reduced(params: ModelParams, seed: int, steps: int,
                      burn_in: int = 0) -> Trajectory:
     """Run the magnetization chain for `steps` recorded sweeps.
@@ -82,31 +92,21 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     n = params.n
     rng = np.random.default_rng(seed)
     chain = build_reduced_chain(params)
-    pi = reduced_stationary(params)
-    k = int(rng.choice(n + 1, p=pi.probabilities))
-    up_t = np.concatenate([chain.up, [0.0]]).tolist()
-    updown_t = (np.concatenate([chain.up, [0.0]])
-                + np.concatenate([[0.0], chain.down])).tolist()
+    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    up = np.append(chain.up, 0.0)
+    up_t, updown_t = up.tolist(), (up + np.insert(chain.down, 0, 0.0)).tolist()
     samples = np.empty(steps)
-    total = steps + burn_in
-    chunk = max(1, 131072 // max(n, 1))
-    done = 0
-    while done < total:
-        b = min(chunk, total - done)
-        us = rng.random(b * n).tolist()
-        i = 0
-        for s in range(b):
-            for _ in range(n):
-                u = us[i]
-                i += 1
-                if u < up_t[k]:
-                    k += 1
-                elif u < updown_t[k]:
-                    k -= 1
-            t = done + s - burn_in
-            if t >= 0:
-                samples[t] = 2 * k - n
-        done += b
+    chunk = max(1, 131072 // n)
+    for t in range(-burn_in, steps, chunk):
+        ks = []
+        append = ks.append
+        for u in rng.random(min(chunk, steps - t) * n).tolist():
+            if u < up_t[k]:
+                k += 1
+            elif u < updown_t[k]:
+                k -= 1
+            append(k)
+        _record(samples, ks, n, t)
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 
@@ -114,9 +114,10 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
                   burn_in: int = 0) -> Trajectory:
     """Single-site heat-bath simulation of the full configuration chain.
 
-    Each elementary step picks a site uniformly and sets its spin to +1 with
-    probability logistic(2 (J * (sum of other spins) + H)).  The state is one
-    machine word, so no matrix is ever built; n is capped at 24.
+    Each step picks a site uniformly and sets its spin to +1 with probability
+    logistic(2 (J * (sum of other spins) + H)); n <= N_MAX_SIMULATE_FULL.
+    Each chunk of 131072 // n sweeps draws its uniforms, then its sites, so
+    the chunk size is part of the stream.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -124,46 +125,31 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     if n > N_MAX_SIMULATE_FULL:
         raise ValueError(f"simulate_full supports n <= {N_MAX_SIMULATE_FULL}, got {n}")
     rng = np.random.default_rng(seed)
-    pi = reduced_stationary(params)
-    k = int(rng.choice(n + 1, p=pi.probabilities))
-    sites_up = rng.permutation(n)[:k]
-    state = 0
-    for x in sites_up:
-        state |= 1 << int(x)
-    # p(set +1) depends only on the sum of the other spins: with the current
-    # spin s at the chosen site and k spins up overall, that sum is
-    # 2k - n - (2s - 1).  Table indexed [current s][k].
-    p_plus = [[0.0] * (n + 1) for _ in range(2)]
-    for s in (0, 1):
-        for kk in range(n + 1):
-            others = 2 * kk - n - (2 * s - 1)
-            p_plus[s][kk] = float(logistic(2.0 * (params.J * others + params.H)))
+    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    spins = np.bincount(rng.permutation(n)[:k], minlength=n).tolist()
+    # p(set +1) depends only on m = k - spins[x], the number of up spins
+    # among the other n - 1 sites, whose sum is 2m - n + 1.
+    p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
+              for m in range(n)]
     samples = np.empty(steps)
-    total = steps + burn_in
-    chunk = max(1, 131072 // max(n, 1))
-    done = 0
-    while done < total:
-        b = min(chunk, total - done)
-        us = rng.random(b * n).tolist()
-        xs = rng.integers(0, n, size=b * n).tolist()
-        i = 0
-        for s_idx in range(b):
-            for _ in range(n):
-                x = xs[i]
-                s = (state >> x) & 1
-                if us[i] < p_plus[s][k]:
-                    if not s:
-                        state |= 1 << x
-                        k += 1
-                else:
-                    if s:
-                        state &= ~(1 << x)
-                        k -= 1
-                i += 1
-            t = done + s_idx - burn_in
-            if t >= 0:
-                samples[t] = 2 * k - n
-        done += b
+    chunk = max(1, 131072 // n)
+    for t in range(-burn_in, steps, chunk):
+        b = min(chunk, steps - t) * n
+        us = rng.random(b).tolist()
+        xs = rng.integers(0, n, size=b).tolist()
+        ks = []
+        append = ks.append
+        for x, u in zip(xs, us):
+            s = spins[x]
+            if u < p_plus[k - s]:
+                if not s:
+                    spins[x] = 1
+                    k += 1
+            elif s:
+                spins[x] = 0
+                k -= 1
+            append(k)
+        _record(samples, ks, n, t)
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 

@@ -137,13 +137,14 @@ def sweep_from_json(text: str) -> SweepReport:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     p = traj.params
-    lines = [
-        f"# cwglauber trajectory v1 n={p.n} J={_fmt(p.J)} H={_fmt(p.H)} "
-        f"seed={traj.seed} sweeps={traj.sweeps} burn_in={traj.burn_in}",
-        "m",
-    ]
-    lines.extend(str(int(v)) for v in traj.samples)
-    return "\n".join(lines) + "\n"
+    header = (f"# cwglauber trajectory v1 n={p.n} J={_fmt(p.J)} H={_fmt(p.H)} "
+              f"seed={traj.seed} sweeps={traj.sweeps} burn_in={traj.burn_in}")
+    # m = 2k - n takes at most n + 1 values: format each once, look them up
+    m = traj.samples.astype(np.int64)
+    lo = int(m.min(initial=0))
+    m -= lo
+    table = [f"{v}\n" for v in range(lo, lo + int(m.max(initial=0)) + 1)]
+    return header + "\nm\n" + "".join([table[i] for i in m.tolist()])
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

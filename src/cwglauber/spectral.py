@@ -115,18 +115,28 @@ def eigen_symmetric_tridiagonal(diag, offdiag):
     return w[::-1], v[:, ::-1]  # dstevd sorts ascending
 
 
-def full_chain_top_eigenvalues(P) -> np.ndarray:
-    """The 3 largest eigenvalues of the full Glauber chain P, descending.
+def symmetrized_full_chain(P):
+    """S = sqrt(P_ij P_ji) entrywise, bitwise scipy's (P * P.T).sqrt(): by
+    reversibility, diag(sqrt(pi)) P diag(sqrt(pi))^-1 without pi.  When P's
+    pattern is symmetric, as ``full_transition_matrix`` builds it, P^T in CSR
+    order holds P_ji at P_ij's slot and becomes S in place."""
+    S = P.T.tocsr()
+    if not (np.array_equal(S.indptr, P.indptr)
+            and np.array_equal(S.indices, P.indices)):
+        return (P * S).sqrt()
+    np.sqrt(np.multiply(S.data, P.data, out=S.data), out=S.data)
+    S.eliminate_zeros()  # as the elementwise product does
+    return S
 
-    Lanczos (ARPACK eigsh) runs on S = sqrt(P_ij P_ji) entrywise, which by
-    reversibility is diag(sqrt(pi)) P diag(sqrt(pi))^-1 without forming pi.
-    Its start vector is seeded Gaussian, so results repeat exactly and the
-    start has weight in every symmetry sector, not only in the lumped chain
-    this oracle checks.  n = 1 (two states, below ARPACK's limit) takes a
-    dense 2 x 2 solve.  Failures are raised as EigensolverError.
-    """
+
+def full_chain_top_eigenvalues(S) -> np.ndarray:
+    """The 3 largest eigenvalues of the full Glauber chain, descending, by
+    Lanczos (ARPACK eigsh) on its symmetric form S (symmetrized_full_chain),
+    from a seeded Gaussian start: results repeat exactly, and the start has
+    weight in every symmetry sector, not only in the lumped chain this oracle
+    checks.  n = 1 (two states, below ARPACK's limit) takes a dense 2 x 2
+    solve.  Failures are raised as EigensolverError."""
     import scipy.sparse.linalg  # deferred: ~30 ms of import only the oracle needs
-    S = (P * P.T).sqrt()
     try:
         if S.shape[0] == 2:
             return np.linalg.eigvalsh(S.toarray())[::-1]
@@ -138,14 +148,13 @@ def full_chain_top_eigenvalues(P) -> np.ndarray:
     return np.sort(w)[::-1]
 
 
-def lifted_residual(P, w, v) -> float:
-    """max_j ||S u_j - w_j u_j||_2, S = sqrt(P_ij P_ji), over the reduced
-    eigenpairs (w_j, v[:, j]) lifted to unit u_j = v_j[level]/sqrt(C(n, level));
-    S is symmetric, so (Bauer-Fike) a full-chain eigenvalue is that near w_j.
-    One u_j at a time, so memory stays O(2^n) beside S."""
+def lifted_residual(S, w, v) -> float:
+    """max_j ||S u_j - w_j u_j||_2 over the reduced eigenpairs (w_j, v[:, j])
+    lifted to unit u_j = v_j[level]/sqrt(C(n, level)); S is symmetric
+    (symmetrized_full_chain), so (Bauer-Fike) a full-chain eigenvalue is that
+    near w_j.  One u_j at a time, so memory stays O(2^n) beside S."""
     levels = all_plus_counts(len(v) - 1)
     root_counts = np.sqrt(np.bincount(levels))[levels]
-    S = (P * P.T).sqrt()
     residuals = []
     for j in range(len(w)):
         u = v[levels, j] / root_counts

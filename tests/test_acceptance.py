@@ -24,7 +24,8 @@ from cwglauber.mcmc import estimate_relaxation, simulate_reduced
 from cwglauber.perturbation import (DegenerateGapError, finite_difference_gap,
                                     hellmann_feynman, sign_structure_terms,
                                     sweep_monotonicity, temperature_view)
-from cwglauber.spectral import full_chain_top_eigenvalues, second_eigenpair
+from cwglauber.spectral import (full_chain_top_eigenvalues, second_eigenpair,
+                                symmetrized_full_chain)
 
 GRID_N = range(2, 11)
 GRID_J = [round(0.05 * i, 2) for i in range(11)]  # 0, 0.05, ..., 0.5
@@ -70,7 +71,8 @@ def full_grid():
                 red_rows = (np.concatenate([chain.up, [0.0]])
                             + np.concatenate([[0.0], chain.down]) + chain.diag)
                 rows[(n, J, H)] = {
-                    "lambda2_full": float(full_chain_top_eigenvalues(P)[1]),
+                    "lambda2_full": float(full_chain_top_eigenvalues(
+                        symmetrized_full_chain(P))[1]),
                     "lambda2_red": second_eigenpair(params).lambda2,
                     "db_full": detailed_balance_violation(P.toarray(), pi),
                     "db_red": float(np.abs(pi_red.probabilities[:-1] * chain.up
@@ -197,7 +199,7 @@ def test_criterion_06_free_chain_anchor():
         worst_red = max(worst_red, abs(res.gap - 1.0 / n),
                         abs(res.t_rel - n) / n)
         lam2_full = float(full_chain_top_eigenvalues(
-            full_transition_matrix(params))[1])
+            symmetrized_full_chain(full_transition_matrix(params)))[1])
         worst_full = max(worst_full, abs((1.0 - lam2_full) - 1.0 / n))
     ok = verdict(6, "closed-form anchor at J=0",
                  worst_red < 1e-10 and worst_full < 1e-10,

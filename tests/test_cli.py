@@ -222,6 +222,27 @@ class TestSimulateCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("solver failure: dstemr")
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--full", "--n", "30"], "--full needs n <= 24, got 30"),
+        (["--n", "6", "--seed", "-1"], "--burn-in and --seed must be >= 0"),
+    ])
+    def test_invalid_simulate_arguments_exit_2(self, extra, message, tmp_path,
+                                               capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli(["simulate", "--J", "0.01", "--steps", "10000",
+                        "--output", str(out)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_full_at_the_cap_runs(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--full", "--n", "24", "--J", "0.01",
+                        "--steps", "10000", "--seed", "0",
+                        "--output", str(out)]) == 0
+        assert trajectory_from_csv(out.read_text()).params.n == 24
+
     def test_full_chain_flag(self, tmp_path):
         out = tmp_path / "full.csv"
         code = run_cli(["simulate", "--n", "6", "--J", "0.1", "--steps",

@@ -5,6 +5,8 @@ factor, and every test runs on a fixed seed, so failures signal real
 regressions rather than unlucky draws.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
@@ -16,6 +18,7 @@ from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import (EstimationError, RelaxationEstimate, Trajectory,
                             estimate_relaxation, simulate_full,
                             simulate_reduced)
+from cwglauber.reports import trajectory_to_csv
 from cwglauber.spectral import second_eigenpair
 
 
@@ -123,6 +126,63 @@ class TestSimulateFull:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="n <= 24"):
             simulate_full(ModelParams(n=25, J=0.01), seed=0, steps=10)
+
+
+# sha256 of trajectory_to_csv for (simulator, n, J, H, steps, burn_in,
+# seed), recorded from the per-site loops as they stood before the flat-loop
+# rewrite.  Each simulator draws 131072 // n sweeps per chunk, so every step
+# count here ends mid-chunk and burn-in 131072 spans whole chunks; J = 0.3
+# at n = 10 and J = 0.15 at n = 24 keep the walk on the walls k = 0, n.
+PINNED_STREAMS = [
+    ("reduced", 1, 0.0, 0.0, 131500, 0, 11,
+     "53944424421e6a382294487d9bb0cf4af23fbfa67594a2b9bfb0726ba629d021"),
+    ("reduced", 1, 0.3, 0.4, 1000, 131072, 12,
+     "81243e5fd3273a23b2fa360831e7b046584021012f567ad853eb4b5a12401e92"),
+    ("full", 1, 0.0, -0.3, 131500, 5, 13,
+     "6d9c98800ffe684069d82f11b429e87963fe1fd5c6b8c2e424aa0ba33cab939f"),
+    ("full", 1, 0.3, 0.0, 1000, 131072, 14,
+     "f7fa771aec90274d98e09d8a00b0f827dc56b8321d461134353fa47d497303d9"),
+    ("reduced", 10, 0.08, 0.0, 20000, 0, 15,
+     "24aa4653d3a43d21079e096feca016391fe756eb46450865b1b583b4c1555c5f"),
+    ("reduced", 10, 0.05, 0.2, 20000, 5, 16,
+     "db5c237c694225268de2d522c73c9742f6927ed3f1f8635d18ecf30f15b4fd63"),
+    ("reduced", 10, 0.3, 0.0, 14000, 5, 17,
+     "7dfc956bb389678b552d2840095203a41ef6dee725c926e47f7baf4590d83892"),
+    ("reduced", 10, 0.08, -0.1, 1000, 131072, 18,
+     "164ca333c0bf05240e41603b933ebc0f3415828ed5993450545f4be61da676c3"),
+    ("full", 10, 0.08, 0.0, 20000, 0, 19,
+     "2dfcce379d3f9aae33cfb19dd25cd567fcfb58ccbae1d176543d248544013918"),
+    ("full", 10, 0.05, 0.2, 20000, 5, 20,
+     "1f8b026e7acd8176f68400d3c19254129c711ac440828902ba512a4e3dc593a8"),
+    ("full", 10, 0.3, 0.0, 14000, 5, 21,
+     "7d623fe3936ff021f5a71cf4c21202c9fe4b4bdb0ae68edc09c106c994c88aec"),
+    ("full", 10, 0.08, -0.1, 1000, 131072, 22,
+     "1202edf310ab9f3f12dd618efa304301d4f33f459924b78bd3b21e52a6736640"),
+    ("reduced", 24, 0.03, 0.0, 7000, 0, 23,
+     "915ac8efb88115a5fe532b67bd596f9b54031d87b981650b6a025b9bd90b3ec1"),
+    ("reduced", 24, 0.15, 0.05, 7000, 5, 24,
+     "0beb8d5ba72e62f564bc9f935002811abbae57ee92a910e2658565dc3a03943a"),
+    ("full", 24, 0.03, 0.0, 7000, 0, 25,
+     "2168aa79de71f6fc51407da691a17aa958ae635116081fa28cd2ed252752643b"),
+    ("full", 24, 0.15, 0.05, 7000, 5, 26,
+     "078fa69e66bf879787ba3a40da83ea1cb847e60790bc6184415e75d99255d174"),
+    ("reduced", 1000, 0.0008, 0.1, 300, 5, 27,
+     "808ca81d555f2b90944ee1dfa0021d6b4132e8986f6459518fb6ec5de364627b"),
+]
+
+
+@pytest.mark.parametrize("sim,n,J,H,steps,burn_in,seed,digest", PINNED_STREAMS,
+                         ids=[f"{c[0]}-n{c[1]}-seed{c[6]}"
+                              for c in PINNED_STREAMS])
+def test_trajectory_stream_is_pinned(sim, n, J, H, steps, burn_in, seed,
+                                     digest):
+    """Same seed, same bytes: the RNG calls, their order and chunk sizes are
+    part of the trajectory format."""
+    simulate = simulate_full if sim == "full" else simulate_reduced
+    traj = simulate(ModelParams(n=n, J=J, H=H), seed=seed, steps=steps,
+                    burn_in=burn_in)
+    text = trajectory_to_csv(traj)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestEstimateRelaxation:

@@ -16,7 +16,8 @@ from cwglauber.spectral import (EigensolverError,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
                                 increment_eigenpair, lifted_residual,
-                                second_eigenpair, symmetrize)
+                                second_eigenpair, symmetrize,
+                                symmetrized_full_chain)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
 
@@ -146,8 +147,8 @@ class TestSecondEigenpair:
                                        (9, 0.25, 0.0), (4, 0.0, 0.6)])
     def test_matches_full_chain(self, n, J, H):
         res = second_eigenpair(ModelParams(n=n, J=J, H=H))
-        full = full_chain_top_eigenvalues(
-            full_transition_matrix(ModelParams(n=n, J=J, H=H)))
+        full = full_chain_top_eigenvalues(symmetrized_full_chain(
+            full_transition_matrix(ModelParams(n=n, J=J, H=H))))
         assert abs(res.lambda2 - full[1]) < 1e-10
 
     @pytest.mark.parametrize("n,J,H", [(5, 0.2, 0.0), (10, 0.6, 0.2), (7, 0.0, 0.0)])
@@ -221,8 +222,8 @@ class TestSolverFailures:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(EigensolverError, match="did not converge"):
-            full_chain_top_eigenvalues(
-                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0)))
+            full_chain_top_eigenvalues(symmetrized_full_chain(
+                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0))))
 
 
 class TestFullChainTopEigenvalues:
@@ -231,19 +232,22 @@ class TestFullChainTopEigenvalues:
         the whole 2^n space, not only the lumped chain it is checked
         against."""
         params = ModelParams(n=3, J=0.4, H=0.2)
-        top = full_chain_top_eigenvalues(full_transition_matrix(params))
+        top = full_chain_top_eigenvalues(
+            symmetrized_full_chain(full_transition_matrix(params)))
         assert abs(top[2] - _dense_full_spectrum(params)[2]) < 1e-12
         assert abs(top[2] - second_eigenpair(params).lambda3) > 1e-3
 
     def test_deterministic(self):
-        P = full_transition_matrix(ModelParams(n=10, J=0.3, H=0.1))
-        first = full_chain_top_eigenvalues(P)
-        assert np.array_equal(first, full_chain_top_eigenvalues(P))
+        S = symmetrized_full_chain(
+            full_transition_matrix(ModelParams(n=10, J=0.3, H=0.1)))
+        first = full_chain_top_eigenvalues(S)
+        assert np.array_equal(first, full_chain_top_eigenvalues(S))
 
     def test_single_spin_dense_route(self):
         params = ModelParams(n=1, J=0.0, H=0.4)
         np.testing.assert_allclose(
-            full_chain_top_eigenvalues(full_transition_matrix(params)),
+            full_chain_top_eigenvalues(
+                symmetrized_full_chain(full_transition_matrix(params))),
             [1.0, second_eigenpair(params).lambda2], atol=1e-15)
 
     def test_arpack_no_convergence_is_eigensolver_error(self, monkeypatch):
@@ -255,15 +259,15 @@ class TestFullChainTopEigenvalues:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
         with pytest.raises(EigensolverError, match="No convergence"):
-            full_chain_top_eigenvalues(
-                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0)))
+            full_chain_top_eigenvalues(symmetrized_full_chain(
+                full_transition_matrix(ModelParams(n=4, J=0.1, H=0.0))))
 
     def test_symmetrized_full_chain_top_eigenvalue(self):
         """Dense eigvalsh of P symmetrized by diag(sqrt(pi)) agrees with the
         Lanczos route on the same P."""
         params = ModelParams(n=6, J=0.2, H=0.0)
         P = full_transition_matrix(params)
-        top = full_chain_top_eigenvalues(P)
+        top = full_chain_top_eigenvalues(symmetrized_full_chain(P))
         s = np.sqrt(stationary_full(params).probabilities)
         S = (s[:, None] * P.toarray()) / s[None, :]
         w = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
@@ -278,11 +282,48 @@ class TestLiftedResidual:
         params = ModelParams(n=6, J=0.3, H=0.1)
         w, v = eigen_symmetric_tridiagonal(
             *symmetrize(build_reduced_chain(params)))
-        P = full_transition_matrix(params)
-        assert lifted_residual(P, w, v) < 1e-13
+        S = symmetrized_full_chain(full_transition_matrix(params))
+        assert lifted_residual(S, w, v) < 1e-13
         shifted = w.copy()
         shifted[2] += 1e-6
-        assert lifted_residual(P, shifted, v) >= 5e-7
+        assert lifted_residual(S, shifted, v) >= 5e-7
+
+
+class TestSymmetrizedFullChain:
+    @pytest.mark.parametrize("n,J,H", [(1, 0.0, 0.4), (2, 0.0, 19.0),
+                                       (4, 0.0, 40.0), (3, 0.0, -30.0),
+                                       (5, 1.0, 0.0), (8, 0.2, 0.1),
+                                       (10, 0.05, -0.4)])
+    def test_bitwise_the_elementwise_product(self, n, J, H):
+        """S is scipy's sqrt(P * P.T) to the last bit, in data, indices and
+        indptr, including points whose P has a zero diagonal entry (the
+        product drops it)."""
+        P = full_transition_matrix(ModelParams(n=n, J=J, H=H))
+        ref = (P * P.T).sqrt()
+        S = symmetrized_full_chain(P)
+        assert S.nnz == ref.nnz
+        for name in ("indptr", "indices", "data"):
+            assert getattr(S, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_asymmetric_pattern_matches_the_product(self):
+        """A hand-built P with a one-way entry: S is still the elementwise
+        product's square root, which drops that entry."""
+        import scipy.sparse
+        P = full_transition_matrix(ModelParams(n=4, J=0.2, H=0.1)).toarray()
+        P[0, 3] = 1e-3
+        P = scipy.sparse.csr_array(P)
+        ref = (P * P.T).sqrt()
+        S = symmetrized_full_chain(P)
+        assert S[0, 3] == 0.0
+        for name in ("indptr", "indices", "data"):
+            assert getattr(S, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_leaves_p_untouched(self):
+        P = full_transition_matrix(ModelParams(n=4, J=0.0, H=40.0))
+        before = [a.copy() for a in (P.data, P.indices, P.indptr)]
+        symmetrized_full_chain(P)
+        for a, b in zip(before, (P.data, P.indices, P.indptr)):
+            assert np.array_equal(a, b)
 
 
 class TestIncrementVector:
