@@ -1,12 +1,14 @@
 """Heat-bath simulation and relaxation-time estimation from trajectories.
 
-Both simulators advance one uniformly chosen site per elementary step and
-record the total magnetization m = 2k - n once per sweep (n elementary
-steps).  The reduced simulator walks the magnetization levels directly with
-the lumped up/down probabilities; the full simulator keeps the configuration
-as a list of n spins and resets single spins from their conditional law.  Both
-start from an exact stationary sample, so stationarity tests need no burn-in
-(the argument is still honored for runs that want it).
+Both simulators record the total magnetization m = 2k - n once per sweep (n
+elementary single-site steps).  The full simulator keeps the configuration as
+a list of n spins and resets one uniformly chosen spin per step from its
+conditional law.  The reduced simulator walks the magnetization levels: up to
+n = N_MAX_SWEEP_KERNEL it draws each recorded level from the row of the sweep
+kernel P^n at the previous level, one uniform per sweep; above that it applies
+the lumped up/down rule once per step.  Both start from an exact stationary
+sample, so stationarity tests need no burn-in (the argument is still honored
+for runs that want it).
 
 The relaxation time targeted by the estimators is 1/(1 - lambda_2) in
 single-site steps, i.e. (1/(1 - lambda_2))/n in the sweep units of the
@@ -18,16 +20,22 @@ contiguous batches.
 """
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ising import ModelParams, logistic
-from .magchain import build_reduced_chain, reduced_stationary
+from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
 
 # The state (n spins) needs no cap; the full simulator only cross-checks the
 # reduced one, which samples the same law at any n, at the sizes tests pin.
 N_MAX_SIMULATE_FULL = 24
+
+# Largest n at which the reduced simulator builds the sweep kernel P^n: at
+# n = 512 its nine squarings take under 1/10 of a per-site run of MIN_SAMPLES
+# sweeps (2-core host, two BLAS threads); the share grows with n from there.
+N_MAX_SWEEP_KERNEL = 512
 
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
@@ -70,22 +78,42 @@ class RelaxationEstimate:
     floor_limited: bool = False
 
 
-def _record(samples: np.ndarray, ks: list, n: int, t: int) -> None:
-    """Store m = 2k - n per sweep of ks; t < 0 indexes burn-in sweeps."""
-    levels = ks[n - 1 + max(-t, 0) * n::n]
+def _record(samples: np.ndarray, ks: list, n: int, t: int,
+            stride: int) -> None:
+    """Store m = 2k - n for every stride-th level of ks, the last of each
+    sweep; t < 0 indexes burn-in sweeps."""
+    levels = ks[stride - 1 + max(-t, 0) * stride::stride]
     m = samples[max(t, 0):max(t, 0) + len(levels)]
     m[:] = levels
     m *= 2
     m -= n
 
 
+def sweep_kernel_rows(chain: ReducedChain) -> list:
+    """Cumulative rows of P^n without their last entry, so that bisect(row,
+    u) is a level in 0..n.
+
+    P^n comes from binary powering (matmul only, no eigensolver), so Monte
+    Carlo stays independent of the spectral core.  Zero levels pad P to a
+    multiple of 64: OpenBLAS then gives the same bytes at any thread count,
+    where sizes such as 101 or 513 differ in the last bits between one
+    thread and two."""
+    n = chain.n
+    P = (np.diag(chain.diag) + np.diag(chain.up, k=1)
+         + np.diag(chain.down, k=-1))
+    K = np.linalg.matrix_power(np.pad(P, (0, -(n + 1) % 64)), n)
+    return np.cumsum(K[:n + 1, :n + 1], axis=1)[:, :-1].tolist()
+
+
 def simulate_reduced(params: ModelParams, seed: int, steps: int,
                      burn_in: int = 0) -> Trajectory:
     """Run the magnetization chain for `steps` recorded sweeps.
 
-    The initial level is drawn from the exact stationary law; each sweep is n
-    single applications of the lumped transition rule.  Identical arguments
-    give bitwise-identical trajectories.
+    The initial level is drawn from the exact stationary law.  For n <=
+    N_MAX_SWEEP_KERNEL each sweep, burn-in included, is one draw from the row
+    of P^n at the current level, by one uniform; above it each sweep is n
+    single applications of the lumped transition rule, by one uniform each.
+    Identical arguments give bitwise-identical trajectories.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -93,9 +121,20 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     rng = np.random.default_rng(seed)
     chain = build_reduced_chain(params)
     k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    samples = np.empty(steps)
+    if n <= N_MAX_SWEEP_KERNEL:
+        rows = sweep_kernel_rows(chain)
+        for t in range(-burn_in, steps, 131072):
+            ks = []
+            append = ks.append
+            for u in rng.random(min(131072, steps - t)).tolist():
+                k = bisect(rows[k], u)
+                append(k)
+            _record(samples, ks, n, t, 1)
+        return Trajectory(params=params, seed=seed, burn_in=burn_in,
+                          samples=samples)
     up = np.append(chain.up, 0.0)
     up_t, updown_t = up.tolist(), (up + np.insert(chain.down, 0, 0.0)).tolist()
-    samples = np.empty(steps)
     chunk = max(1, 131072 // n)
     for t in range(-burn_in, steps, chunk):
         ks = []
@@ -106,7 +145,7 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
             elif u < updown_t[k]:
                 k -= 1
             append(k)
-        _record(samples, ks, n, t)
+        _record(samples, ks, n, t, n)
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 
@@ -149,7 +188,7 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
                 spins[x] = 0
                 k -= 1
             append(k)
-        _record(samples, ks, n, t)
+        _record(samples, ks, n, t, n)
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 

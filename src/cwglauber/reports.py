@@ -13,7 +13,9 @@ trailing T = c/J column is appended (a derived view; parsers ignore it).
 
 Trajectory CSV is a single magnetization column under one metadata comment
 carrying (n, J, H, seed, sweeps, burn_in).  It contains no timestamp, so
-identical runs produce byte-identical files.
+identical runs produce byte-identical files.  Version 2 marks the reduced
+simulator's one-uniform-per-sweep stream for n <= N_MAX_SWEEP_KERNEL; the
+layout is unchanged, so the reader takes v1 and v2 alike.
 
 The JSON form mirrors the SweepReport field names verbatim.
 """
@@ -137,7 +139,7 @@ def sweep_from_json(text: str) -> SweepReport:
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     p = traj.params
-    header = (f"# cwglauber trajectory v1 n={p.n} J={_fmt(p.J)} H={_fmt(p.H)} "
+    header = (f"# cwglauber trajectory v2 n={p.n} J={_fmt(p.J)} H={_fmt(p.H)} "
               f"seed={traj.seed} sweeps={traj.sweeps} burn_in={traj.burn_in}")
     # m = 2k - n takes at most n + 1 values: format each once, look them up
     m = traj.samples.astype(np.int64)

@@ -291,6 +291,17 @@ class TestSerializationRoundTrips:
         assert back.seed == 11 and back.burn_in == 0
         np.testing.assert_array_equal(back.samples, traj.samples)
 
+    def test_reads_trajectory_v1(self):
+        """v1 files (per-site reduced stream) share v2's layout and still
+        parse; this one was written by the v1 writer."""
+        text = ("# cwglauber trajectory v1 n=4 J=0.20000000000000001 "
+                "H=0.10000000000000001 seed=5 sweeps=6 burn_in=2\n"
+                "m\n-2\n-4\n-2\n2\n0\n4\n")
+        traj = trajectory_from_csv(text)
+        assert traj.params == ModelParams(n=4, J=0.2, H=0.1)
+        assert (traj.seed, traj.burn_in, traj.sweeps) == (5, 2, 6)
+        np.testing.assert_array_equal(traj.samples, [-2, -4, -2, 2, 0, 4])
+
     def test_rejects_foreign_files(self):
         with pytest.raises(ValueError):
             sweep_from_csv("x,y\n1,2\n")

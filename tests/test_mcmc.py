@@ -6,16 +6,22 @@ regressions rather than unlucky draws.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
-from scipy.stats import binom
+from scipy.stats import binom, chi2
 
+import cwglauber
 from conftest import dense_reduced_chain
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
-from cwglauber.mcmc import (EstimationError, RelaxationEstimate, Trajectory,
+from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
+                            RelaxationEstimate, Trajectory,
                             estimate_relaxation, simulate_full,
                             simulate_reduced)
 from cwglauber.reports import trajectory_to_csv
@@ -86,6 +92,43 @@ class TestSimulateReduced:
             assert np.all(np.abs(counts[a] - visits[a] * prob)
                           <= 4 * sigma + 1.0)
 
+    def test_kernel_transitions_pass_chi_square(self):
+        """Sweep-to-sweep counts of the kernel path against the rows of P^n
+        built here, not by the simulator: Pearson chi-square per visited row,
+        its cells below an expected count of 5 pooled with the next smallest
+        until the pool reaches 5."""
+        n, T = 10, 200_000
+        p = ModelParams(n=n, J=0.08, H=0.0)
+        k = ((simulate_reduced(p, seed=31, steps=T).samples + n) / 2).astype(int)
+        M = matrix_power(dense_reduced_chain(build_reduced_chain(p)), n)
+        counts = np.zeros((n + 1, n + 1))
+        np.add.at(counts, (k[:-1], k[1:]), 1)
+        stat, dof = 0.0, 0
+        for a in np.nonzero(counts.sum(axis=1))[0]:
+            order = np.argsort(M[a])
+            o, e = counts[a][order], counts[a].sum() * M[a][order]
+            # the smallest cells pool into one whose expected count reaches 5
+            j = np.searchsorted(np.cumsum(e), 5.0)
+            o = np.append(o[:j + 1].sum(), o[j + 1:])
+            e = np.append(e[:j + 1].sum(), e[j + 1:])
+            stat += np.sum((o - e) ** 2 / e)
+            dof += len(e) - 1
+        assert dof > 50
+        assert chi2.sf(stat, dof) > 1e-4
+
+    def test_per_site_path_above_cap_matches_binomial(self):
+        """Above N_MAX_SWEEP_KERNEL the per-site loop runs.  At J=0, m = 2k - n
+        with k ~ Binomial(n, 1/2): mean 0, variance n; 4-sigma bands inflated
+        by the per-sweep correlations of m (lambda2^n) and of m^2 (its
+        square)."""
+        n, T = N_MAX_SWEEP_KERNEL + 1, 10_000
+        p = ModelParams(n=n, J=0.0, H=0.0)
+        m = simulate_reduced(p, seed=41, steps=T).samples
+        rho2 = (second_eigenpair(p).lambda2 ** n) ** 2
+        assert abs(m.mean()) <= 4 * np.sqrt(n / T) * sigma_inflation(p)
+        var_sigma = n * np.sqrt(2 / T * (1 + rho2) / (1 - rho2))
+        assert abs(m.var() - n) <= 4 * var_sigma
+
     def test_burn_in_shifts_the_stream(self):
         p = ModelParams(n=4, J=0.2, H=0.0)
         a = simulate_reduced(p, seed=5, steps=100, burn_in=0)
@@ -129,45 +172,52 @@ class TestSimulateFull:
 
 
 # sha256 of trajectory_to_csv for (simulator, n, J, H, steps, burn_in,
-# seed), recorded from the per-site loops as they stood before the flat-loop
-# rewrite.  Each simulator draws 131072 // n sweeps per chunk, so every step
-# count here ends mid-chunk and burn-in 131072 spans whole chunks; J = 0.3
-# at n = 10 and J = 0.15 at n = 24 keep the walk on the walls k = 0, n.
+# seed).  Reduced cases with n <= N_MAX_SWEEP_KERNEL (512) were recorded from
+# the sweep-kernel draw; every full case, and every reduced case above the cap,
+# is the sha256 of the per-site loops' v1 text with only the header's v1 made
+# v2.  The per-site loops draw 131072 // n sweeps per chunk and the kernel
+# 131072, so every step count here ends mid-chunk and burn-in 131072 spans
+# whole chunks; J = 0.3 at n = 10 and J = 0.15 at n = 24 keep the walk on the
+# walls k = 0, n; n = 512 and 513 sit on either side of the cap.
 PINNED_STREAMS = [
     ("reduced", 1, 0.0, 0.0, 131500, 0, 11,
-     "53944424421e6a382294487d9bb0cf4af23fbfa67594a2b9bfb0726ba629d021"),
+     "3825bbefbd02c27a69b19399a22f5d2153e94c800411d5d5f2ee6dbeaac35b07"),
     ("reduced", 1, 0.3, 0.4, 1000, 131072, 12,
-     "81243e5fd3273a23b2fa360831e7b046584021012f567ad853eb4b5a12401e92"),
+     "f76cd3f4212607633fa5e7e6723ed92b30892b61e4302cc8d3dc8bf731ae3c30"),
     ("full", 1, 0.0, -0.3, 131500, 5, 13,
-     "6d9c98800ffe684069d82f11b429e87963fe1fd5c6b8c2e424aa0ba33cab939f"),
+     "20fcc107886ff7eb9caec161e2925491b40788ffe7b31ac987b3fec7a6260810"),
     ("full", 1, 0.3, 0.0, 1000, 131072, 14,
-     "f7fa771aec90274d98e09d8a00b0f827dc56b8321d461134353fa47d497303d9"),
+     "eb58c91effa54a48c8f5890ec2c5124ff78e510648564f56188f10974abefd75"),
     ("reduced", 10, 0.08, 0.0, 20000, 0, 15,
-     "24aa4653d3a43d21079e096feca016391fe756eb46450865b1b583b4c1555c5f"),
+     "e2bb2fcb48343a9682dd2a054f3abdcc10938cf3c6bcbdcbfe8c3db955268dcf"),
     ("reduced", 10, 0.05, 0.2, 20000, 5, 16,
-     "db5c237c694225268de2d522c73c9742f6927ed3f1f8635d18ecf30f15b4fd63"),
+     "94f6f9fc774ba4e9b732fe83a70d353836f8e0f89f7bd65c44bbaf59857ff59c"),
     ("reduced", 10, 0.3, 0.0, 14000, 5, 17,
-     "7dfc956bb389678b552d2840095203a41ef6dee725c926e47f7baf4590d83892"),
+     "63c951ae2ff66231d165063ce967c9069a8cdc29b85ee44759b08dcb2cdbe6a9"),
     ("reduced", 10, 0.08, -0.1, 1000, 131072, 18,
-     "164ca333c0bf05240e41603b933ebc0f3415828ed5993450545f4be61da676c3"),
+     "27be5d01951c5ecc6b4ca57d1f0c3ff6670063dc86b528e3e2996dc35f974a8e"),
     ("full", 10, 0.08, 0.0, 20000, 0, 19,
-     "2dfcce379d3f9aae33cfb19dd25cd567fcfb58ccbae1d176543d248544013918"),
+     "ec6367dc7bc5a22ffa9400fe6e2e3cd1065bead4285151993a5e641714ad0258"),
     ("full", 10, 0.05, 0.2, 20000, 5, 20,
-     "1f8b026e7acd8176f68400d3c19254129c711ac440828902ba512a4e3dc593a8"),
+     "b575252232bb2795f3ee42a54df83a969901a92ad32bae7506c9811201decf90"),
     ("full", 10, 0.3, 0.0, 14000, 5, 21,
-     "7d623fe3936ff021f5a71cf4c21202c9fe4b4bdb0ae68edc09c106c994c88aec"),
+     "b8cf8e655148ef27c6033f5cf01e4c56e24d32f33c317cac4750b7a6ec509674"),
     ("full", 10, 0.08, -0.1, 1000, 131072, 22,
-     "1202edf310ab9f3f12dd618efa304301d4f33f459924b78bd3b21e52a6736640"),
+     "d4f6a1fdd5096c4e2afa394a85c95edaacc59cf4a9f7234906bf09f72a68ebe2"),
     ("reduced", 24, 0.03, 0.0, 7000, 0, 23,
-     "915ac8efb88115a5fe532b67bd596f9b54031d87b981650b6a025b9bd90b3ec1"),
+     "3b4987c880651719c51e0dcc73230c85bcfce30c7399a601f719de434cbb1bc7"),
     ("reduced", 24, 0.15, 0.05, 7000, 5, 24,
-     "0beb8d5ba72e62f564bc9f935002811abbae57ee92a910e2658565dc3a03943a"),
+     "fff8c609a7df64dccd25ecadedc0483c9eed5f7457f577e3d972f568ffe57940"),
     ("full", 24, 0.03, 0.0, 7000, 0, 25,
-     "2168aa79de71f6fc51407da691a17aa958ae635116081fa28cd2ed252752643b"),
+     "65b3e5a67ecac03eb1e06964e4cd0a8d425f488b75dc1c27c1f2d0baf213d2cf"),
     ("full", 24, 0.15, 0.05, 7000, 5, 26,
-     "078fa69e66bf879787ba3a40da83ea1cb847e60790bc6184415e75d99255d174"),
+     "c426007d246442ad1d91851f26662b6fa4d26664a42f730098b5f424277b423a"),
     ("reduced", 1000, 0.0008, 0.1, 300, 5, 27,
-     "808ca81d555f2b90944ee1dfa0021d6b4132e8986f6459518fb6ec5de364627b"),
+     "d8abd7620677a910306e685b2b91e0db84f1ba84998e619904d8f0cd046b6a34"),
+    ("reduced", 512, 0.001, 0.05, 2000, 5, 28,
+     "600d9c99f6f8d21471d85b4555019965b8091b13e1d0841179eb87c013000d8d"),
+    ("reduced", 513, 0.001, -0.05, 300, 5, 29,
+     "326f12fcbb031d82f6bb110cd7ae88ae25985503bb44f929c6212717f7419164"),
 ]
 
 
@@ -183,6 +233,28 @@ def test_trajectory_stream_is_pinned(sim, n, J, H, steps, burn_in, seed,
                     burn_in=burn_in)
     text = trajectory_to_csv(traj)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sweep_kernel_bytes_do_not_depend_on_blas_threads():
+    """Unpadded, OpenBLAS products of sizes such as 101 and 513 differ in
+    their last bits between one thread and two; the kernel must not."""
+    code = ("import hashlib, numpy as np\n"
+            "from cwglauber.ising import ModelParams\n"
+            "from cwglauber.magchain import build_reduced_chain\n"
+            "from cwglauber.mcmc import sweep_kernel_rows\n"
+            "h = hashlib.sha256()\n"
+            "for n in (10, 100, 300, 512):\n"
+            "    p = ModelParams(n=n, J=0.5 / n, H=0.05)\n"
+            "    h.update(np.array(sweep_kernel_rows(build_reduced_chain(p)))"
+            ".tobytes())\n"
+            "print(h.hexdigest())\n")
+    src = str(Path(cwglauber.__file__).resolve().parents[1])
+    digests = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src,
+                         "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+        for threads in (1, 2)}
+    assert len(digests) == 1
 
 
 class TestEstimateRelaxation:

@@ -3,11 +3,13 @@
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 import scipy.sparse
 
 import cwglauber.verification as verification
 from cwglauber.ising import ModelParams, full_transition_matrix
+from cwglauber.magchain import lump_vector
 from cwglauber.verification import run_verification
 
 
@@ -129,3 +131,30 @@ def test_stray_and_asymmetric_entries_are_caught(monkeypatch):
     failed = {r.name for r in run_verification(params) if r.status == "fail"}
     assert {"full_locality", "gibbs_flip_consistency",
             "full_detailed_balance"} <= failed
+
+
+def _lumped_eigenvector(results):
+    return next(r for r in results if r.name == "lumped_eigenvector")
+
+
+def test_lumped_eigenvector_tolerance_is_the_rounding_floor():
+    """At n=4, J=0, H=20 the pi-normalized f reaches ~1e9, so P @ lf rounds
+    to ~1e-9 absolute (~1e-18 relative); every check passes there."""
+    results = run_verification(ModelParams(n=4, J=0.0, H=20.0))
+    check = _lumped_eigenvector(results)
+    assert check.value > 1e-10 and check.tol > check.value
+    assert [r.name for r in results if r.status == "fail"] == []
+
+
+def test_lumped_eigenvector_catches_a_relative_perturbation(monkeypatch):
+    """A 1e-8 relative change of lf's largest entry still fails at the point
+    where the tolerance is raised to the rounding floor."""
+    def perturbed(f_levels, n):
+        lf = lump_vector(f_levels, n)
+        lf[np.argmax(np.abs(lf))] *= 1 + 1e-8
+        return lf
+
+    monkeypatch.setattr(verification, "lump_vector", perturbed)
+    check = _lumped_eigenvector(
+        run_verification(ModelParams(n=4, J=0.0, H=20.0)))
+    assert check.status == "fail"
