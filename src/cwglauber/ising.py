@@ -19,7 +19,6 @@ are refused above ``N_MAX_FULL`` vertices rather than silently degraded.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Full-chain builds store the 2^n-state chain sparsely, n + 1 entries per
 # row; 12 (4096 states) is the default cap, raised by `verify --n-max-full`.
@@ -33,11 +32,8 @@ def logistic(a):
     overflows, whatever n*J the caller feeds in.
     """
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    e = np.exp(-np.abs(a))
+    out = np.where(a >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
@@ -76,7 +72,10 @@ class Distribution:
     """A probability vector kept alongside its defining log-weights.
 
     Probabilities are exp(log_weights) normalized through log-sum-exp, so they
-    stay strictly positive and sum to 1 for any finite parameters.
+    stay strictly positive and sum to 1 for any finite parameters.  It takes
+    scipy 1.17's logsumexp steps for real 1-D input (the max-separated log1p
+    form of Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021), so
+    the bytes are scipy's, without its per-call dispatch.
     """
 
     log_weights: np.ndarray
@@ -85,8 +84,12 @@ class Distribution:
     @classmethod
     def from_log_weights(cls, log_weights) -> "Distribution":
         lw = np.asarray(log_weights, dtype=float)
-        p = np.exp(lw - logsumexp(lw))
-        return cls(log_weights=lw, probabilities=p)
+        top = lw.max()
+        m = float(np.count_nonzero(lw == top))
+        rest = np.exp(lw - top)
+        rest[lw == top] = 0.0  # the maxima enter through log(m), not the sum
+        lse = np.log1p(rest.sum() / m) + np.log(m) + top
+        return cls(log_weights=lw, probabilities=np.exp(lw - lse))
 
     def __len__(self) -> int:
         return len(self.probabilities)

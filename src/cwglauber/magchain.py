@@ -72,16 +72,14 @@ class DerivativeMatrix:
 def build_reduced_chain(params: ModelParams) -> ReducedChain:
     """Magnetization chain entries from the closed-form heat-bath rates."""
     n, J, H = params.n, params.J, params.H
-    k = np.arange(n + 1, dtype=float)
-    ku = k[:-1]  # rows 0..n-1 have an up move
-    kd = k[1:]   # rows 1..n have a down move
-    up = ((n - ku) / n) * logistic(-((n - 2 * ku - 1) * 2 * J - 2 * H))
-    down = (kd / n) * logistic((n - 2 * kd + 1) * 2 * J - 2 * H)
-    up_full = np.concatenate([up, [0.0]])
-    down_full = np.concatenate([[0.0], down])
+    k = np.arange(n, dtype=float)
+    x = (n - 2 * k - 1) * 2 * J - 2 * H  # up from k and down from k+1 share x
+    rates = logistic(np.concatenate([-x, x]))
+    up = ((n - k) / n) * rates[:n]
+    down = ((k + 1) / n) * rates[n:]
     # 1 - (a + b) rather than 1 - a - b: IEEE addition commutes, so the
     # H -> -H mirror symmetry of the diagonal is exact to the last bit.
-    diag = 1.0 - (up_full + down_full)
+    diag = 1.0 - (np.append(up, 0.0) + np.append(0.0, down))
     return ReducedChain(n=n, up=up, down=down, diag=diag)
 
 
@@ -112,19 +110,17 @@ def s_values(params: ModelParams) -> np.ndarray:
 
 def derivative_matrix(params: ModelParams) -> DerivativeMatrix:
     """Tridiagonal d/dJ of the reduced chain, by direct closed-form
-    differentiation of the chain entries: d_down[k] = s_k, and d_up at row
-    k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).
+    differentiation of the chain entries: d_down[k] = s_{k+1}, and d_up at
+    row k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]), same cosh.
 
     The diagonal is assembled so every row sums to zero to rounding.
     """
     n, J, H = params.n, params.J, params.H
-    d_down = s_values(params)[1:]
-    ku = np.arange(n, dtype=float)
-    d_up = (((n - ku) * (2 * ku - n + 1) / n)
-            * inv_one_plus_cosh((n - 2 * ku - 1) * 2 * J - 2 * H))
-    up_full = np.concatenate([d_up, [0.0]])
-    down_full = np.concatenate([[0.0], d_down])
-    d_diag = -(up_full + down_full)
+    k = np.arange(n, dtype=float)
+    c = inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H)
+    d_up = ((n - k) * (2 * k - n + 1) / n) * c
+    d_down = ((k + 1) * (n - 2 * k - 1) / n) * c
+    d_diag = -(np.append(d_up, 0.0) + np.append(0.0, d_down))
     return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down, d_diag=d_diag)
 
 

@@ -24,6 +24,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ising import ModelParams, logistic
 from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
@@ -36,6 +37,11 @@ N_MAX_SIMULATE_FULL = 24
 # n = 512 its nine squarings take under 1/10 of a per-site run of MIN_SAMPLES
 # sweeps (2-core host, two BLAS threads); the share grows with n from there.
 N_MAX_SWEEP_KERNEL = 512
+
+# Most lags autocovariance takes as dot products, and the estimators' first
+# window (wider ones take an FFT): from 62,500 to 10^6 samples the dots take
+# 0.36-0.69 of an FFT's time at 64 lags, 0.65-0.88 at 128 (2-core x86-64).
+N_MAX_DOT_LAGS = 64
 
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
@@ -192,30 +198,49 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 
-def autocovariance(x: np.ndarray) -> np.ndarray:
-    """Autocovariance gamma(l) = (1/N) sum_t (x_t - xbar)(x_{t+l} - xbar),
-    all lags, computed by FFT."""
+def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
+    """Autocovariance gamma(l) = (1/N) sum_t (x_t - xbar)(x_{t+l} - xbar)
+    for l = 0..lags-1, lags <= N.  Up to N_MAX_DOT_LAGS lags an einsum sums
+    the lagged products in rows of 256, calling no BLAS (its threads stalled
+    runs on a loaded 2-core host); above, one FFT zero-padded past N+lags-1.
+    """
     x = np.asarray(x, dtype=float)
     x = x - x.mean()
     N = len(x)
-    m = 1 << (2 * N - 1).bit_length()
+    if lags <= N_MAX_DOT_LAGS:
+        padded = np.pad(x, (0, -N % 256 + lags - 1))
+        shifted = sliding_window_view(padded, lags).reshape(-1, 256, lags)
+        products = np.einsum("kt,ktl->kl", shifted[:, :, 0], shifted)
+        return products.sum(axis=0) / N
+    m = 1 << (N + lags - 1).bit_length()
     f = np.fft.rfft(x, m)
-    return np.fft.irfft(f * np.conj(f), m)[:N] / N
+    return np.fft.irfft(f * np.conj(f), m)[:lags] / N
 
 
 def _acov_with_floor(x: np.ndarray):
     """Autocovariance plus its Bartlett noise floor, with sanity guards.
 
+    The lags grow from N_MAX_DOT_LAGS until they hold the first nonpositive
+    one, L0, and the first W >= 6 tau(W), or else are all N (L0 = N // 2 if
+    no lag is nonpositive): every lag either estimator reads.
     A lag-1 autocovariance significantly below zero (beyond -3 floors) means
     genuinely anticorrelated data that no relaxation-time reading fits; a
     lag-1 value merely within noise of zero is the white-noise regime and is
     left for the estimators to flag as floor-limited.
     """
-    acov = autocovariance(x)
     N = len(x)
-    if acov[0] <= 0:
-        raise EstimationError("zero-variance series")
-    neg = np.nonzero(acov[1:] <= 0)[0]
+    lags = min(N_MAX_DOT_LAGS, N)
+    while True:
+        acov = autocovariance(x, lags)
+        if acov[0] <= 0:
+            raise EstimationError("zero-variance series")
+        neg = np.nonzero(acov[1:] <= 0)[0]
+        taus = 0.5 + np.cumsum(acov[1:] / acov[0])  # tau(W) for W = 1, 2, ...
+        W = np.arange(1, len(acov))
+        if lags == N or (len(neg) and np.any(W >= 6 * taus)):
+            break
+        # at least double, by all the lags the next FFT's padding holds
+        lags = min((1 << (N + 2 * lags - 1).bit_length()) - N, N)
     L0 = int(neg[0]) + 1 if len(neg) else N // 2
     noise_floor = math.sqrt((acov[0] ** 2 + 2 * np.sum(acov[1:L0] ** 2)) / N)
     if acov[1] <= -3 * noise_floor:

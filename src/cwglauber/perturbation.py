@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ising import ModelParams
-from .magchain import build_reduced_chain, derivative_matrix, reduced_stationary
+from .magchain import build_reduced_chain, derivative_matrix
 from .spectral import (DEGENERATE_GAP, SpectralResult, eigen_top_tridiagonal,
                        increment_chain, second_eigenpair)
 
@@ -53,15 +53,14 @@ def coupling_derivative(params: ModelParams,
     """(d lambda_2/dJ, per-level terms) from the point's own eigenpair.
 
     The derivative is <f, (dP/dJ) f>_pi with the analytic derivative matrix
-    (valid for all H) and the pi-normalized increasing eigenvector of res;
-    the terms are f_k ((dP/dJ) f)_k, whose pi-weighted sum is the derivative.
-    No solve happens here and degeneracy is not checked.
+    (valid for all H) and the pi-normalized increasing eigenvector of res,
+    weighted by res.pi; the terms are f_k ((dP/dJ) f)_k, whose pi-weighted
+    sum is the derivative.  No solve happens here and degeneracy is not
+    checked.
     """
-    dm = derivative_matrix(params)
-    pi = reduced_stationary(params).probabilities
     f = res.second_vector
-    dmf = dm.apply(f)
-    return float(np.sum(pi * f * dmf)), f * dmf
+    dmf = derivative_matrix(params).apply(f)
+    return float(np.sum(res.pi * f * dmf)), f * dmf
 
 
 def _require_simple(res: SpectralResult) -> None:

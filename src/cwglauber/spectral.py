@@ -46,8 +46,8 @@ class SpectralResult:
     and t_rel = 1/gap count single-site steps.  The second eigenvector is the
     cumulative sum of the increment chain's top eigenvector, centred to
     <f,1>_pi = 0 and pi-normalized, <f,f>_pi = 1, with f_n > f_0 whenever
-    those increments are positive; ``increasing`` records whether its
-    coordinates are nondecreasing at the default structure tolerance.
+    those increments are positive.  pi is the chain's stationary law, the
+    one f is centred and normalized in.
     """
 
     lambda2: float
@@ -55,7 +55,7 @@ class SpectralResult:
     gap: float
     t_rel: float
     second_vector: np.ndarray
-    increasing: bool
+    pi: np.ndarray
 
     @property
     def separation(self) -> float | None:
@@ -71,8 +71,9 @@ class StructureReport:
 
     antisymmetric_at_h0 and sign_split are only meaningful at H = 0 and are
     None otherwise.  ``reliable`` is False when lambda_2 - lambda_3 fell below
-    the degeneracy threshold, in which case the other flags should not be
-    trusted rather than read as refuting the theory.
+    the degeneracy threshold or the eigenvector has a non-finite entry, in
+    which case the other flags should not be trusted rather than read as
+    refuting the theory.
     """
 
     increasing: bool
@@ -239,12 +240,14 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
     f = np.zeros(params.n + 1)
     np.cumsum(g, out=f[1:])
     f -= pi @ f
-    f /= math.sqrt(pi @ (f * f))
-    increasing = bool(np.all(np.diff(f) >= -STRUCTURE_TOL))
+    # <f,f>_pi is 0 if the increments underflowed where pi has its mass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f /= math.sqrt(pi @ (f * f))
     return SpectralResult(lambda2=lambda2, lambda3=lambda3, gap=gap,
-                          t_rel=t_rel, second_vector=f, increasing=increasing)
+                          t_rel=t_rel, second_vector=f, pi=pi)
 
 
+@np.errstate(invalid="ignore")  # inf - inf in a non-finite f
 def eigenvector_structure_report(f, tol: float = STRUCTURE_TOL, *,
                                  h: float = 0.0,
                                  eigen_separation: float | None = None) -> StructureReport:
@@ -257,7 +260,8 @@ def eigenvector_structure_report(f, tol: float = STRUCTURE_TOL, *,
                 H = 0 only.
 
     Pass eigen_separation = lambda_2 - lambda_3 to have near-degenerate
-    points flagged unreliable instead of asserted on.
+    points flagged unreliable instead of asserted on; an f with a non-finite
+    entry is flagged unreliable too.
     """
     f = np.asarray(f, dtype=float)
     n = len(f) - 1
@@ -272,8 +276,8 @@ def eigenvector_structure_report(f, tol: float = STRUCTURE_TOL, *,
                           and np.all(f[k >= n / 2] >= -tol))
     else:
         sign_split = None
-    reliable = not (eigen_separation is not None
-                    and eigen_separation < DEGENERATE_GAP)
+    reliable = bool(np.isfinite(f).all()) and not (
+        eigen_separation is not None and eigen_separation < DEGENERATE_GAP)
     return StructureReport(increasing=increasing, strictly=strictly,
                            antisymmetric_at_h0=antisymmetric,
                            sign_split=sign_split, reliable=reliable)

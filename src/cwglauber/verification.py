@@ -15,8 +15,7 @@ import numpy as np
 
 from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
                     full_transition_matrix, log_weights_full, stationary_full)
-from .magchain import (build_reduced_chain, derivative_matrix, lump_vector,
-                       reduced_stationary, s_values)
+from .magchain import build_reduced_chain, derivative_matrix, lump_vector, s_values
 from .perturbation import (coupling_derivative, difference_quotient,
                            finite_difference_gap)
 from .spectral import (EigensolverError, eigen_symmetric_tridiagonal,
@@ -98,7 +97,6 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
 
     # --- reduced chain and lumping ---------------------------------------
     chain = build_reduced_chain(params)
-    pi_red = reduced_stationary(params)
     row_sums = np.concatenate([chain.up, [0.0]]) \
         + np.concatenate([[0.0], chain.down]) + chain.diag
     out.append(CheckResult.from_violation(
@@ -108,13 +106,12 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         name="reduced_positivity",
         status="pass" if positivity > 0 else "fail",
         value=float(positivity), tol=0.0, note="min up/down entry (must be > 0)"))
-    flux = np.abs(pi_red.probabilities[:-1] * chain.up
-                  - pi_red.probabilities[1:] * chain.down).max()
+    flux = np.abs(res.pi[:-1] * chain.up - res.pi[1:] * chain.down).max()
     out.append(CheckResult.from_violation(
         "reduced_detailed_balance", flux, 1e-13))
     lumped = np.bincount(levels, weights=p, minlength=n + 1)
     out.append(CheckResult.from_violation(
-        "stationary_lumping", np.abs(lumped - pi_red.probabilities).max(), 1e-12))
+        "stationary_lumping", np.abs(lumped - res.pi).max(), 1e-12))
     below = levels < n
     worst_lump = np.abs(up_mass[below] - chain.up[levels[below]]).max()
     out.append(CheckResult.from_violation(
@@ -142,7 +139,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     out.append(CheckResult.from_violation(
         "lumped_eigenvector", np.abs(P @ lf - res.lambda2 * lf).max(),
         max(1e-10, lf_floor)))
-    norm = float(np.sum(pi_red.probabilities * res.second_vector ** 2))
+    norm = float(np.sum(res.pi * res.second_vector ** 2))
     out.append(CheckResult.from_violation(
         "eigenvector_normalization", abs(norm - 1.0), 1e-10))
 
@@ -196,7 +193,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
                 "eigenvector_middle_zero", abs(f[n // 2]), 1e-9))
         out.append(CheckResult.from_violation(
             "sign_structure_terms", max(0.0, -(terms.min())), 1e-12))
-        weighted = float(np.sum(pi_red.probabilities * terms))
+        weighted = float(np.sum(res.pi * terms))
         out.append(CheckResult.from_violation(
             "sign_terms_sum_vs_hf", abs(weighted - hf), 1e-12))
     elif H != 0.0:

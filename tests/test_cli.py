@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, artifact formats and round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,14 @@ class TestGapCommand:
         assert all(flags[name] is True for name in (
             "increasing", "strictly", "antisymmetric_at_h0", "sign_split",
             "reliable"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_vector_prints_unreliable(self, capsys):
+        assert run_cli(["gap", "--n", "1000", "--J", "0.00186",
+                        "--H", "-0.5"]) == 0
+        captured = capsys.readouterr()
+        assert "increasing=False" in captured.out
+        assert "reliable=False" in captured.out and captured.err == ""
 
     def test_solver_failure_exits_3(self, dstemr_fails, capsys):
         assert run_cli(["gap", "--n", "6", "--J", "0.1"]) == 3
@@ -262,6 +271,36 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "False"
+
+
+# sha256 of sweep_to_csv, its timestamp line dropped, and of sweep_to_json,
+# both without a command line, for sweep_monotonicity(n, H, linspace(0,
+# J_max, steps)).  Recorded while the stationary law was still normalized by
+# scipy's logsumexp and solved twice per point; the inline log-sum-exp and the
+# one law per point leave every byte as it was.
+PINNED_SWEEPS = [
+    (12, 0.0, 0.6, 241,
+     "d9612d9ef913f98db4d681fa239c58101c8b642abbc4c1d7e4532bc5b4111f27",
+     "7717d62f686b9725fb0ca6f26a723499c3821d2dba144d23b305c065d91f4660"),
+    (12, 0.2, 0.6, 241,
+     "28286de390aa1873e5ff517dcb70be7c54ea78ce2eb3297eca3ab30cab85c9c5",
+     "53ca22f84545530f21204525d06c900e8b3dbe953a918cb7661f29a727c7882d"),
+    (1000, 0.0, 0.0015, 16,
+     "057323348f3fd4b79e51e1cbec8cc8552852dbd29da68a998f65c8c70656edf2",
+     "d6753694e5efea02d1d69245ee2f3de1f324a927d012e5386ff81bc86ea318f4"),
+]
+
+
+@pytest.mark.parametrize("n,H,J_max,steps,csv_digest,json_digest",
+                         PINNED_SWEEPS,
+                         ids=[f"n{c[0]}-H{c[1]}" for c in PINNED_SWEEPS])
+def test_sweep_output_is_pinned(n, H, J_max, steps, csv_digest, json_digest):
+    report = sweep_monotonicity(n, H, np.linspace(0.0, J_max, steps).tolist())
+    csv = "\n".join(line for line in sweep_to_csv(report).split("\n")
+                    if not line.startswith("# timestamp:"))
+    assert hashlib.sha256(csv.encode()).hexdigest() == csv_digest
+    text = sweep_to_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == json_digest
 
 
 class TestSerializationRoundTrips:

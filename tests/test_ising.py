@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import detailed_balance_violation
 from cwglauber.ising import (Distribution, ModelParams, all_plus_counts,
@@ -192,3 +193,25 @@ class TestDistribution:
     def test_plus_counts(self):
         counts = all_plus_counts(3)
         np.testing.assert_array_equal(counts, [0, 1, 1, 2, 1, 2, 2, 3])
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 13, 128, 129, 1000,
+                                      4096, 5000])
+    @pytest.mark.parametrize("spread", [0.0, 1e-3, 1.0, 700.0, 1e4])
+    @pytest.mark.parametrize("ties", [1, 2, 4])
+    def test_bitwise_scipy_logsumexp(self, size, spread, ties):
+        """The inline log-sum-exp repeats scipy's steps, so the bytes are
+        scipy's; pairwise summation makes sizes past 8 and 128 distinct."""
+        rng = np.random.default_rng(size * 1000 + ties)
+        lw = rng.uniform(-spread, 0.0, size) + rng.normal(0.0, 50.0)
+        lw[rng.choice(size, min(ties, size), replace=False)] = lw.max() + 0.25
+        for weights in (lw, np.round(lw)):
+            expected = np.exp(weights - logsumexp(weights))
+            got = Distribution.from_log_weights(weights).probabilities
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stationary_full_bitwise_scipy(self, n):
+        for J, H in [(0.0, 0.0), (0.3, 0.0), (0.1, -0.4), (2.0, 0.7)]:
+            lw = log_weights_full(ModelParams(n=n, J=J, H=H))
+            got = stationary_full(ModelParams(n=n, J=J, H=H)).probabilities
+            assert got.tobytes() == np.exp(lw - logsumexp(lw)).tobytes()

@@ -17,12 +17,13 @@ from numpy.linalg import matrix_power
 from scipy.stats import binom, chi2
 
 import cwglauber
+import cwglauber.mcmc as mcmc
 from conftest import dense_reduced_chain
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
-from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
-                            RelaxationEstimate, Trajectory,
-                            estimate_relaxation, simulate_full,
+from cwglauber.mcmc import (N_MAX_DOT_LAGS, N_MAX_SWEEP_KERNEL,
+                            EstimationError, RelaxationEstimate, Trajectory,
+                            autocovariance, estimate_relaxation, simulate_full,
                             simulate_reduced)
 from cwglauber.reports import trajectory_to_csv
 from cwglauber.spectral import second_eigenpair
@@ -314,6 +315,71 @@ class TestEstimateRelaxation:
         est = estimate_relaxation(traj)
         assert isinstance(est, RelaxationEstimate)
         assert est.method == "exponential_fit"
+
+
+class TestAutocovariance:
+    @pytest.mark.parametrize("N", [625, 4000])
+    @pytest.mark.parametrize("lags", [1, 2, 20, N_MAX_DOT_LAGS,
+                                      N_MAX_DOT_LAGS + 1, 300, 600])
+    def test_both_paths_match_the_lagged_sums(self, N, lags):
+        rng = np.random.default_rng(N + lags)
+        x = np.cumsum(rng.standard_normal(N)) + 3.0
+        y = x - x.mean()
+        direct = np.array([np.sum(y[:N - l] * y[l:]) for l in range(lags)]) / N
+        got = autocovariance(x, lags)
+        assert got.shape == (lags,)
+        assert np.abs(got - direct).max() <= 1e-13 * direct[0]
+
+    @pytest.mark.parametrize("method", ["exponential_fit",
+                                        "integrated_autocorrelation"])
+    def test_window_reads_what_all_lags_read(self, monkeypatch, method):
+        """The estimators read gamma up to its first nonpositive lag (and
+        the first W >= 6 tau(W)); a window grown to that point gives what
+        all N lags give, errors included."""
+        def ar1(phi, n):
+            x, noise = np.zeros(n), rng.standard_normal(n)
+            for t in range(1, n):
+                x[t] = phi * x[t - 1] + noise[t]
+            return x
+
+        rng = np.random.default_rng(17)
+        ma = rng.standard_normal(40_002)
+        # gamma(2) < 0 from the MA part; the slow part puts W near 129
+        mixed = ma[2:] - 0.9 * ma[:-2] + 0.12 * ar1(0.99, 40_000)
+        acov = autocovariance(mixed, len(mixed))
+        taus = 0.5 + np.cumsum(acov[1:] / acov[0])
+        assert acov[2] < 0
+        W = np.arange(1, N_MAX_DOT_LAGS)
+        assert not np.any(W >= 6 * taus[:len(W)])
+        series = [mixed, rng.standard_normal(50_000),
+                  np.cumsum(rng.standard_normal(30_000)), ar1(0.995, 40_000),
+                  np.tile([1.0, -1.0], 10_000), np.zeros(20_000),
+                  simulate_reduced(ModelParams(n=10, J=0.08), seed=3,
+                                   steps=200_000).samples,
+                  simulate_full(ModelParams(n=6, J=0.2, H=0.1), seed=4,
+                                steps=40_000).samples]
+
+        def outcomes():
+            out = []
+            for x in series:
+                traj = Trajectory(params=ModelParams(n=1, J=0.0), seed=0,
+                                  burn_in=0, samples=x)
+                try:
+                    out.append(estimate_relaxation(traj, method=method))
+                except EstimationError as exc:
+                    out.append(str(exc))
+            return out
+
+        windowed = outcomes()
+        monkeypatch.setattr(mcmc, "autocovariance",
+                            lambda x, lags: autocovariance(x, len(x)))
+        for a, b in zip(windowed, outcomes()):
+            if isinstance(b, str):
+                assert a == b
+                continue
+            assert a.floor_limited == b.floor_limited
+            assert a.t_rel_hat == pytest.approx(b.t_rel_hat, rel=1e-12)
+            assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
 
 
 def test_supercritical_slowdown_demonstrated_by_dynamics():

@@ -41,7 +41,8 @@ class TestHellmannFeynman:
         from cwglauber.spectral import SpectralResult
         fake = SpectralResult(
             lambda2=0.5, lambda3=0.5 + 1e-13, gap=0.5, t_rel=2.0,
-            second_vector=np.array([-1.0, -0.5, 0.5, 1.0]), increasing=True)
+            second_vector=np.array([-1.0, -0.5, 0.5, 1.0]),
+            pi=np.array([0.125, 0.375, 0.375, 0.125]))
         monkeypatch.setattr(perturbation, "second_eigenpair", lambda p: fake)
         with pytest.raises(DegenerateGapError):
             hellmann_feynman(ModelParams(n=3, J=0.1, H=0.0))
@@ -151,6 +152,25 @@ class TestOneSolvePerPoint:
         # the point and two FD solves, plus the reduced spectrum it checks
         run_verification(ModelParams(n=6, J=0.2, H=0.0))
         assert lapack_calls == {"dstevd": 1, "dstemr": 3}
+
+    @pytest.mark.parametrize("H", [0.0, 0.2])
+    def test_one_stationary_law_per_point(self, monkeypatch, H):
+        """The point's SpectralResult carries pi; the derivative reads it."""
+        import cwglauber
+        calls = []
+        real = cwglauber.magchain.reduced_stationary
+
+        def counting(params):
+            calls.append(params.J)
+            return real(params)
+
+        for module in vars(cwglauber).values():
+            if hasattr(module, "reduced_stationary"):
+                monkeypatch.setattr(module, "reduced_stationary", counting)
+        grid = [0.0, 0.1, 0.2, 0.3]
+        report = sweep_monotonicity(8, H, grid)
+        assert len(report.points) == 4 and not report.failures
+        assert calls == grid
 
 
 class TestTemperatureView:

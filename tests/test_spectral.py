@@ -165,7 +165,8 @@ class TestSecondEigenpair:
         assert np.abs(w).max() <= 1.0 + 1e-12
         assert abs(res.lambda2 - w[1]) < 1e-12
         assert abs(res.lambda3 - w[2]) < 1e-12
-        assert res.increasing
+        assert np.all(np.diff(f) >= -1e-9)
+        assert res.pi.tobytes() == pi.tobytes()
 
     def test_power_iteration_cross_check(self):
         """Deflated power iteration on the raw nonsymmetric chain matrix is an
@@ -367,7 +368,6 @@ class TestIncrementVector:
         monkeypatch.setattr(spectral, "eigen_top_tridiagonal", flawed)
         res = second_eigenpair(params)
         rep = eigenvector_structure_report(res.second_vector, h=0.0)
-        assert not res.increasing
         assert not rep.increasing and not rep.strictly
 
     @pytest.mark.parametrize("H", [0.0, 0.7])
@@ -426,6 +426,26 @@ class TestStructureReport:
     def test_non_increasing_vector_detected(self):
         rep = eigenvector_structure_report(np.array([0.0, 1.0, 0.5]))
         assert not rep.increasing and not rep.strictly
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("h", [0.0, 0.2])
+    def test_non_finite_vector_flags_unreliable(self, h):
+        rep = eigenvector_structure_report(
+            np.array([-np.inf, np.nan, 0.0, np.inf]), h=h,
+            eigen_separation=1e-3)
+        assert not rep.reliable and not rep.increasing
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_increments_flag_unreliable(self):
+        """Here the increments of f underflow to 0 where pi has its mass,
+        so <f,f>_pi is 0 and f is not finite: the point's flags cannot be
+        read, and must not read as a refutation."""
+        params = ModelParams(n=1000, J=0.00186, H=-0.5)
+        res = second_eigenpair(params)
+        assert not np.isfinite(res.second_vector).all()
+        rep = eigenvector_structure_report(res.second_vector, h=params.H,
+                                           eigen_separation=res.separation)
+        assert not rep.reliable
 
 
 @pytest.mark.parametrize("n,J,H", [(3, 0.4, 0.2), (6, 0.1, 0.0), (8, 0.0, 0.5)])
