@@ -111,15 +111,15 @@ def s_values(params: ModelParams) -> np.ndarray:
 def derivative_matrix(params: ModelParams) -> DerivativeMatrix:
     """Tridiagonal d/dJ of the reduced chain, by direct closed-form
     differentiation of the chain entries: d_down[k] = s_{k+1}, and d_up at
-    row k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]), same cosh.
+    row k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).
 
     The diagonal is assembled so every row sums to zero to rounding.
     """
     n, J, H = params.n, params.J, params.H
+    d_down = s_values(params)[1:]
     k = np.arange(n, dtype=float)
-    c = inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H)
-    d_up = ((n - k) * (2 * k - n + 1) / n) * c
-    d_down = ((k + 1) * (n - 2 * k - 1) / n) * c
+    d_up = (((n - k) * (2 * k - n + 1) / n)
+            * inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H))
     d_diag = -(np.append(d_up, 0.0) + np.append(0.0, d_down))
     return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down, d_diag=d_diag)
 

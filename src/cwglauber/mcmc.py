@@ -24,7 +24,6 @@ from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .ising import ModelParams, logistic
 from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
@@ -37,11 +36,6 @@ N_MAX_SIMULATE_FULL = 24
 # n = 512 its nine squarings take under 1/10 of a per-site run of MIN_SAMPLES
 # sweeps (2-core host, two BLAS threads); the share grows with n from there.
 N_MAX_SWEEP_KERNEL = 512
-
-# Most lags autocovariance takes as dot products, and the estimators' first
-# window (wider ones take an FFT): from 62,500 to 10^6 samples the dots take
-# 0.36-0.69 of an FFT's time at 64 lags, 0.65-0.88 at 128 (2-core x86-64).
-N_MAX_DOT_LAGS = 64
 
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
@@ -200,18 +194,10 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
 
 def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
     """Autocovariance gamma(l) = (1/N) sum_t (x_t - xbar)(x_{t+l} - xbar)
-    for l = 0..lags-1, lags <= N.  Up to N_MAX_DOT_LAGS lags an einsum sums
-    the lagged products in rows of 256, calling no BLAS (its threads stalled
-    runs on a loaded 2-core host); above, one FFT zero-padded past N+lags-1.
-    """
+    for l = 0..lags-1, lags <= N, by one FFT zero-padded past N+lags-1."""
     x = np.asarray(x, dtype=float)
     x = x - x.mean()
     N = len(x)
-    if lags <= N_MAX_DOT_LAGS:
-        padded = np.pad(x, (0, -N % 256 + lags - 1))
-        shifted = sliding_window_view(padded, lags).reshape(-1, 256, lags)
-        products = np.einsum("kt,ktl->kl", shifted[:, :, 0], shifted)
-        return products.sum(axis=0) / N
     m = 1 << (N + lags - 1).bit_length()
     f = np.fft.rfft(x, m)
     return np.fft.irfft(f * np.conj(f), m)[:lags] / N
@@ -220,16 +206,17 @@ def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
 def _acov_with_floor(x: np.ndarray):
     """Autocovariance plus its Bartlett noise floor, with sanity guards.
 
-    The lags grow from N_MAX_DOT_LAGS until they hold the first nonpositive
-    one, L0, and the first W >= 6 tau(W), or else are all N (L0 = N // 2 if
-    no lag is nonpositive): every lag either estimator reads.
+    The lags start at every one the smallest FFT holding 64 lags gives, and
+    grow until they hold the first nonpositive one, L0, and the first
+    W >= 6 tau(W), or else are all N (L0 = N // 2 if no lag is nonpositive):
+    every lag either estimator reads.
     A lag-1 autocovariance significantly below zero (beyond -3 floors) means
     genuinely anticorrelated data that no relaxation-time reading fits; a
     lag-1 value merely within noise of zero is the white-noise regime and is
     left for the estimators to flag as floor-limited.
     """
     N = len(x)
-    lags = min(N_MAX_DOT_LAGS, N)
+    lags = min((1 << (N + 63).bit_length()) - N, N)
     while True:
         acov = autocovariance(x, lags)
         if acov[0] <= 0:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .ising import ModelParams
 from .magchain import build_reduced_chain, derivative_matrix
-from .spectral import (DEGENERATE_GAP, SpectralResult, eigen_top_tridiagonal,
-                       increment_chain, second_eigenpair)
+from .spectral import (DEGENERATE_GAP, EigensolverError, SpectralResult,
+                       eigen_top_tridiagonal, increment_chain, second_eigenpair)
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
 # FD_DELTA_DEFAULT / n balances central-difference truncation against
@@ -63,22 +63,26 @@ def coupling_derivative(params: ModelParams,
     return float(np.sum(res.pi * f * dmf)), f * dmf
 
 
-def _require_simple(res: SpectralResult) -> None:
+def _require_usable(res: SpectralResult) -> None:
     sep = res.separation
     if sep is not None and sep < DEGENERATE_GAP:
         raise DegenerateGapError(
             f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
             f"eigenvalue not numerically simple")
+    if not np.isfinite(res.second_vector).all():
+        raise EigensolverError(
+            "second eigenvector is not finite: its increments underflowed "
+            "where pi has its mass")
 
 
 def hellmann_feynman(params: ModelParams) -> float:
     """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain.
 
     Refuses when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue
-    assumption breaks down.
+    assumption breaks down, and when f is not finite.
     """
     res = second_eigenpair(params)
-    _require_simple(res)
+    _require_usable(res)
     return coupling_derivative(params, res)[0]
 
 
@@ -176,7 +180,7 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
         params = ModelParams(n=n, J=J, H=H)
         try:
             res = second_eigenpair(params)
-            _require_simple(res)
+            _require_usable(res)
             hf, terms = coupling_derivative(params, res)
             fd = finite_difference_gap(params)
             sign_ok = bool(np.all(terms >= -SIGN_TERM_TOL)) if H == 0.0 else None

@@ -169,6 +169,22 @@ class TestSweepCommand:
         assert "EigensolverError" in report.failures[0]["error"]
         assert not any(np.isnan(p.hf_derivative) for p in report.points)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_vector_is_a_failure(self, tmp_path, capsys):
+        """Past J = 0.0018 at n = 1000, H = -0.5 the increments underflow
+        where pi has its mass; those points are failures, not nan rows."""
+        out = tmp_path / "underflowed_f.csv"
+        code = run_cli(["sweep", "--n", "1000", "--H", "-0.5",
+                        "--J-min", "0.0018", "--J-max", "0.00186",
+                        "--J-steps", "2", "--output", str(out)])
+        assert code == 4
+        report = sweep_from_csv(out.read_text())
+        assert [p.J for p in report.points] == [0.0018]
+        assert np.isfinite(report.points[0].hf_derivative)
+        assert [f["J"] for f in report.failures] == [0.00186]
+        assert "EigensolverError" in report.failures[0]["error"]
+        assert "not finite" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passes_at_desk_point(self, capsys):

@@ -47,6 +47,12 @@ class TestHellmannFeynman:
         with pytest.raises(DegenerateGapError):
             hellmann_feynman(ModelParams(n=3, J=0.1, H=0.0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_refuses_non_finite_vector(self):
+        from cwglauber.spectral import EigensolverError
+        with pytest.raises(EigensolverError, match="not finite"):
+            hellmann_feynman(ModelParams(n=1000, J=0.00186, H=-0.5))
+
 
 class TestFiniteDifference:
     @pytest.mark.parametrize("delta", [1e-9, 5e-3])
