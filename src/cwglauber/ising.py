@@ -42,7 +42,7 @@ class ModelParams:
     """Parameters of the mean-field model: vertex count n, coupling J, field H.
 
     J = 0 is admitted as a degenerate reference point (the chain becomes the
-    lazy Ehrenfest urn with known spectrum).
+    lazy Ehrenfest urn with known spectrum).  J may be a column: a grid.
     """
 
     n: int
@@ -52,7 +52,7 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not np.isfinite(self.J) or self.J < 0:
+        if not (np.isfinite(self.J) & (np.asarray(self.J) >= 0)).all():
             raise ValueError(f"J must be finite and >= 0, got {self.J!r}")
         if not np.isfinite(self.H):
             raise ValueError(f"H must be finite, got {self.H!r}")
@@ -71,11 +71,11 @@ def all_plus_counts(n: int) -> np.ndarray:
 class Distribution:
     """A probability vector kept alongside its defining log-weights.
 
-    Probabilities are exp(log_weights) normalized through log-sum-exp, so they
-    stay strictly positive and sum to 1 for any finite parameters.  It takes
-    scipy 1.17's logsumexp steps for real 1-D input (the max-separated log1p
-    form of Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021), so
-    the bytes are scipy's, without its per-call dispatch.
+    Probabilities are exp(log_weights) normalized through log-sum-exp along
+    the last axis (one law per row), so they stay strictly positive and sum
+    to 1 for any finite parameters.  It takes scipy 1.17's logsumexp steps
+    (the max-separated log1p form of Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 41(4), 2021): scipy's bytes, without its dispatch.
     """
 
     log_weights: np.ndarray
@@ -84,11 +84,12 @@ class Distribution:
     @classmethod
     def from_log_weights(cls, log_weights) -> "Distribution":
         lw = np.asarray(log_weights, dtype=float)
-        top = lw.max()
-        m = float(np.count_nonzero(lw == top))
+        top = lw.max(axis=-1, keepdims=True)
+        at_top = lw == top
+        m = at_top.sum(axis=-1, keepdims=True)
         rest = np.exp(lw - top)
-        rest[lw == top] = 0.0  # the maxima enter through log(m), not the sum
-        lse = np.log1p(rest.sum() / m) + np.log(m) + top
+        rest[at_top] = 0.0  # the maxima enter through log(m), not the sum
+        lse = np.log1p(rest.sum(axis=-1, keepdims=True) / m) + np.log(m) + top
         return cls(log_weights=lw, probabilities=np.exp(lw - lse))
 
     def __len__(self) -> int:

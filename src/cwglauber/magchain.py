@@ -11,16 +11,12 @@ with the boundary convention P(0 -> -1) = P(n -> n+1) = 0.  It shares its
 second-largest eigenvalue with the full chain, which is what makes it the
 workhorse of every spectral computation here.
 
-The derivative of the chain with respect to J is also tridiagonal and is
-expressible through
-
-    s_k = (k(n-2k+1)/n) * 1/(1 + cosh[(n-2k+1)2J - 2H]),
-
-but the s-based form of the upper diagonal (d_up[k] = s_{n-k}) is valid only
-at H = 0: under the reflection k -> n-k the cosh argument flips the sign of
-its J part and not of its -2H part.  ``derivative_matrix`` therefore
-differentiates the chain entries in closed form, which is correct for all H
-and coincides bitwise with the s-based form at H = 0.
+The derivative of the chain in J is also tridiagonal, with d_down[k] =
+s_{k+1} = ((k+1)(n-2k-1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).  The s-based
+upper diagonal d_up[k] = s_{n-k} holds only at H = 0 (under k -> n-k the
+cosh argument flips its J part, not its -2H part), so ``derivative_matrix``
+differentiates the entries in closed form: right for all H, and bitwise the
+s-based form at H = 0.  Chain, law and derivative also take a column of J.
 """
 
 from dataclasses import dataclass
@@ -39,11 +35,10 @@ def inv_one_plus_cosh(x):
 
 @dataclass(frozen=True)
 class ReducedChain:
-    """Tridiagonal transition data on magnetization levels 0..n.
-
-    up[k] = P(k -> k+1) for k = 0..n-1; down[k] = P(k+1 -> k) stored at slot
-    k; diag has length n+1.  All up/down entries are strictly positive for
-    finite parameters.
+    """Tridiagonal transition data on magnetization levels 0..n (per row for
+    a grid): up[k] = P(k -> k+1) for k = 0..n-1; down[k] = P(k+1 -> k) at
+    slot k; diag has length n+1.  All up/down entries are strictly positive
+    for finite parameters.
     """
 
     n: int
@@ -54,7 +49,7 @@ class ReducedChain:
 
 @dataclass(frozen=True)
 class DerivativeMatrix:
-    """Entrywise d/dJ of the reduced chain; rows sum to zero."""
+    """Entrywise d/dJ of the reduced chain (per row for a grid); rows sum to 0."""
 
     n: int
     d_up: np.ndarray
@@ -64,9 +59,15 @@ class DerivativeMatrix:
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         out = self.d_diag * f
-        out[:-1] += self.d_up * f[1:]
-        out[1:] += self.d_down * f[:-1]
+        out[..., :-1] += self.d_up * f[..., 1:]
+        out[..., 1:] += self.d_down * f[..., :-1]
         return out
+
+
+def add_shifted(a, b):
+    """(a, 0) + (0, b) along the last axis: a tridiagonal row sum."""
+    zero = np.zeros(a.shape[:-1] + (1,))
+    return np.concatenate([a, zero], axis=-1) + np.concatenate([zero, b], axis=-1)
 
 
 def build_reduced_chain(params: ModelParams) -> ReducedChain:
@@ -74,21 +75,16 @@ def build_reduced_chain(params: ModelParams) -> ReducedChain:
     n, J, H = params.n, params.J, params.H
     k = np.arange(n, dtype=float)
     x = (n - 2 * k - 1) * 2 * J - 2 * H  # up from k and down from k+1 share x
-    rates = logistic(np.concatenate([-x, x]))
-    up = ((n - k) / n) * rates[:n]
-    down = ((k + 1) / n) * rates[n:]
+    rates = logistic(np.concatenate([-x, x], axis=-1))
+    up, down = ((n - k) / n) * rates[..., :n], ((k + 1) / n) * rates[..., n:]
     # 1 - (a + b) rather than 1 - a - b: IEEE addition commutes, so the
     # H -> -H mirror symmetry of the diagonal is exact to the last bit.
-    diag = 1.0 - (np.append(up, 0.0) + np.append(0.0, down))
-    return ReducedChain(n=n, up=up, down=down, diag=diag)
+    return ReducedChain(n=n, up=up, down=down, diag=1.0 - add_shifted(up, down))
 
 
 def reduced_stationary(params: ModelParams) -> Distribution:
-    """Stationary law of the magnetization chain.
-
-    pi_k ~ C(n,k) * exp(J (2k-n)^2 / 2 + H (2k-n)); the binomial factor counts
-    the configurations lumped into level k.  Computed in log space.
-    """
+    """Stationary law pi_k ~ C(n,k) exp(J (2k-n)^2 / 2 + H (2k-n)) of the
+    chain, in log space; C(n,k) counts the configurations lumped into k."""
     n, J, H = params.n, params.J, params.H
     k = np.arange(n + 1, dtype=float)
     m = 2 * k - n
@@ -103,25 +99,20 @@ def s_values(params: ModelParams) -> np.ndarray:
     s_0 = 0 for all parameters, and the sign of s_k equals the sign of
     n-2k+1: nonnegative for k <= (n+1)/2 and nonpositive for k >= (n+1)/2.
     """
-    n, J, H = params.n, params.J, params.H
-    k = np.arange(n + 1, dtype=float)
-    return (k * (n - 2 * k + 1) / n) * inv_one_plus_cosh((n - 2 * k + 1) * 2 * J - 2 * H)
+    return np.append(0.0, derivative_matrix(params).d_down)
 
 
 def derivative_matrix(params: ModelParams) -> DerivativeMatrix:
-    """Tridiagonal d/dJ of the reduced chain, by direct closed-form
-    differentiation of the chain entries: d_down[k] = s_{k+1}, and d_up at
-    row k = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).
-
-    The diagonal is assembled so every row sums to zero to rounding.
-    """
+    """Tridiagonal d/dJ of the reduced chain in closed form: d_down[k] =
+    s_{k+1}, d_up[k] = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]), and
+    a diagonal that makes every row sum to zero to rounding."""
     n, J, H = params.n, params.J, params.H
-    d_down = s_values(params)[1:]
     k = np.arange(n, dtype=float)
-    d_up = (((n - k) * (2 * k - n + 1) / n)
-            * inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H))
-    d_diag = -(np.append(d_up, 0.0) + np.append(0.0, d_down))
-    return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down, d_diag=d_diag)
+    c = inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H)
+    d_up = ((n - k) * (2 * k - n + 1) / n) * c
+    d_down = ((k + 1) * (n - 2 * k - 1) / n) * c
+    return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down,
+                            d_diag=-add_shifted(d_up, d_down))
 
 
 def lump_vector(f_levels, n: int) -> np.ndarray:

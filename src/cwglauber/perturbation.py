@@ -22,14 +22,15 @@ the identity; sweeps over a J grid assemble everything into a report that
 also carries the temperature view t_rel(T) with T = c/J.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ising import ModelParams
 from .magchain import build_reduced_chain, derivative_matrix
-from .spectral import (DEGENERATE_GAP, EigensolverError, SpectralResult,
-                       eigen_top_tridiagonal, increment_chain, second_eigenpair)
+from .spectral import (DEGENERATE_GAP, EigensolverError, increment_rows,
+                       relaxation, second_eigenpair, second_eigenpairs)
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
 # FD_DELTA_DEFAULT / n balances central-difference truncation against
@@ -42,94 +43,99 @@ MONOTONE_TOL = 1e-10
 
 SIGN_TERM_TOL = 1e-12
 
+# A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time: O(block x n) memory.
+BLOCK_ELEMENTS = 1 << 12
+
 
 class DegenerateGapError(RuntimeError):
     """lambda_2 is numerically degenerate with lambda_3; the perturbation
     formula assumes a simple eigenvalue."""
 
 
-def coupling_derivative(params: ModelParams,
-                        res: SpectralResult) -> tuple[float, np.ndarray]:
-    """(d lambda_2/dJ, per-level terms) from the point's own eigenpair.
-
-    The derivative is <f, (dP/dJ) f>_pi with the analytic derivative matrix
-    (valid for all H) and the pi-normalized increasing eigenvector of res,
-    weighted by res.pi; the terms are f_k ((dP/dJ) f)_k, whose pi-weighted
-    sum is the derivative.  No solve happens here and degeneracy is not
-    checked.
-    """
-    f = res.second_vector
+def coupling_derivative(params: ModelParams, pi, f):
+    """(<f, (dP/dJ) f>_pi, terms f_k ((dP/dJ) f)_k) from pi-normalized f and
+    its pi, one row per coupling if params.J is a column; no solve."""
     dmf = derivative_matrix(params).apply(f)
-    return float(np.sum(res.pi * f * dmf)), f * dmf
+    return np.sum(pi * f * dmf, axis=-1), f * dmf
 
 
-def _require_usable(res: SpectralResult) -> None:
-    sep = res.separation
-    if sep is not None and sep < DEGENERATE_GAP:
-        raise DegenerateGapError(
-            f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
-            f"eigenvalue not numerically simple")
-    if not np.isfinite(res.second_vector).all():
-        raise EigensolverError(
-            "second eigenvector is not finite: its increments underflowed "
-            "where pi has its mass")
+def _unusable(separation, f) -> list:
+    """Per row, the error that bars the perturbation formula, or None."""
+    return [DegenerateGapError(f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
+                               f"eigenvalue not numerically simple")
+            if sep < DEGENERATE_GAP else None if finite else EigensolverError(
+                "second eigenvector is not finite: its increments underflowed "
+                "where pi has its mass")
+            for sep, finite in zip(np.asarray(separation).tolist(),
+                                   np.isfinite(f).all(axis=-1).tolist())]
 
 
 def hellmann_feynman(params: ModelParams) -> float:
-    """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain.
-
-    Refuses when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue
-    assumption breaks down, and when f is not finite.
-    """
+    """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain; refuses
+    when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue assumption
+    breaks down, and when f is not finite."""
     res = second_eigenpair(params)
-    _require_usable(res)
-    return coupling_derivative(params, res)[0]
+    sep = math.nan if res.separation is None else res.separation
+    for error in filter(None, _unusable([sep], res.second_vector[None])):
+        raise error
+    return float(coupling_derivative(params, res.pi, res.second_vector)[0])
+
+
+def fd_stencil(J, delta: float):
+    """The couplings ``difference_quotient`` reads besides J."""
+    return J + delta, np.where(J >= delta, J - delta, J + 2 * delta)
+
+
+def difference_quotient(J, delta: float, at_J, at_plus, at_other):
+    """d/dJ from values at J and at ``fd_stencil(J, delta)``: central, or
+    second-order forward at J < delta, so O(delta^2) on both sides."""
+    return np.where(J >= delta, (at_plus - at_other) / (2.0 * delta),
+                    (-3.0 * at_J + 4.0 * at_plus - at_other) / (2.0 * delta))
+
+
+def finite_differences(grid: ModelParams, delta: float, at_J=None):
+    """(d lambda_2/dJ, first stencil error or None) at each coupling of the
+    column grid.J, given lambda_2 at J (at_J; solved here when None)."""
+    J, k = grid.J[:, 0], len(grid.J)
+    rows = np.concatenate(([] if at_J is not None else [J]) + [*fd_stencil(J, delta)])
+    chain = build_reduced_chain(replace(grid, J=rows[:, None]))
+    errors = [None] * len(rows)
+    with np.errstate(all="ignore"):
+        lam = increment_rows(chain.up, chain.down, errors)[0][:, 0]
+    m = len(rows) - 2 * k
+    return (difference_quotient(J, delta, lam[:m] if m else at_J,
+                                lam[m:m + k], lam[m + k:]),
+            [next(filter(None, errors[i::k]), None) for i in range(k)])
 
 
 def finite_difference_gap(params: ModelParams, delta: float | None = None) -> float:
-    """Finite-difference oracle for d lambda_2 / dJ.
-
-    Central difference (lambda_2(J+d) - lambda_2(J-d)) / 2d away from the
-    J = 0 boundary; there, a second-order one-sided forward stencil keeps the
-    truncation error at O(d^2) as well.  The step d defaults to
-    FD_DELTA_DEFAULT / n; an explicit delta must lie in [1e-8, 1e-3].  Each
-    lambda_2 is the increment chain's top eigenvalue, the quantity
-    second_eigenpair reports; no increments are formed.
-    """
-    n, J, H = params.n, params.J, params.H
+    """Finite-difference oracle for d lambda_2 / dJ: ``finite_differences``
+    at one point, delta FD_DELTA_DEFAULT / n or given in [1e-8, 1e-3]."""
     if delta is None:
-        delta = FD_DELTA_DEFAULT / n
+        delta = FD_DELTA_DEFAULT / params.n
     elif not 1e-8 <= delta <= 1e-3:
         raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta!r}")
-
-    def lam2(j):
-        chain = build_reduced_chain(ModelParams(n=n, J=j, H=H))
-        return float(eigen_top_tridiagonal(*increment_chain(chain))[0][0])
-
-    return difference_quotient(lam2, J, delta)
-
-
-def difference_quotient(fn, J: float, delta: float):
-    """d fn/dJ: central difference, or a second-order forward one at J < delta."""
-    if J >= delta:
-        return (fn(J + delta) - fn(J - delta)) / (2.0 * delta)
-    return (-3.0 * fn(J) + 4.0 * fn(J + delta) - fn(J + 2 * delta)) / (2.0 * delta)
+    fd, errors = finite_differences(replace(params, J=np.array([[params.J]])),
+                                    delta, None if params.J < delta else math.nan)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(fd[0])
 
 
 def sign_structure_terms(params: ModelParams) -> np.ndarray:
     """Per-level terms f_k (P'f)_k of the derivative quadratic form at H = 0.
 
     Each term is nonnegative (within rounding) for the increasing
-    eigenvector; their pi-weighted sum is exactly the output of
-    hellmann_feynman.  The decomposition's sign argument lives at H = 0, so
-    other fields are rejected.
+    eigenvector; their pi-weighted sum is hellmann_feynman's output.  The
+    sign argument lives at H = 0, so other fields are rejected.
     """
     if params.H != 0.0:
         raise ValueError(
             "sign_structure_terms applies at H = 0 only (the s-based sign "
             "argument does not cover H != 0); use sweep_monotonicity to "
             "report H != 0 behavior numerically")
-    return coupling_derivative(params, second_eigenpair(params))[1]
+    res = second_eigenpair(params)
+    return coupling_derivative(params, res.pi, res.second_vector)[1]
 
 
 @dataclass(frozen=True)
@@ -165,31 +171,35 @@ class SweepReport:
 def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
     """Evaluate the second eigenpair and both derivative routes on a J grid.
 
-    The grid must be nonnegative and strictly ascending.  Per-point solver
-    failures are recorded in the report rather than raised; the monotonicity
-    verdict is computed over the points that succeeded.
+    The grid must be nonnegative and strictly ascending.  Per-point failures
+    are recorded in the report rather than raised, a point's own error before
+    its stencil's; the monotonicity verdict is over the points that succeeded.
     """
     J_grid = [float(j) for j in J_grid]
     if any(j < 0 for j in J_grid):
         raise ValueError("J grid must be nonnegative")
     if any(b <= a for a, b in zip(J_grid, J_grid[1:])):
         raise ValueError("J grid must be strictly ascending")
-    points = []
-    failures = []
-    for J in J_grid:
-        params = ModelParams(n=n, J=J, H=H)
-        try:
-            res = second_eigenpair(params)
-            _require_usable(res)
-            hf, terms = coupling_derivative(params, res)
-            fd = finite_difference_gap(params)
-            sign_ok = bool(np.all(terms >= -SIGN_TERM_TOL)) if H == 0.0 else None
-            points.append(SweepPoint(J=J, H=float(H), n=n,
-                                     lambda2=res.lambda2, gap=res.gap,
-                                     t_rel=res.t_rel, hf_derivative=hf,
-                                     fd_derivative=fd, sign_terms_ok=sign_ok))
-        except Exception as exc:  # recorded, not fatal
-            failures.append({"J": J, "error": f"{type(exc).__name__}: {exc}"})
+    for J in J_grid[:1] + [j for j in J_grid if not math.isfinite(j)]:
+        ModelParams(n=n, J=J, H=H)  # raises for an invalid point
+    points, failures = [], []
+    rows = max(1, BLOCK_ELEMENTS // (n + 1))
+    for block in (J_grid[i:i + rows] for i in range(0, len(J_grid), rows)):
+        grid = ModelParams(n=n, J=np.array(block)[:, None], H=H)
+        w, f, pi, errors = second_eigenpairs(grid)
+        with np.errstate(all="ignore"):  # failed rows are NaN
+            hf, terms = coupling_derivative(grid, pi, f)
+            sign_ok = (terms >= -SIGN_TERM_TOL).all(axis=1).tolist()
+        fd, fd_errors = finite_differences(grid, FD_DELTA_DEFAULT / n, w[:, 0])
+        for J, *errs, lambda2, hf_i, fd_i, sign_i in zip(
+                block, errors, _unusable(w[:, 0] - w[:, 1], f), fd_errors,
+                w[:, 0].tolist(), hf.tolist(), fd.tolist(), sign_ok):
+            error = next(filter(None, errs), None)  # the point's own first
+            if error is not None:
+                failures.append({"J": J, "error": f"{type(error).__name__}: {error}"})
+                continue
+            points.append(SweepPoint(J, float(H), n, lambda2, *relaxation(lambda2),
+                                     hf_i, fd_i, sign_i if H == 0.0 else None))
     lam = [p.lambda2 for p in points]
     decs = [a - b for a, b in zip(lam, lam[1:]) if a > b]
     max_violation = max(decs) if decs else 0.0

@@ -2,19 +2,17 @@
 
 A reversible chain is similar to a symmetric matrix through conjugation by
 diag(sqrt(pi)); for the tridiagonal magnetization chain the symmetrized
-off-diagonal collapses to sqrt(up_k * down_k).  A parameter point is solved
-on the increment chain below; the reduced chain's full spectrum and the top
-of the sparse 2^n chain's spectrum, from Lanczos, are the oracles for the
-lumping equivalence.
+off-diagonal collapses to sqrt(up_k * down_k).  The reduced chain's full
+spectrum and the top of the sparse 2^n chain's, from Lanczos, are the
+oracles for the lumping equivalence.
 
-Conventions for the second eigenpair (lambda_2, f): eigenvalues are sorted
-descending, f is reported in chain coordinates with <f, f>_pi = 1 and the
-increasing representative chosen (f_n > f_0).  lambda_2, lambda_3 and f
-come from the increment chain, whose eigenvectors are the increments
-f_{k+1} - f_k.  That chain lacks the eigenvalue 1, so lambda_2 is its top
-eigenvalue and cannot mix with lambda_1 even deep in the supercritical
-regime, where lambda_1 - lambda_2 underflows; and no step divides by
-sqrt(pi), whose tiny tail entries would amplify the solver's rounding error.
+The second eigenpair (lambda_2, f), eigenvalues descending and f in chain
+coordinates with <f, f>_pi = 1 and f_n > f_0, is solved on the increment
+chain, whose eigenvectors are the increments f_{k+1} - f_k, for a whole J
+grid in one pass (``second_eigenpairs``).  That chain lacks the eigenvalue
+1, so lambda_2 is its top eigenvalue and cannot mix with lambda_1 even where
+lambda_1 - lambda_2 underflows; and no step divides by sqrt(pi), whose tiny
+tail entries would amplify the solver's rounding error.
 """
 
 import math
@@ -43,11 +41,8 @@ class SpectralResult:
     """Spectrum summary of the reduced chain at one parameter point.
 
     lambda3 is None when the chain has two levels (n = 1); gap = 1 - lambda2
-    and t_rel = 1/gap count single-site steps.  The second eigenvector is the
-    cumulative sum of the increment chain's top eigenvector, centred to
-    <f,1>_pi = 0 and pi-normalized, <f,f>_pi = 1, with f_n > f_0 whenever
-    those increments are positive.  pi is the chain's stationary law, the
-    one f is centred and normalized in.
+    and t_rel = 1/gap count single-site steps.  second_vector is f, as
+    ``second_eigenpair`` forms it in the chain's stationary law pi.
     """
 
     lambda2: float
@@ -169,10 +164,9 @@ def eigen_top_tridiagonal(diag, offdiag):
 
     Only these are computed, with LAPACK's MRRR driver (dstemr): its
     eigenvectors keep tiny components to high relative accuracy, where
-    inverse iteration leaves them at the absolute level eps * ||v||.  The
-    sign of v is whatever the solver returns.  Nonzero LAPACK info is
-    surfaced as EigensolverError, never silently.
-    """
+    inverse iteration leaves them at the absolute level eps * ||v||.  v has
+    the solver's sign and views its m x m workspace.  Nonzero LAPACK info
+    is surfaced as EigensolverError."""
     m = len(diag)
     e = np.append(offdiag, 0.0)  # dstemr takes m off-diagonal slots
     k, w, z, info = scipy.linalg.lapack.dstemr(diag, e, 3, 0.0, 0.0,
@@ -183,68 +177,74 @@ def eigen_top_tridiagonal(diag, offdiag):
     return w[:k][::-1], z[:, k - 1]
 
 
-def increment_chain(chain: ReducedChain):
-    """(diag, offdiag) of S = D Q D^-1, the symmetrized increment chain.
+def increment_rows(up, down, errors):
+    """(w, g) per row of the (rows, n) rates: the top two eigenvalues of the
+    increment chain Q (NaN where absent or unsolved) and increments g of f.
 
-    The increments of any eigenvector of the chain solve lambda g = Q g, Q
-    tridiagonal on {0..n-1} with diagonal 1 - up[k] - down[k], superdiagonal
-    up[k+1] and subdiagonal down[k]; log D_{k+1} - log D_k =
-    log(up[k+1]/down[k]) / 2.  Q carries the spectrum of the chain without
-    the eigenvalue 1, so lambda_2 is its top eigenvalue, well separated from
-    anything it could mix with.
-    """
-    up, down = chain.up, chain.down
-    return 1.0 - (up + down), np.sqrt(up[1:] * down[:-1])
+    Q has diagonal 1 - up[k] - down[k], superdiagonal up[k+1], subdiagonal
+    down[k]; one ``eigen_top_tridiagonal`` call per row solves S = D Q D^-1,
+    log D_{k+1} - log D_k = log(up[k+1]/down[k]) / 2, for u, and g = D^-1 u
+    (max |g| = 1) is formed in log space, one sign per row making sum(u) > 0
+    so a g that is not positive stays visible.  Rows with an ``errors``
+    entry are skipped; a solve that raises stores its exception there."""
+    diag, offdiag = 1.0 - (up + down), np.sqrt(up[:, 1:] * down[:, :-1])
+    w = np.full((len(up), 2), np.nan)
+    u = np.full(up.shape, np.nan)
+    for i, error in enumerate(errors):
+        if error is None:
+            try:
+                top, u[i] = eigen_top_tridiagonal(diag[i], offdiag[i])
+                w[i, :len(top)] = top
+            except Exception as exc:  # this row's failure, kept for its caller
+                errors[i] = exc
+    u *= np.where(u.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
+    log_d = np.zeros(up.shape)
+    np.cumsum(0.5 * np.log(up[:, 1:] / down[:, :-1]), axis=1, out=log_d[:, 1:])
+    log_g = np.log(np.abs(u)) - log_d
+    return w, np.copysign(np.exp(log_g - log_g.max(axis=1, keepdims=True)), u)
 
 
-def increment_eigenpair(chain: ReducedChain):
-    """(lambda_2 and lambda_3, increments g_k = f_{k+1} - f_k up to scale).
+def second_eigenpairs(grid: ModelParams):
+    """The grid core: ``second_eigenpair`` at each coupling of the column
+    grid.J as (w, f, pi, errors), w = (lambda_2, lambda_3 or NaN) per row,
+    with each row's exception or None.  Only the LAPACK call runs per row in
+    Python; a failed row is meaningless and emits no warning."""
+    with np.errstate(all="ignore"):
+        chain = build_reduced_chain(grid)
+        errors = [None if ok else EigensolverError(
+            f"reduced chain has transition entries that underflow to 0 at "
+            f"n={grid.n}, J={j:g}, H={grid.H:g}")
+            for ok, j in zip((chain.up.all(axis=1) & chain.down.all(axis=1)).tolist(),
+                             grid.J[:, 0].tolist())]
+        w, g = increment_rows(chain.up, chain.down, errors)
+        f = np.zeros((len(g), grid.n + 1))
+        np.cumsum(g, axis=1, out=f[:, 1:])
+        pi = reduced_stationary(grid).probabilities
+        # a (1 x m) @ (m x 1) matmul per row is BLAS ddot, as pi @ f is
+        f -= (pi[:, None] @ f[..., None])[:, 0]
+        # <f,f>_pi is 0 if the increments underflowed where pi has its mass
+        f /= np.sqrt(pi[:, None] @ (f * f)[..., None])[:, 0]
+    return w, f, pi, errors
 
-    One top-pair solve of ``increment_chain``: its top eigenvector u gives
-    g = D^-1 u > 0, formed in log space (D overflows at large n) and scaled
-    so that max |g| = 1 up to rounding.  One global sign makes sum(u) > 0,
-    so a g that is not positive stays visible in the result.
-    """
-    w, u = eigen_top_tridiagonal(*increment_chain(chain))
-    if u.sum() < 0:
-        u = -u
-    log_d = np.zeros(chain.n)
-    np.cumsum(0.5 * np.log(chain.up[1:] / chain.down[:-1]), out=log_d[1:])
-    with np.errstate(divide="ignore"):
-        log_g = np.log(np.abs(u)) - log_d
-    return w, np.copysign(np.exp(log_g - log_g.max()), u)
+
+def relaxation(lambda2: float):
+    """(gap, t_rel) = (1 - lambda_2, 1/gap), t_rel = +inf if gap <= 0."""
+    gap = 1.0 - lambda2
+    return gap, (1.0 / gap if gap > 0 else math.inf)
 
 
 def second_eigenpair(params: ModelParams) -> SpectralResult:
-    """(lambda_2, f) of the magnetization chain, increasing representative.
-
-    lambda_2, lambda_3 and the increments of f come from one solve of the
-    increment chain (``increment_eigenpair``); f is the cumulative sum of
-    those increments, centred so that <f,1>_pi = 0 and normalized to
-    <f,f>_pi = 1.  f is increasing exactly when the computed increments are
-    positive.  gap = 1 - lambda_2; t_rel = 1/gap, +inf if the gap rounds to
-    zero or below.  A chain with an up or down entry that underflowed to 0
-    leaves f undefined (pi underflows with it) and raises EigensolverError.
-    """
-    chain = build_reduced_chain(params)
-    if not (chain.up.all() and chain.down.all()):
-        raise EigensolverError(
-            f"reduced chain has transition entries that underflow to 0 at "
-            f"n={params.n}, J={params.J:g}, H={params.H:g}")
-    pi = reduced_stationary(params).probabilities
-    w, g = increment_eigenpair(chain)
-    lambda2 = float(w[0])
-    lambda3 = float(w[1]) if len(w) > 1 else None
-    gap = 1.0 - lambda2
-    t_rel = 1.0 / gap if gap > 0 else math.inf
-    f = np.zeros(params.n + 1)
-    np.cumsum(g, out=f[1:])
-    f -= pi @ f
-    # <f,f>_pi is 0 if the increments underflowed where pi has its mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f /= math.sqrt(pi @ (f * f))
-    return SpectralResult(lambda2=lambda2, lambda3=lambda3, gap=gap,
-                          t_rel=t_rel, second_vector=f, pi=pi)
+    """(lambda_2, f) of the magnetization chain: ``second_eigenpairs`` at one
+    point, raising its error.  f is the cumulative sum of the increments,
+    centred to <f,1>_pi = 0 and normalized to <f,f>_pi = 1, so increasing
+    exactly when they are positive; an underflowed chain raises."""
+    w, f, pi, errors = second_eigenpairs(
+        ModelParams(params.n, np.array([[params.J]]), params.H))
+    if errors[0] is not None:
+        raise errors[0]
+    lambda2 = float(w[0, 0])
+    return SpectralResult(lambda2, float(w[0, 1]) if params.n > 1 else None,
+                          *relaxation(lambda2), second_vector=f[0], pi=pi[0])
 
 
 @np.errstate(invalid="ignore")  # inf - inf in a non-finite f

@@ -15,9 +15,10 @@ import numpy as np
 
 from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
                     full_transition_matrix, log_weights_full, stationary_full)
-from .magchain import build_reduced_chain, derivative_matrix, lump_vector, s_values
+from .magchain import (add_shifted, build_reduced_chain, derivative_matrix,
+                       lump_vector, s_values)
 from .perturbation import (coupling_derivative, difference_quotient,
-                           finite_difference_gap)
+                           fd_stencil, finite_difference_gap)
 from .spectral import (EigensolverError, eigen_symmetric_tridiagonal,
                        eigenvector_structure_report,
                        full_chain_top_eigenvalues, lifted_residual,
@@ -97,8 +98,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
 
     # --- reduced chain and lumping ---------------------------------------
     chain = build_reduced_chain(params)
-    row_sums = np.concatenate([chain.up, [0.0]]) \
-        + np.concatenate([[0.0], chain.down]) + chain.diag
+    row_sums = add_shifted(chain.up, chain.down) + chain.diag
     out.append(CheckResult.from_violation(
         "reduced_row_sums", np.abs(row_sums - 1.0).max(), 1e-14))
     positivity = min(chain.up.min(), chain.down.min())
@@ -145,15 +145,13 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
 
     # --- derivative structure ---------------------------------------------
     dm = derivative_matrix(params)
-    rs = np.concatenate([dm.d_up, [0.0]]) \
-        + np.concatenate([[0.0], dm.d_down]) + dm.d_diag
+    rs = add_shifted(dm.d_up, dm.d_down) + dm.d_diag
     out.append(CheckResult.from_violation(
         "derivative_row_sums", np.abs(rs).max(), 1e-14))
 
-    def up_down(j):
-        c = build_reduced_chain(ModelParams(n=n, J=j, H=H))
-        return np.concatenate([c.up, c.down])
-    fd_entries = difference_quotient(up_down, J, 1e-6)
+    c = build_reduced_chain(ModelParams(
+        n=n, J=np.array([J, *fd_stencil(J, 1e-6)])[:, None], H=H))
+    fd_entries = difference_quotient(J, 1e-6, *np.hstack([c.up, c.down]))
     worst_fd = np.abs(fd_entries - np.concatenate([dm.d_up, dm.d_down])).max()
     out.append(CheckResult.from_violation(
         "derivative_vs_fd_entries", worst_fd, 1e-8))
@@ -167,7 +165,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     # --- perturbation identity and eigenvector shape ----------------------
     report = eigenvector_structure_report(res.second_vector, h=H,
                                           eigen_separation=res.separation)
-    hf, terms = coupling_derivative(params, res)
+    hf, terms = coupling_derivative(params, res.pi, res.second_vector)
     if report.reliable:
         fd = finite_difference_gap(params)
         out.append(CheckResult.from_violation(

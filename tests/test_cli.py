@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,15 +141,18 @@ class TestSweepCommand:
 
     def test_per_point_failure_gives_partial_output_and_exit_4(
             self, tmp_path, monkeypatch, capsys):
-        import cwglauber.perturbation as perturbation
-        real = perturbation.second_eigenpair
+        import scipy.linalg
+        from cwglauber.magchain import build_reduced_chain
+        chain = build_reduced_chain(ModelParams(n=4, J=0.2, H=0.0))
+        at_point = 1.0 - (chain.up + chain.down)  # the increment diagonal
+        real = scipy.linalg.lapack.dstemr
 
-        def flaky(params):
-            if params.J == 0.2:
-                raise RuntimeError("synthetic solver blowup")
-            return real(params)
+        def flaky(d, *args, **kwargs):
+            if np.array_equal(d, at_point):
+                return 0, np.zeros(len(d)), np.zeros((len(d), len(d))), 7
+            return real(d, *args, **kwargs)
 
-        monkeypatch.setattr(perturbation, "second_eigenpair", flaky)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", flaky)
         out = tmp_path / "partial.csv"
         code = run_cli(["sweep", "--n", "4", "--H", "0", "--J-min", "0",
                         "--J-max", "0.4", "--J-steps", "5",
@@ -157,6 +161,7 @@ class TestSweepCommand:
         report = sweep_from_csv(out.read_text())
         assert len(report.points) == 4
         assert report.failures and report.failures[0]["J"] == 0.2
+        assert "dstemr failed with info=7" in report.failures[0]["error"]
 
     def test_underflowed_point_is_a_failure(self, tmp_path, capsys):
         out = tmp_path / "big_j.csv"
@@ -184,6 +189,27 @@ class TestSweepCommand:
         assert [f["J"] for f in report.failures] == [0.00186]
         assert "EigensolverError" in report.failures[0]["error"]
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,failures", [
+        (["--n", "8", "--J-min", "0", "--J-max", "100", "--J-steps", "3"],
+         {100.0: "EigensolverError: reduced chain has transition entries "
+                 "that underflow to 0 at n=8, J=100, H=0"}),
+        (["--n", "1000", "--H", "-0.5", "--J-min", "0.00185",
+          "--J-max", "0.00187", "--J-steps", "3"],
+         dict.fromkeys(np.linspace(0.00185, 0.00187, 3).tolist(),
+                       "EigensolverError: second eigenvector is not finite: "
+                       "its increments underflowed where pi has its mass")),
+    ])
+    def test_failing_rows_warn_nothing(self, argv, failures, tmp_path, capsys):
+        """The grid core runs failed rows through its vectorized passes too;
+        they must raise no RuntimeWarning and fail exactly as before."""
+        out = tmp_path / "failing.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["sweep", *argv, "--output", str(out)])
+        assert code == 4
+        report = sweep_from_csv(out.read_text())
+        assert {f["J"]: f["error"] for f in report.failures} == failures
 
 
 class TestVerifyCommand:

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cwglauber.ising import ModelParams
-from cwglauber.magchain import reduced_stationary
+from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
-from cwglauber.perturbation import (DegenerateGapError,
+from cwglauber.perturbation import (DegenerateGapError, SweepPoint,
                                     finite_difference_gap, hellmann_feynman,
                                     sign_structure_terms,
                                     sweep_monotonicity, temperature_view)
+from cwglauber.spectral import second_eigenpair
 from cwglauber.verification import run_verification
 from test_acceptance import supercritical_slowdown_table
 
@@ -161,13 +163,14 @@ class TestOneSolvePerPoint:
 
     @pytest.mark.parametrize("H", [0.0, 0.2])
     def test_one_stationary_law_per_point(self, monkeypatch, H):
-        """The point's SpectralResult carries pi; the derivative reads it."""
+        """The grid core forms one stationary law per row; the derivative
+        reads it.  Laws are counted by rows, one per coupling of params.J."""
         import cwglauber
         calls = []
         real = cwglauber.magchain.reduced_stationary
 
         def counting(params):
-            calls.append(params.J)
+            calls.extend(np.ravel(params.J).tolist())
             return real(params)
 
         for module in vars(cwglauber).values():
@@ -220,3 +223,117 @@ def test_slowdown_table_shape():
     assert all(r > 1 for r in ratios)  # slowdown: t_rel grows with n
     # at fixed J*n above critical, growth is exponential-like, not flat
     assert rows[2][3] > 4 * rows[0][3]
+
+
+def _reference_sweep(n, H, grid):
+    """The sweep rebuilt point by point from the public one-row functions."""
+    points, failures = [], []
+    for J in grid:
+        params = ModelParams(n=n, J=J, H=H)
+        try:
+            res = second_eigenpair(params)
+            hf = hellmann_feynman(params)
+            fd = finite_difference_gap(params)
+            sign_ok = (bool(np.all(sign_structure_terms(params)
+                                   >= -perturbation.SIGN_TERM_TOL))
+                       if H == 0.0 else None)
+        except Exception as exc:
+            failures.append({"J": J, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        points.append(SweepPoint(J=J, H=float(H), n=n, lambda2=res.lambda2,
+                                 gap=res.gap, t_rel=res.t_rel,
+                                 hf_derivative=hf, fd_derivative=fd,
+                                 sign_terms_ok=sign_ok))
+    return points, failures
+
+
+def _failing_dstemr(monkeypatch, diags):
+    """Make dstemr report info=code on the rows whose diagonal is a key of
+    diags; every other row is solved by the real routine."""
+    real = scipy.linalg.lapack.dstemr
+
+    def dstemr(d, *args, **kwargs):
+        for diag, code in diags.items():
+            if np.array_equal(d, diag):
+                return 0, np.zeros(len(d)), np.zeros((len(d), len(d))), code
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
+
+
+def _increment_diagonal(n, J, H):
+    chain = build_reduced_chain(ModelParams(n=n, J=J, H=H))
+    return tuple(1.0 - (chain.up + chain.down))
+
+
+class TestGridCore:
+    """The sweep solves its grid in one pass; every point must carry the
+    bytes the one-row functions give it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 12, 40, 1000])
+    @pytest.mark.parametrize("H", [0.0, 0.2, -0.4])
+    def test_matches_per_point_reference(self, n, H):
+        # starts at J = 0 (forward stencil) and crosses J n = 1; at n = 1000
+        # the grid spans two blocks
+        grid = np.linspace(0.0, 1.6 / n, 6 if n == 1000 else 9).tolist()
+        report = sweep_monotonicity(n, H, grid)
+        points, failures = _reference_sweep(n, H, grid)
+        assert repr(report.points) == repr(points)
+        assert report.failures == failures
+
+    def test_matches_reference_where_f_is_lost(self):
+        """Past J = 0.0018 at n = 1000, H = -0.5 the point's f is not finite."""
+        grid = [0.0017, 0.0018, 0.00186, 0.0019]
+        report = sweep_monotonicity(1000, -0.5, grid)
+        points, failures = _reference_sweep(1000, -0.5, grid)
+        assert repr(report.points) == repr(points)
+        assert report.failures == failures and len(failures) == 2
+
+    def test_failing_row_leaves_the_others_bytewise(self, monkeypatch):
+        n, H = 12, 0.2
+        grid = np.linspace(0.0, 0.2, 6).tolist()
+        clean = sweep_monotonicity(n, H, grid)
+        delta = perturbation.FD_DELTA_DEFAULT / n
+        _failing_dstemr(monkeypatch, {
+            # grid[2] fails in its own solve and in its J + delta solve
+            _increment_diagonal(n, grid[2], H): 7,
+            _increment_diagonal(n, grid[2] + delta, H): 8,
+            # grid[4] fails only in its J - delta solve
+            _increment_diagonal(n, grid[4] - delta, H): 9,
+        })
+        report = sweep_monotonicity(n, H, grid)
+        kept = [p for p in clean.points if p.J not in (grid[2], grid[4])]
+        assert repr(report.points) == repr(kept)
+        # a point's own error wins over its stencil's
+        assert report.failures == [
+            {"J": grid[2], "error": "EigensolverError: dstemr failed with info=7"},
+            {"J": grid[4], "error": "EigensolverError: dstemr failed with info=9"}]
+
+    def test_working_set_is_bounded_by_the_block(self, monkeypatch):
+        """A 400-point sweep at n = 3000 peaks within 2x a 4-point sweep.
+        dstemr is replaced by a stand-in that allocates the real wrapper's
+        m x m eigenvector array and returns a positive top vector, so the
+        test sees that array kept alive (a view into it pins 72 MB) without
+        the 30 ms per call the real routine spends filling it."""
+        import tracemalloc
+
+        def dstemr(d, e, rng, vl, vu, il, iu, *args, **kwargs):
+            m = len(d)
+            z = np.zeros((m, m), order="F")
+            z[:, 1] = 1.0 / np.sqrt(m)
+            w = np.zeros(m)
+            w[:2] = 0.4, 0.5
+            return 2, w, z, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
+        n = 3000
+        peaks = []
+        for points in (4, 400):
+            tracemalloc.start()
+            try:
+                report = sweep_monotonicity(n, 0.0, np.linspace(0.0, 0.5 / n, points))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(report.points) + len(report.failures) == points
+        assert peaks[1] <= 2 * peaks[0], peaks

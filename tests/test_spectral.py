@@ -15,7 +15,7 @@ from cwglauber.spectral import (EigensolverError,
                                 eigen_top_tridiagonal,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
-                                increment_eigenpair, lifted_residual,
+                                increment_rows, lifted_residual,
                                 second_eigenpair, symmetrize,
                                 symmetrized_full_chain)
 from cwglauber.ising import full_transition_matrix, stationary_full
@@ -336,7 +336,8 @@ class TestIncrementVector:
         params = ModelParams(n=n, J=J, H=H)
         chain = build_reduced_chain(params)
         res = second_eigenpair(params)
-        w, g = increment_eigenpair(chain)
+        w, g = increment_rows(chain.up[None], chain.down[None], [None])
+        w, g = w[0], g[0]
         assert w[0] == res.lambda2 and w[1] == res.lambda3
         Q = (np.diag(1.0 - (chain.up + chain.down))
              + np.diag(chain.up[1:], 1) + np.diag(chain.down[:-1], -1))
