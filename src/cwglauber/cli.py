@@ -83,6 +83,8 @@ def cmd_gap(parser, args) -> int:
 
 
 def cmd_sweep(parser, args) -> int:
+    if not (math.isfinite(args.J_min) and math.isfinite(args.J_max)):
+        parser.error("--J-min and --J-max must be finite")
     if args.J_min < 0:
         parser.error("--J-min must be >= 0")
     if args.J_max <= args.J_min:

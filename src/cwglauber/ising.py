@@ -69,16 +69,17 @@ def all_plus_counts(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A probability vector kept alongside its defining log-weights.
+    """A probability vector built from log-weights.
 
     Probabilities are exp(log_weights) normalized through log-sum-exp along
-    the last axis (one law per row), so they stay strictly positive and sum
-    to 1 for any finite parameters.  It takes scipy 1.17's logsumexp steps
+    the last axis (one law per row).  It takes scipy 1.17's logsumexp steps
     (the max-separated log1p form of Blanchard, Higham & Higham, IMA J.
-    Numer. Anal. 41(4), 2021): scipy's bytes, without its dispatch.
+    Numer. Anal. 41(4), 2021): scipy's bytes, without its dispatch.  Where
+    eps * |max log-weight| outgrows the log of the count of tied maxima they
+    cannot normalize (n = 8, J = 1e20 reads [1, 0, ..., 0, 1]); callers
+    refuse such chains first.
     """
 
-    log_weights: np.ndarray
     probabilities: np.ndarray
 
     @classmethod
@@ -90,10 +91,7 @@ class Distribution:
         rest = np.exp(lw - top)
         rest[at_top] = 0.0  # the maxima enter through log(m), not the sum
         lse = np.log1p(rest.sum(axis=-1, keepdims=True) / m) + np.log(m) + top
-        return cls(log_weights=lw, probabilities=np.exp(lw - lse))
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
+        return cls(probabilities=np.exp(lw - lse))
 
 
 def log_weights_full(params: ModelParams) -> np.ndarray:

@@ -37,8 +37,8 @@ def inv_one_plus_cosh(x):
 class ReducedChain:
     """Tridiagonal transition data on magnetization levels 0..n (per row for
     a grid): up[k] = P(k -> k+1) for k = 0..n-1; down[k] = P(k+1 -> k) at
-    slot k; diag has length n+1.  All up/down entries are strictly positive
-    for finite parameters.
+    slot k; diag has length n+1.  Up/down entries are positive for finite
+    parameters unless they underflow to 0 (``positive_rates``).
     """
 
     n: int
@@ -80,6 +80,12 @@ def build_reduced_chain(params: ModelParams) -> ReducedChain:
     # 1 - (a + b) rather than 1 - a - b: IEEE addition commutes, so the
     # H -> -H mirror symmetry of the diagonal is exact to the last bit.
     return ReducedChain(n=n, up=up, down=down, diag=1.0 - add_shifted(up, down))
+
+
+def positive_rates(chain: ReducedChain) -> np.ndarray:
+    """True (per row) where no up or down rate underflowed to 0, so that the
+    chain is irreducible and its eigenvector and stationary law defined."""
+    return chain.up.all(axis=-1) & chain.down.all(axis=-1)
 
 
 def reduced_stationary(params: ModelParams) -> Distribution:

@@ -1,14 +1,18 @@
 """Heat-bath simulation and relaxation-time estimation from trajectories.
 
 Both simulators record the total magnetization m = 2k - n once per sweep (n
-elementary single-site steps).  The full simulator keeps the configuration as
-a list of n spins and resets one uniformly chosen spin per step from its
-conditional law.  The reduced simulator walks the magnetization levels: up to
-n = N_MAX_SWEEP_KERNEL it draws each recorded level from the row of the sweep
-kernel P^n at the previous level, one uniform per sweep; above that it applies
-the lumped up/down rule once per step.  Both start from an exact stationary
-sample, so stationarity tests need no burn-in (the argument is still honored
-for runs that want it).
+elementary single-site steps).  The full simulator resets one uniformly
+chosen spin per step from its conditional law.  For J >= 0 that update is
+monotone, so it runs a trajectory's time windows side by side (lanes) with
+numpy, each lane fixed by the all-up and all-down chains fed the same draws
+once they meet, and falls back to a per-site loop where they do not: the
+same bytes either way.  The reduced simulator walks the magnetization
+levels: up to n = N_MAX_SWEEP_KERNEL it draws each recorded level from the
+row of the sweep kernel P^n at the previous level, one uniform per sweep;
+above that it applies the lumped up/down rule once per step.  Both start
+from an exact stationary sample, so stationarity tests need no burn-in (the
+argument is still honored for runs that want it), and both refuse a chain
+whose rates underflowed to 0, as the spectral core does.
 
 The relaxation time targeted by the estimators is 1/(1 - lambda_2) in
 single-site steps, i.e. (1/(1 - lambda_2))/n in the sweep units of the
@@ -26,7 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ising import ModelParams, logistic
-from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
+from .magchain import (ReducedChain, build_reduced_chain, positive_rates,
+                       reduced_stationary)
+from .spectral import underflow_error
 
 # The state (n spins) needs no cap; the full simulator only cross-checks the
 # reduced one, which samples the same law at any n, at the sizes tests pin.
@@ -36,6 +42,19 @@ N_MAX_SIMULATE_FULL = 24
 # n = 512 its nine squarings take under 1/10 of a per-site run of MIN_SAMPLES
 # sweeps (2-core host, two BLAS threads); the share grows with n from there.
 N_MAX_SWEEP_KERNEL = 512
+
+# The full simulator runs about SUPERBLOCK_UPDATES site updates (8 draw
+# chunks) at a time as lanes of LANE_SWEEPS sweeps, one numpy step per site
+# update for all lanes at once (2-core host): 819 lanes at n = 10, 341 at
+# n = 24, spread each step's ~1 us per ufunc call over enough updates, and
+# the draw buffers (18 MiB) left `simulate --full --n 10 --steps 1000000` at
+# a peak RSS below the per-site loop's.  Lanes of 64 and 128 sweeps ran
+# equally fast; 128 is ~5x the sweeps by which all lanes have met at n = 10,
+# J = 0.08 (23) and twice those at n = 24, J*n = 1 (56).  Below about 90
+# lanes (n = 3 to 24) the per-site loop runs the same updates faster.
+LANE_SWEEPS = 128
+SUPERBLOCK_UPDATES = 1 << 20
+MIN_LANES = 96
 
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
@@ -105,6 +124,15 @@ def sweep_kernel_rows(chain: ReducedChain) -> list:
     return np.cumsum(K[:n + 1, :n + 1], axis=1)[:, :-1].tolist()
 
 
+def _rates_checked(params: ModelParams) -> ReducedChain:
+    """The reduced chain, refused as the spectral core refuses it where a
+    rate underflowed to 0 (its stationary law can then sum to 2)."""
+    chain = build_reduced_chain(params)
+    if not positive_rates(chain):
+        raise underflow_error(params.n, params.J, params.H)
+    return chain
+
+
 def simulate_reduced(params: ModelParams, seed: int, steps: int,
                      burn_in: int = 0) -> Trajectory:
     """Run the magnetization chain for `steps` recorded sweeps.
@@ -118,8 +146,8 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     n = params.n
+    chain = _rates_checked(params)
     rng = np.random.default_rng(seed)
-    chain = build_reduced_chain(params)
     k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
     samples = np.empty(steps)
     if n <= N_MAX_SWEEP_KERNEL:
@@ -149,6 +177,113 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 
+def _site_loop(spins: list, k: int, p_plus: list, us: list, xs: list) -> list:
+    """The per-site heat-bath loop: apply the updates (u, x) of us, xs to
+    spins in place, from level k, and return the level after each one."""
+    ks = []
+    append = ks.append
+    for x, u in zip(xs, us):
+        s = spins[x]
+        if u < p_plus[k - s]:
+            if not s:
+                spins[x] = 1
+                k += 1
+        elif s:
+            spins[x] = 0
+            k -= 1
+        append(k)
+    return ks
+
+
+def _lockstep(c: np.ndarray, k: np.ndarray, us: np.ndarray, xs: np.ndarray,
+              p_plus: np.ndarray, n: int):
+    """Advance the bitmask configurations c, at levels k, in place: lane
+    (column) b takes the updates us[b], xs[b] in order, all lanes one step
+    per numpy step.  Yield after each sweep of n steps.  The draws are
+    transposed a few sweeps at a time, so a pass stopped early leaves the
+    rest untouched; the work arrays keep every ufunc on one dtype, and
+    the take on intp indices."""
+    s, m, new = (np.empty_like(c) for _ in range(3))
+    one, p = np.ones_like(c), np.empty(c.shape)
+    for a in range(0, us.shape[1], 8 * n):
+        slab = zip(np.ascontiguousarray(us[:, a:a + 8 * n].T),
+                   np.ascontiguousarray(xs[:, a:a + 8 * n].T))
+        for j, (u, x) in enumerate(slab, 1):
+            np.right_shift(c, x, out=s)
+            np.bitwise_and(s, one, out=s)
+            np.subtract(k, s, out=m)  # up spins among the other sites
+            p_plus.take(m, out=p, mode="clip")  # m is in 0..n-1
+            np.less(u, p, out=new)
+            np.add(m, new, out=k)
+            np.bitwise_xor(s, new, out=s)
+            np.left_shift(s, x, out=s)
+            np.bitwise_xor(c, s, out=c)
+            if j % n == 0:
+                yield
+
+
+def _run_lanes(spins: list, k: int, us: np.ndarray, xs: np.ndarray,
+               p_plus: np.ndarray, lanes: int):
+    """Sweep-end levels of the updates us, xs run from (spins, k) as `lanes`
+    lanes of LANE_SWEEPS sweeps, and the end configuration; None unless
+    every lane's top and bottom chains meet within it.
+
+    For nondecreasing p_plus the update is monotone: chains started above
+    and below the true one and fed its draws stay above and below it, so
+    once they meet the true chain is theirs (Propp & Wilson, Random Struct.
+    Alg. 9, 1996).  Pass 1 runs each lane's all-up and all-down chains until
+    they have met in every lane, then the top ones alone to the lane ends;
+    pass 2 runs each lane's true chain, from the previous lane's end (the
+    first from spins), up to that meeting.  Pass 1 gives up an eighth of
+    the way in if fewer than a quarter of the lanes have met: at J*n well
+    above 1 hardly any do, while every run seen to meet within the lanes
+    had 45% or more (n = 10, J*n = 1.5)."""
+    n = len(spins)
+    us, xs = us.reshape(lanes, -1), xs.reshape(lanes, -1)
+    c = np.array([[(1 << n) - 1], [0]]).repeat(lanes, axis=1)
+    ks = np.array([[n], [0]]).repeat(lanes, axis=1)
+    for met, _ in enumerate(_lockstep(c, ks, us, xs, p_plus, n), 1):
+        joined = np.count_nonzero(c[0] == c[1])
+        if joined == lanes:
+            break
+        if met == LANE_SWEEPS // 8 and 4 * joined < lanes:
+            return None
+    else:
+        return None
+    c, ks = c[:1], ks[:1]
+    levels = np.empty((LANE_SWEEPS, lanes), dtype=ks.dtype)
+    for j, _ in enumerate(_lockstep(c, ks, us[:, met * n:], xs[:, met * n:],
+                                    p_plus, n), met):
+        levels[j] = ks[0]
+    end = int(c[0, -1])
+    c[0] = np.append(sum(s << i for i, s in enumerate(spins)), c[0, :-1])
+    ks[0] = np.append(k, ks[0, :-1])
+    for j, _ in zip(range(met), _lockstep(c, ks, us, xs, p_plus, n)):
+        levels[j] = ks[0]
+    return levels.T.ravel(), [(end >> i) & 1 for i in range(n)]
+
+
+def _superblocks(rng, n: int, sweeps: int, size: int):
+    """The draws of `sweeps` sweeps, made as the stream makes them (chunks of
+    131072 // n sweeps, each its uniforms, then its sites), regrouped into
+    blocks of `size` updates, then what is left.  Each block is a view of
+    one reused buffer, valid until the next is asked for."""
+    chunk = max(1, 131072 // n) * n
+    us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.int64)
+    held = 0
+    for t in range(0, sweeps * n, chunk):
+        b = min(chunk, sweeps * n - t)
+        rng.random(out=us[held:held + b])
+        xs[held:held + b] = rng.integers(0, n, size=b)
+        held += b
+        while held >= size:
+            yield us[:size], xs[:size]
+            held -= size
+            us[:held], xs[:held] = us[size:size + held], xs[size:size + held]
+    if held:
+        yield us[:held], xs[:held]
+
+
 def simulate_full(params: ModelParams, seed: int, steps: int,
                   burn_in: int = 0) -> Trajectory:
     """Single-site heat-bath simulation of the full configuration chain.
@@ -156,13 +291,19 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     Each step picks a site uniformly and sets its spin to +1 with probability
     logistic(2 (J * (sum of other spins) + H)); n <= N_MAX_SIMULATE_FULL.
     Each chunk of 131072 // n sweeps draws its uniforms, then its sites, so
-    the chunk size is part of the stream.
+    the chunk size is part of the stream.  Superblocks of the draws run as
+    coupled lanes (``_run_lanes``); the per-site loop runs what is left past
+    the last whole lane, a tail of fewer than MIN_LANES lanes, and a
+    superblock whose lanes do not all meet with everything after it.  Either
+    way the trajectory is the per-site loop's, bit for bit.  An underflowed
+    chain raises EigensolverError before any draw.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
     n = params.n
     if n > N_MAX_SIMULATE_FULL:
         raise ValueError(f"simulate_full supports n <= {N_MAX_SIMULATE_FULL}, got {n}")
+    _rates_checked(params)
     rng = np.random.default_rng(seed)
     k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
     spins = np.bincount(rng.permutation(n)[:k], minlength=n).tolist()
@@ -170,25 +311,34 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     # among the other n - 1 sites, whose sum is 2m - n + 1.
     p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
               for m in range(n)]
+    table = np.array(p_plus)
+    coupled = bool(np.all(table[:-1] <= table[1:]))  # the sandwich needs it
+    lanes = max(1, SUPERBLOCK_UPDATES // (n * LANE_SWEEPS))
+    block = lanes * LANE_SWEEPS * n
     samples = np.empty(steps)
-    chunk = max(1, 131072 // n)
-    for t in range(-burn_in, steps, chunk):
-        b = min(chunk, steps - t) * n
-        us = rng.random(b).tolist()
-        xs = rng.integers(0, n, size=b).tolist()
-        ks = []
-        append = ks.append
-        for x, u in zip(xs, us):
-            s = spins[x]
-            if u < p_plus[k - s]:
-                if not s:
-                    spins[x] = 1
-                    k += 1
-            elif s:
-                spins[x] = 0
-                k -= 1
-            append(k)
-        _record(samples, ks, n, t, n)
+    chunk = max(1, 131072 // n) * n  # the loop takes one draw chunk at a time
+    t = -burn_in
+    for us, xs in _superblocks(rng, n, burn_in + steps, block):
+        width = len(us) // (LANE_SWEEPS * n)  # whole lanes
+        done = width * LANE_SWEEPS * n
+        run = _run_lanes(spins, k, us[:done], xs[:done], table, width) if (
+            coupled and width >= MIN_LANES) else None
+        if run is None:
+            coupled, done = False, 0  # the loop runs the rest
+        else:
+            levels, spins = run
+            k = int(levels[-1])
+            _record(samples, levels, n, t, 1)
+            t += len(levels)
+        for i in range(done, len(us), chunk):
+            # built while the last piece's lists live, as when each chunk was
+            # drawn and looped at once; built inside the call, the loop ran
+            # ~10% slower (fresh processes, 2-core host)
+            u, x = us[i:i + chunk].tolist(), xs[i:i + chunk].tolist()
+            ks = _site_loop(spins, k, p_plus, u, x)
+            k = ks[-1]
+            _record(samples, ks, n, t, n)
+            t += len(ks) // n
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 

@@ -22,7 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .ising import ModelParams, all_plus_counts
-from .magchain import ReducedChain, build_reduced_chain, reduced_stationary
+from .magchain import (ReducedChain, build_reduced_chain, positive_rates,
+                       reduced_stationary)
 
 # Below this separation of lambda_2 from lambda_3 the eigenvector analysis is
 # flagged unreliable and perturbation formulas refuse to evaluate.
@@ -204,6 +205,13 @@ def increment_rows(up, down, errors):
     return w, np.copysign(np.exp(log_g - log_g.max(axis=1, keepdims=True)), u)
 
 
+def underflow_error(n: int, J: float, H: float) -> EigensolverError:
+    """The refusal of a chain that ``positive_rates`` finds underflowed."""
+    return EigensolverError(
+        f"reduced chain has transition entries that underflow to 0 at "
+        f"n={n}, J={J:g}, H={H:g}")
+
+
 def second_eigenpairs(grid: ModelParams):
     """The grid core: ``second_eigenpair`` at each coupling of the column
     grid.J as (w, f, pi, errors), w = (lambda_2, lambda_3 or NaN) per row,
@@ -211,11 +219,9 @@ def second_eigenpairs(grid: ModelParams):
     Python; a failed row is meaningless and emits no warning."""
     with np.errstate(all="ignore"):
         chain = build_reduced_chain(grid)
-        errors = [None if ok else EigensolverError(
-            f"reduced chain has transition entries that underflow to 0 at "
-            f"n={grid.n}, J={j:g}, H={grid.H:g}")
-            for ok, j in zip((chain.up.all(axis=1) & chain.down.all(axis=1)).tolist(),
-                             grid.J[:, 0].tolist())]
+        errors = [None if ok else underflow_error(grid.n, j, grid.H)
+                  for ok, j in zip(positive_rates(chain).tolist(),
+                                   grid.J[:, 0].tolist())]
         w, g = increment_rows(chain.up, chain.down, errors)
         f = np.zeros((len(g), grid.n + 1))
         np.cumsum(g, axis=1, out=f[:, 1:])

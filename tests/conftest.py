@@ -49,3 +49,35 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(scipy.linalg.lapack, name, counting)
     return counts
+
+
+def reference_simulate_full(params, seed, steps, burn_in=0):
+    """The full simulator's samples from its plain per-site loop, kept as
+    the oracle for the coupled lanes: the same draws, chunk by chunk, and
+    one Python update per site."""
+    from cwglauber.ising import logistic
+    from cwglauber.magchain import reduced_stationary
+    n = params.n
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    spins = np.bincount(rng.permutation(n)[:k], minlength=n).tolist()
+    p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
+              for m in range(n)]
+    levels = []
+    chunk = max(1, 131072 // n)
+    for t in range(-burn_in, steps, chunk):
+        b = min(chunk, steps - t) * n
+        us = rng.random(b).tolist()
+        xs = rng.integers(0, n, size=b).tolist()
+        for i, (x, u) in enumerate(zip(xs, us), 1):
+            s = spins[x]
+            if u < p_plus[k - s]:
+                if not s:
+                    spins[x] = 1
+                    k += 1
+            elif s:
+                spins[x] = 0
+                k -= 1
+            if i % n == 0:
+                levels.append(k)
+    return 2.0 * np.array(levels[burn_in:], dtype=float) - n

@@ -122,6 +122,17 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--n", "4", "--J-min", "0.4",
                         "--J-max", "0.1", "--J-steps", "5"]) == 2
 
+    @pytest.mark.parametrize("bounds", [("0", "inf"), ("0", "nan"),
+                                        ("nan", "0.4"), ("inf", "inf")])
+    def test_non_finite_range_exits_2(self, bounds, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--n", "4", "--J-min", bounds[0], "--J-max",
+                        bounds[1], "--J-steps", "3", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--J-min and --J-max must be finite" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = run_cli(["sweep", "--n", "5", "--H", "0.1", "--J-min", "0.05",
@@ -272,6 +283,19 @@ class TestSimulateCommand:
                         str(tmp_path / "t.csv")])
         assert code == 3
         assert capsys.readouterr().err.startswith("solver failure: dstemr")
+
+    @pytest.mark.parametrize("extra", [[], ["--full"]])
+    def test_underflowed_chain_exits_3(self, extra, tmp_path, capsys):
+        # pi reads [1, 0, ..., 0, 1] here; the chain is refused before a draw
+        out = tmp_path / "t.csv"
+        code = run_cli(["simulate", "--n", "8", "--J", "1e20", "--steps",
+                        "10000", "--output", str(out)] + extra)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("solver failure: reduced chain has transition "
+                                "entries that underflow to 0 at n=8, J=1e+20, "
+                                "H=0\n")
 
     @pytest.mark.parametrize("extra,message", [
         (["--full", "--n", "30"], "--full needs n <= 24, got 30"),

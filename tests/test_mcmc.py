@@ -18,7 +18,7 @@ from scipy.stats import binom, chi2
 
 import cwglauber
 import cwglauber.mcmc as mcmc
-from conftest import dense_reduced_chain
+from conftest import dense_reduced_chain, reference_simulate_full
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
@@ -26,7 +26,7 @@ from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
                             estimate_relaxation, simulate_full,
                             simulate_reduced)
 from cwglauber.reports import trajectory_to_csv
-from cwglauber.spectral import second_eigenpair
+from cwglauber.spectral import EigensolverError, second_eigenpair
 
 
 def sigma_inflation(params):
@@ -172,6 +172,87 @@ class TestSimulateFull:
             simulate_full(ModelParams(n=25, J=0.01), seed=0, steps=10)
 
 
+@pytest.mark.parametrize("simulate", [simulate_reduced, simulate_full])
+def test_underflowed_chain_is_refused_before_any_draw(simulate, monkeypatch):
+    """At n = 8, J = 1e20 rates underflow to 0 and pi reads [1, 0, ..., 0,
+    1]; both simulators refuse the chain as the spectral core does, before
+    they make a generator."""
+    def no_generator(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(EigensolverError, match="underflow to 0 at n=8"):
+        simulate(ModelParams(n=8, J=1e20), seed=0, steps=10_000)
+
+
+# Lanes small enough that a few thousand site updates cross superblocks:
+# 64-sweep lanes, superblocks of 8192 site updates, partial ones run as lanes
+# from 4 lanes up (every n here fits at least 5 lanes in a superblock).
+SMALL_LANES = {"LANE_SWEEPS": 64, "SUPERBLOCK_UPDATES": 8192, "MIN_LANES": 4}
+ORACLE_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24)
+               for jn in (0.0, 0.5, 1.0, 3.0) for h in (0.0, 0.3, -0.3)]
+# Sweeps past the first superblock: none, four whole lanes (mid-superblock),
+# four lanes and 3 sweeps (mid-lane), and too few lanes for lanes (the loop).
+ENDINGS = (0, 4 * 64, 4 * 64 + 3, 2 * 64 + 3)
+
+
+def count_loop_updates(monkeypatch):
+    """Wrap the per-site loop; the returned list holds its update count."""
+    counted = [0]
+    loop = mcmc._site_loop
+
+    def counting(spins, k, p_plus, us, xs):
+        counted[0] += len(us)
+        return loop(spins, k, p_plus, us, xs)
+
+    monkeypatch.setattr(mcmc, "_site_loop", counting)
+    return counted
+
+
+@pytest.mark.parametrize("i", range(len(ORACLE_GRID)),
+                         ids=[f"n{n}-Jn{jn:g}-H{h:g}" for n, jn, h in ORACLE_GRID])
+def test_lanes_match_the_per_site_loop(i, monkeypatch):
+    """Bitwise the per-site loop's samples, whichever of lanes, the loop
+    after a superblock whose lanes did not meet, and the tail runs them.
+    Burn-ins and endings cycle over the grid; 131072, one chunk at n = 1,
+    runs there only."""
+    n, jn, h = ORACLE_GRID[i]
+    for name, value in SMALL_LANES.items():
+        monkeypatch.setattr(mcmc, name, value)
+    block = 8192 // (n * 64) * 64  # sweeps per superblock
+    burn_in = (0, 7, 131072)[i % 3] if n == 1 else (0, 7)[i % 2]
+    steps = block + ENDINGS[i % 4] - burn_in % block
+    params = ModelParams(n=n, J=jn / n, H=h)
+    looped = count_loop_updates(monkeypatch)
+    traj = simulate_full(params, seed=i, steps=steps, burn_in=burn_in)
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_full(params, i, steps, burn_in))
+    if jn <= 0.5:  # lanes meet well within 64 sweeps here
+        assert looped[0] <= n * (burn_in + steps - block)
+
+
+def test_lanes_carry_a_subcritical_run(monkeypatch):
+    """At n = 10, J = 0.08 all but a partial lane's worth of a 200k-sweep
+    run goes through the lanes."""
+    looped = count_loop_updates(monkeypatch)
+    simulate_full(ModelParams(n=10, J=0.08), seed=5, steps=200_000)
+    assert looped[0] <= 0.1 * 10 * 200_000
+
+
+def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
+    """At n = 10, J = 0.3 the top and bottom chains stay apart: the first
+    superblock's lanes give up and the loop runs the whole trajectory,
+    with no second try."""
+    looped = count_loop_updates(monkeypatch)
+    tries = []
+    run_lanes = mcmc._run_lanes
+    monkeypatch.setattr(mcmc, "_run_lanes",
+                        lambda *a: tries.append(a[-1]) or run_lanes(*a))
+    simulate_full(ModelParams(n=10, J=0.3), seed=6, steps=150_000)
+    assert looped[0] == 10 * 150_000
+    assert tries == [mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)]
+
+
 # sha256 of trajectory_to_csv for (simulator, n, J, H, steps, burn_in,
 # seed).  Reduced cases with n <= N_MAX_SWEEP_KERNEL (512) were recorded from
 # the sweep-kernel draw; every full case, and every reduced case above the cap,
@@ -179,7 +260,9 @@ class TestSimulateFull:
 # v2.  The per-site loops draw 131072 // n sweeps per chunk and the kernel
 # 131072, so every step count here ends mid-chunk and burn-in 131072 spans
 # whole chunks; J = 0.3 at n = 10 and J = 0.15 at n = 24 keep the walk on the
-# walls k = 0, n; n = 512 and 513 sit on either side of the cap.
+# walls k = 0, n; n = 512 and 513 sit on either side of the cap.  The last
+# full case, recorded from the per-site loop, spans two superblocks of lanes,
+# a partial one and a tail of less than a lane.
 PINNED_STREAMS = [
     ("reduced", 1, 0.0, 0.0, 131500, 0, 11,
      "3825bbefbd02c27a69b19399a22f5d2153e94c800411d5d5f2ee6dbeaac35b07"),
@@ -219,6 +302,8 @@ PINNED_STREAMS = [
      "600d9c99f6f8d21471d85b4555019965b8091b13e1d0841179eb87c013000d8d"),
     ("reduced", 513, 0.001, -0.05, 300, 5, 29,
      "326f12fcbb031d82f6bb110cd7ae88ae25985503bb44f929c6212717f7419164"),
+    ("full", 10, 0.08, 0.1, 250_000, 3, 30,
+     "69b943aa9d48d216008d6843e0c81c9faa1556db320f06575deb6d84efdce021"),
 ]
 
 

@@ -498,4 +498,4 @@ def test_lambda2_lambda3_against_mpmath(n, H, coupling_times_n):
 def test_distribution_type_reused():
     pi = reduced_stationary(ModelParams(n=4, J=0.2, H=0.1))
     assert isinstance(pi, Distribution)
-    assert len(pi) == 5
+    assert len(pi.probabilities) == 5
