@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ import numpy as np
 from .ising import ModelParams, N_MAX_FULL
 from .mcmc import (EstimationError, MIN_SAMPLES, N_MAX_SIMULATE_FULL,
                    estimate_relaxation, simulate_full, simulate_reduced)
-from .perturbation import SweepReport, sweep_monotonicity, temperature_view
-from .reports import sweep_to_csv, sweep_to_json, trajectory_to_csv
+from .perturbation import sweep_monotonicity, temperature_view
+from .reports import COLUMNS, sweep_to_csv, sweep_to_json, trajectory_to_csv
 from .spectral import (EigensolverError, eigenvector_structure_report,
                        second_eigenpair)
 from .verification import run_verification
@@ -57,28 +58,21 @@ def _params_or_exit(parser, n, J, H) -> ModelParams:
 def cmd_gap(parser, args) -> int:
     params = _params_or_exit(parser, args.n, args.J, args.H)
     res = second_eigenpair(params)
-    report = eigenvector_structure_report(res.second_vector, h=params.H,
-                                          eigen_separation=res.separation)
+    structure = vars(eigenvector_structure_report(
+        res.second_vector, h=params.H, eigen_separation=res.separation))
+    # the sweep columns this point has, under their SweepPoint names
+    known = {**vars(params), **vars(res)}
+    point = {field: known[field] for _, field, *_ in COLUMNS if field in known}
     if args.format == "json":
-        print(json.dumps({
-            "n": params.n, "J": params.J, "H": params.H,
-            "lambda2": res.lambda2, "gap": res.gap, "t_rel": res.t_rel,
-            "structure": {
-                "increasing": report.increasing,
-                "strictly": report.strictly,
-                "antisymmetric_at_h0": report.antisymmetric_at_h0,
-                "sign_split": report.sign_split,
-                "reliable": report.reliable,
-            }}, indent=2))
+        print(json.dumps({**point, "structure": structure}, indent=2))
     else:
         print(f"n={params.n} J={params.J:g} H={params.H:g}")
-        print(f"lambda2 = {res.lambda2:.17g}")
-        print(f"gap     = {res.gap:.17g}")
-        print(f"t_rel   = {res.t_rel:.17g}  (single-site steps)")
-        print(f"second eigenvector: increasing={report.increasing} "
-              f"strictly={report.strictly} "
-              f"antisymmetric_at_h0={report.antisymmetric_at_h0} "
-              f"sign_split={report.sign_split} reliable={report.reliable}")
+        for field, value in point.items():
+            if field not in vars(params):
+                unit = "  (single-site steps)" if field == "t_rel" else ""
+                print(f"{field:<7} = {value:.17g}{unit}")
+        print("second eigenvector: "
+              + " ".join(f"{flag}={value}" for flag, value in structure.items()))
     return EXIT_OK
 
 
@@ -91,10 +85,12 @@ def cmd_sweep(parser, args) -> int:
         parser.error("--J-max must exceed --J-min (descending ranges rejected)")
     if args.J_steps < 2:
         parser.error("--J-steps must be >= 2")
-    if args.c <= 0:
-        parser.error("--c must be positive")
+    if not (math.isfinite(args.c) and args.c > 0):
+        parser.error("--c must be finite and positive")
     _params_or_exit(parser, args.n, args.J_min, args.H)
     grid = np.linspace(args.J_min, args.J_max, args.J_steps).tolist()
+    if len(set(grid)) < args.J_steps:
+        parser.error("--J-steps too large: grid couplings coincide")
     report = sweep_monotonicity(args.n, args.H, grid)
     command = (f"cwglauber sweep --n {args.n} --H {args.H:g} "
                f"--J-min {args.J_min:g} --J-max {args.J_max:g} "
@@ -113,10 +109,7 @@ def cmd_sweep(parser, args) -> int:
     if args.temperature_view:
         positive = [p for p in report.points if p.J > 0]
         if positive:
-            sub_report = SweepReport(points=positive,
-                                     monotone_in_J=report.monotone_in_J,
-                                     max_violation=report.max_violation)
-            view = temperature_view(sub_report, c=args.c)
+            view = temperature_view(replace(report, points=positive), c=args.c)
             nonincreasing = all(b[1] <= a[1] for a, b in zip(view, view[1:]))
             print(f"temperature view (c={args.c:g}): t_rel nonincreasing in T: "
                   f"{'true' if nonincreasing else 'false'}")

@@ -98,9 +98,9 @@ def finite_differences(grid: ModelParams, delta: float, at_J=None):
     column grid.J, given lambda_2 at J (at_J; solved here when None)."""
     J, k = grid.J[:, 0], len(grid.J)
     rows = np.concatenate(([] if at_J is not None else [J]) + [*fd_stencil(J, delta)])
-    chain = build_reduced_chain(replace(grid, J=rows[:, None]))
     errors = [None] * len(rows)
     with np.errstate(all="ignore"):
+        chain = build_reduced_chain(replace(grid, J=rows[:, None]))
         lam = increment_rows(chain.up, chain.down, errors)[0][:, 0]
     m = len(rows) - 2 * k
     return (difference_quotient(J, delta, lam[:m] if m else at_J,
@@ -140,7 +140,8 @@ def sign_structure_terms(params: ModelParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point of a monotonicity sweep."""
+    """One grid point of a monotonicity sweep; its field order is the JSON
+    key order, ``reports.COLUMNS`` its CSV columns."""
 
     J: float
     H: float

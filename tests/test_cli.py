@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cwglauber
 from cwglauber.cli import main
@@ -132,6 +134,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--J-min and --J-max must be finite" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_nonpositive_c_exits_2(self, c, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(["sweep", "--n", "4", "--J-min", "0", "--J-max", "0.4",
+                        "--J-steps", "3", "--temperature-view", f"--c={c}",
+                        "--output", str(out)])
+        assert code == 2
+        assert "--c must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coinciding_grid_points_exit_2(self, tmp_path, capsys):
+        # linspace over [0, 5e-324] repeats couplings: no ascending grid
+        code = run_cli(["sweep", "--n", "3", "--J-min", "0", "--J-max",
+                        "5e-324", "--J-steps", "3",
+                        "--output", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "grid couplings coincide" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_stencil_warns_nothing(self, tmp_path, capsys):
+        """The finite-difference stencil's chains at J ~ 1e308 overflow
+        like the points' own; both are failures, not warnings."""
+        out = tmp_path / "huge_j.csv"
+        code = run_cli(["sweep", "--n", "3", "--J-min", "0", "--J-max",
+                        "1e308", "--J-steps", "3", "--output", str(out)])
+        assert code == 4
+        assert [p.J for p in sweep_from_csv(out.read_text()).points] == [0.0]
+        assert "Warning" not in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -340,33 +371,90 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 # sha256 of sweep_to_csv, its timestamp line dropped, and of sweep_to_json,
-# both without a command line, for sweep_monotonicity(n, H, linspace(0,
-# J_max, steps)).  Recorded while the stationary law was still normalized by
-# scipy's logsumexp and solved twice per point; the inline log-sum-exp and the
-# one law per point leave every byte as it was.
+# for sweep_monotonicity(n, H, linspace(0, J_max, steps)), with the command
+# line and temperature constant given (None: left out).  Recorded while the
+# stationary law was still normalized by scipy's logsumexp and solved twice
+# per point; the inline log-sum-exp and the one law per point leave every
+# byte as it was.  The n = 8 case was recorded before the column table.
 PINNED_SWEEPS = [
     (12, 0.0, 0.6, 241,
      "d9612d9ef913f98db4d681fa239c58101c8b642abbc4c1d7e4532bc5b4111f27",
-     "7717d62f686b9725fb0ca6f26a723499c3821d2dba144d23b305c065d91f4660"),
+     "7717d62f686b9725fb0ca6f26a723499c3821d2dba144d23b305c065d91f4660",
+     None, None),
     (12, 0.2, 0.6, 241,
      "28286de390aa1873e5ff517dcb70be7c54ea78ce2eb3297eca3ab30cab85c9c5",
-     "53ca22f84545530f21204525d06c900e8b3dbe953a918cb7661f29a727c7882d"),
+     "53ca22f84545530f21204525d06c900e8b3dbe953a918cb7661f29a727c7882d",
+     None, None),
     (1000, 0.0, 0.0015, 16,
      "057323348f3fd4b79e51e1cbec8cc8552852dbd29da68a998f65c8c70656edf2",
-     "d6753694e5efea02d1d69245ee2f3de1f324a927d012e5386ff81bc86ea318f4"),
+     "d6753694e5efea02d1d69245ee2f3de1f324a927d012e5386ff81bc86ea318f4",
+     None, None),
+    (8, 1.0, 0.3125, 26,
+     "faec27cad1449fa08dc102243a52771b27a133804c561498ba0907d1af86d6b9",
+     "ded809ba7c34bcb9efe4d538999abd4c0e875c953bfacbfc63236c660fcd1234",
+     "cwglauber sweep --n 8 --H 1 --J-min 0 --J-max 0.3125 --J-steps 26",
+     0.5),
 ]
 
 
-@pytest.mark.parametrize("n,H,J_max,steps,csv_digest,json_digest",
+@pytest.mark.parametrize("n,H,J_max,steps,csv_digest,json_digest,command,c",
                          PINNED_SWEEPS,
                          ids=[f"n{c[0]}-H{c[1]}" for c in PINNED_SWEEPS])
-def test_sweep_output_is_pinned(n, H, J_max, steps, csv_digest, json_digest):
+def test_sweep_output_is_pinned(n, H, J_max, steps, csv_digest, json_digest,
+                                command, c):
     report = sweep_monotonicity(n, H, np.linspace(0.0, J_max, steps).tolist())
-    csv = "\n".join(line for line in sweep_to_csv(report).split("\n")
+    csv = "\n".join(line for line in sweep_to_csv(
+        report, command=command, temperature_constant=c).split("\n")
                     if not line.startswith("# timestamp:"))
     assert hashlib.sha256(csv.encode()).hexdigest() == csv_digest
-    text = sweep_to_json(report)
+    text = sweep_to_json(report, command=command)
     assert hashlib.sha256(text.encode()).hexdigest() == json_digest
+
+
+# sha256 of `gap` text and JSON output at (n, J, H), recorded before the
+# column table generated them.
+PINNED_GAPS = [
+    ("1", "5", "0",
+     "69a5fce3fe55454617b06a570fe12dda29717c89b8c19f91270c27328c887e1e",
+     "81c69da04772b2dae14bea2d9aa1f4c7a910afb62e07b21733ee0784c7372606"),
+    ("2", "0.3", "0.1",
+     "ccd70b8a0ab60dbe24ff4cd402813b314c294871c071b7b8b8b75a989b4074b3",
+     "e85218aa04a238ddb743bdf2b03e94ffe802c7739fb0b6027fedbd31d61d81c1"),
+    ("4", "0.2", "0",
+     "afb1ce0dd20c5e1754bd36f3ba3cda66363962a513be0a44c44e0c8598f7361c",
+     "a1ce6b7946f94174d0a714c5ed8252e823fd8315ff3871c9e55148b18fb7672f"),
+    ("8", "0", "0",
+     "4ef8985051ec66d9b51eeee4f8fdd1823c731505d1a1d1dba09f4c6d75d25066",
+     "ff186d78a16e7ecaa549aeee52275bfab3104b776cd7002f5d7c716b4748aedf"),
+    ("12", "0.1", "0.2",
+     "334b82ac9c94aaaf184717d4be65c2155a5a40a3bdd26bbab9a4eff0407bf471",
+     "49f42ce382966534b26509b2f652c39a3acbf977358b0b8f8c73af5104152c28"),
+    ("12", "0.6", "-0.3",
+     "9d2d657e901b748ff5acd4693a41bc6838ff9c7385804d2f2790250349be6649",
+     "1e38e90a4d3505018078e387adf10584f73aad83edfbace767c6f1e1a74a6886"),
+    ("40", "0.03", "0",
+     "528064bb75cf301e38e4f31cf469bb70ea8246c0a3adfdf9193dcd89fb3593f0",
+     "2097c3e70c04ff3600aad5daaa6e3f4909d908a01d8f0ef8b0450966f00bd82c"),
+    ("100", "0.016", "0.05",
+     "3a7b8e5b256f39eced7af89bd67fe9e118faa80196a6ff0e860b44764a768b10",
+     "bc1e65a7eb0642f14edd5fea0166c1ad03918aa5f39717acb2e8fcac1c33641f"),
+    ("300", "0.001", "0",
+     "0f072fa50de2d012e1908508791159f61a3c7ce22960a02a8979a67621a70008",
+     "d1a81c66ba4fe7f5a10066681fbd163063fee5b6bd4f15c2d901cd0a05e82de0"),
+    ("1000", "0.00186", "-0.5",
+     "c0c914f01435fbc13f23513cdfbde2aca06fc11e5be3d265485277b2b9917844",
+     "5944b172098afdfa80abb360403b862092875322db75137c7d153e7935807c76"),
+]
+
+
+@pytest.mark.parametrize("n,J,H,text_digest,json_digest", PINNED_GAPS,
+                         ids=[f"n{c[0]}-J{c[1]}-H{c[2]}" for c in PINNED_GAPS])
+def test_gap_output_is_pinned(n, J, H, text_digest, json_digest, capsys):
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        assert run_cli(["gap", "--n", n, "--J", J, "--H", H,
+                        "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSerializationRoundTrips:
@@ -408,7 +496,128 @@ class TestSerializationRoundTrips:
         np.testing.assert_array_equal(traj.samples, [-2, -4, -2, 2, 0, 4])
 
     def test_rejects_foreign_files(self):
-        with pytest.raises(ValueError):
-            sweep_from_csv("x,y\n1,2\n")
-        with pytest.raises(ValueError):
-            trajectory_from_csv("not a trajectory\n")
+        csv = sweep_to_csv(sweep_monotonicity(3, 0.0, [0.0, 0.1]))
+        header = next(ln for ln in csv.splitlines() if ln.startswith("n,"))
+        row = csv.splitlines()[-1]
+        for text in ("x,y\n1,2\n", "n,x\n1\n", csv.replace(header, "n,J"),
+                     csv.replace(row, row + ",1"),
+                     csv.replace(row, row.replace("true", "yes")),
+                     csv.replace("# monotone_in_J", "# monotone"),
+                     csv.replace("# monotone_in_J: true", "# monotone_in_J: x"),
+                     "\n".join(ln for ln in csv.splitlines()
+                               if not ln.startswith("n,") and "," not in ln)):
+            with pytest.raises(ValueError):
+                sweep_from_csv(text)
+        for text in ("[]", '{"format":"cwglauber-sweep"}',
+                     '{"format":"cwglauber-sweep","points":[{"J":0}],'
+                     '"monotone_in_J":true,"max_violation":0}'):
+            with pytest.raises(ValueError):
+                sweep_from_json(text)
+        header = "# cwglauber trajectory v2 n=4 J=0.2 H=0 seed=5 burn_in=2"
+        for text in ("not a trajectory\n", header + "\n",
+                     header.replace(" J=0.2", "") + "\nm\n2\n"):
+            with pytest.raises(ValueError):
+                trajectory_from_csv(text)
+
+
+
+# Flag values as text.  A flag's valid values keep every command small
+# (n <= 40, --full n <= 24, --J-steps <= 50, --steps 10^4, the 2^n oracle at
+# n <= 8); its wild values add infinite, NaN, subnormal, huge, negative and
+# malformed numbers without lifting those bounds.
+FUZZ = settings(derandomize=True, database=None, deadline=None)
+NOT_INT = st.sampled_from(["inf", "nan", "1e-310", "1e300", "2.5", ""])
+
+
+def _double(lo, hi):
+    return st.floats(lo, hi).map(repr), st.floats().map(repr)
+
+
+def _integer(lo, hi):
+    return (st.integers(lo, hi).map(str),
+            st.one_of(st.integers(-3, hi).map(str), NOT_INT))
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _point_ok(n, J, H):
+    n, J, H = _int(n), float(J), float(H)
+    return (n is not None and n >= 1 and math.isfinite(J) and J >= 0
+            and math.isfinite(H))
+
+
+def _exits(data, command, flags, valid, *extra):
+    """Run `command` with each of `flags` ({flag: (valid, wild)}) drawn from
+    its valid values, except up to two drawn from their wild ones; assert a
+    documented exit code that is 2 exactly when not valid(values)."""
+    wild = data.draw(st.lists(st.sampled_from(list(flags)), max_size=2))
+    v = {flag: data.draw(pair[flag in wild]) for flag, pair in flags.items()}
+    code = run_cli([command, *(f"--{flag}={text}" for flag, text in v.items()),
+                    *extra])
+    assert code in {0, 1, 2, 3, 4}
+    assert (code == 2) != valid(v), (v, code)
+
+
+class TestExitCodeContract:
+    """Every argument vector exits with a documented code, never with an
+    exception, and exits 2 exactly when it is invalid."""
+
+    @settings(FUZZ, max_examples=40)
+    @given(data=st.data(), fmt=st.sampled_from(["text", "json"]))
+    def test_gap(self, data, fmt):
+        _exits(data, "gap", {"n": _integer(1, 40), "J": _double(0, 2),
+                             "H": _double(-2, 2)},
+               lambda v: _point_ok(v["n"], v["J"], v["H"]), f"--format={fmt}")
+
+    @settings(FUZZ, max_examples=40)
+    @given(data=st.data(), view=st.booleans())
+    def test_sweep(self, data, view, tmp_path_factory):
+        def valid(v):
+            lo, hi, k = float(v["J-min"]), float(v["J-max"]), _int(v["J-steps"])
+            return (_point_ok(v["n"], lo, v["H"]) and math.isfinite(hi)
+                    and hi > lo and k is not None and k >= 2
+                    and math.isfinite(float(v["c"])) and float(v["c"]) > 0
+                    and len(set(np.linspace(lo, hi, k).tolist())) == k)
+
+        out = tmp_path_factory.mktemp("sweep") / "s.csv"
+        _exits(data, "sweep", {"n": _integer(1, 40), "H": _double(-2, 2),
+                               "J-min": _double(0, 0.5),
+                               "J-max": _double(0.5, 2),
+                               "J-steps": _integer(2, 50), "c": _double(0.1, 10)},
+               valid, f"--output={out}", *["--temperature-view"] * view)
+
+    @settings(FUZZ, max_examples=25)
+    @given(data=st.data())
+    def test_verify(self, data):
+        def valid(v):
+            cap = _int(v["n-max-full"])
+            return (_point_ok(v["n"], v["J"], v["H"]) and cap is not None
+                    and int(v["n"]) <= cap)
+
+        _exits(data, "verify", {"n": _integer(1, 8), "J": _double(0, 2),
+                                "H": _double(-2, 2), "n-max-full": _integer(1, 8)},
+               valid)
+
+    @settings(FUZZ, max_examples=20)
+    @given(data=st.data(), full=st.booleans(),
+           method=st.sampled_from(["exponential_fit",
+                                   "integrated_autocorrelation"]))
+    def test_simulate(self, data, full, method, tmp_path_factory):
+        def valid(v):
+            ints = [_int(v[flag]) for flag in ("steps", "seed", "burn-in")]
+            return (_point_ok(v["n"], v["J"], v["H"]) and None not in ints
+                    and ints[0] >= 10_000 and min(ints[1:]) >= 0
+                    and not (full and int(v["n"]) > 24))
+
+        out = tmp_path_factory.mktemp("simulate") / "t.csv"
+        _exits(data, "simulate",
+               {"n": _integer(1, 40), "J": _double(0, 0.2), "H": _double(-1, 1),
+                "steps": _integer(10_000, 10_000), "seed": _integer(0, 2 ** 40),
+                "burn-in": _integer(0, 100)},
+               valid, f"--method={method}", f"--output={out}",
+               *["--full"] * full)
