@@ -129,17 +129,20 @@ def symmetrized_full_chain(P):
 def full_chain_top_eigenvalues(S) -> np.ndarray:
     """The 3 largest eigenvalues of the full Glauber chain, descending, by
     Lanczos (ARPACK eigsh) on its symmetric form S (symmetrized_full_chain),
-    from a seeded Gaussian start: results repeat exactly, and the start has
-    weight in every symmetry sector, not only in the lumped chain this oracle
-    checks.  n = 1 (two states, below ARPACK's limit) takes a dense 2 x 2
-    solve.  Failures are raised as EigensolverError."""
+    from a seeded Gaussian start: the start has weight in every symmetry
+    sector, not only in the lumped chain this oracle checks, and the same
+    generator draws any restart vector ARPACK asks for once its basis is
+    invariant, so results repeat exactly.  n = 1 (two states, below ARPACK's
+    limit) takes a dense 2 x 2 solve.  Failures are raised as
+    EigensolverError."""
     import scipy.sparse.linalg  # deferred: ~30 ms of import only the oracle needs
     try:
         if S.shape[0] == 2:
             return np.linalg.eigvalsh(S.toarray())[::-1]
-        v0 = np.random.default_rng(0).standard_normal(S.shape[0])
-        w = scipy.sparse.linalg.eigsh(S, k=3, which="LA", v0=v0,
-                                      return_eigenvectors=False)
+        rng = np.random.default_rng(0)
+        w = scipy.sparse.linalg.eigsh(S, k=3, which="LA",
+                                      v0=rng.standard_normal(S.shape[0]),
+                                      rng=rng, return_eigenvectors=False)
     except (scipy.sparse.linalg.ArpackError, np.linalg.LinAlgError) as exc:
         raise EigensolverError(f"full-chain eigensolver failed: {exc}") from exc
     return np.sort(w)[::-1]

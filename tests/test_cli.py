@@ -457,6 +457,41 @@ def test_gap_output_is_pinned(n, J, H, text_digest, json_digest, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `verify` stdout and the exit code at (n, J, H), every printed
+# check value included; (6, 0.05, 0) and (8, 0, 1.3) are points where ARPACK
+# restarts its Lanczos basis.
+PINNED_VERIFIES = [
+    ("1", "0.3", "0", 0,
+     "da9b63de5254c0f5f5335fc09b9ffcd7b437ee6a1f5d11db4f74c65d5cfc0a56"),
+    ("3", "0.4", "-0.3", 0,
+     "16963e1043c6f84b6aa04a6e5c7d55e17f49d075e69c3852a8f3f9b41ad6a550"),
+    ("5", "1", "0", 0,
+     "24976b8aa1695b2701def08fa7e92279f95d70dafd44348d029c30ed2a02c915"),
+    ("6", "0.05", "0", 0,
+     "5c78687defec2d9b3f1503daa1f1ab4bf5db26c751ed91036a53a53adf4c8304"),
+    ("8", "0", "1.3", 0,
+     "387ee1c32963c4a84dfb01db765de680001f8baa98b755e1b2a514c562660454"),
+    ("8", "0.2", "0", 0,
+     "bcf42a66db0fa2d4d9c756fa38add742c1efd35ab66e88b7a0ddf6d60a8ec2e6"),
+    ("10", "0.55", "0.1", 0,
+     "08a2c9cd8810c1456e6741717707249efdba290244abc9b05e5761ba1f1a247f"),
+    ("12", "0.1", "0", 0,
+     "6db93b1feb4c31dc9e01e41fdb5ac748fd6ef69887f7b7a4cfbe02554a4be1cf"),
+    ("12", "0.05", "0.2", 0,
+     "8cf0fca756b611f34872ff63b322eeee4cd1cd8d01a3ee101780b71ca3d7d503"),
+    ("12", "2", "0", 1,
+     "8a2631015aaa4e7d3989d81e5e77b064834aac1cdf87641ffec49c5d06e09879"),
+]
+
+
+@pytest.mark.parametrize("n,J,H,code,digest", PINNED_VERIFIES,
+                         ids=[f"n{c[0]}-J{c[1]}-H{c[2]}" for c in PINNED_VERIFIES])
+def test_verify_output_is_pinned(n, J, H, code, digest, capsys):
+    assert run_cli(["verify", "--n", n, "--J", J, "--H", H]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSerializationRoundTrips:
     def test_sweep_csv_exact(self):
         report = sweep_monotonicity(7, 0.0, [0.0, 0.1, 0.25, 0.5])

@@ -239,10 +239,13 @@ class TestFullChainTopEigenvalues:
         assert abs(top[2] - second_eigenpair(params).lambda3) > 1e-3
 
     def test_deterministic(self):
-        S = symmetrized_full_chain(
-            full_transition_matrix(ModelParams(n=10, J=0.3, H=0.1)))
-        first = full_chain_top_eigenvalues(S)
-        assert np.array_equal(first, full_chain_top_eigenvalues(S))
+        """At (6, 0.05, 0) the Lanczos basis becomes invariant and ARPACK
+        asks for a restart vector, which the seeded generator draws too."""
+        for n, J, H in [(10, 0.3, 0.1), (6, 0.05, 0.0)]:
+            S = symmetrized_full_chain(
+                full_transition_matrix(ModelParams(n=n, J=J, H=H)))
+            first = full_chain_top_eigenvalues(S)
+            assert np.array_equal(first, full_chain_top_eigenvalues(S))
 
     def test_single_spin_dense_route(self):
         params = ModelParams(n=1, J=0.0, H=0.4)
