@@ -19,9 +19,8 @@ from .perturbation import (SweepPoint, SweepReport, finite_difference_gap,
                            hellmann_feynman, sign_structure_terms,
                            sweep_monotonicity, temperature_view)
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
-                       eigen_symmetric_tridiagonal,
                        eigenvector_structure_report, full_chain_top_eigenvalues,
-                       second_eigenpair, symmetrize, symmetrized_full_chain)
+                       second_eigenpair, symmetrized_full_chain)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,6 @@ __all__ = [
     "SweepPoint", "SweepReport", "finite_difference_gap", "hellmann_feynman",
     "sign_structure_terms", "sweep_monotonicity", "temperature_view",
     "EigensolverError", "SpectralResult", "StructureReport",
-    "eigen_symmetric_tridiagonal", "eigenvector_structure_report",
-    "full_chain_top_eigenvalues", "second_eigenpair", "symmetrize",
-    "symmetrized_full_chain",
+    "eigenvector_structure_report", "full_chain_top_eigenvalues",
+    "second_eigenpair", "symmetrized_full_chain",
 ]

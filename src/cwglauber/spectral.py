@@ -1,18 +1,18 @@
 """Eigenvalue machinery for the reduced and full chains.
 
 A reversible chain is similar to a symmetric matrix through conjugation by
-diag(sqrt(pi)); for the tridiagonal magnetization chain the symmetrized
-off-diagonal collapses to sqrt(up_k * down_k).  The reduced chain's full
-spectrum and the top of the sparse 2^n chain's, from Lanczos, are the
-oracles for the lumping equivalence.
+diag(sqrt(pi)), S = sqrt(P_ij P_ji) entrywise.  The top of the sparse 2^n
+chain's spectrum, from Lanczos, and the residual of reduced eigenpairs
+lifted to it are the oracles for the lumping equivalence.
 
 The second eigenpair (lambda_2, f), eigenvalues descending and f in chain
 coordinates with <f, f>_pi = 1 and f_n > f_0, is solved on the increment
 chain, whose eigenvectors are the increments f_{k+1} - f_k, for a whole J
-grid in one pass (``second_eigenpairs``).  That chain lacks the eigenvalue
-1, so lambda_2 is its top eigenvalue and cannot mix with lambda_1 even where
-lambda_1 - lambda_2 underflows; and no step divides by sqrt(pi), whose tiny
-tail entries would amplify the solver's rounding error.
+grid in one pass (``second_eigenpairs``), the library's one solver of the
+reduced chain.  That chain lacks the eigenvalue 1, so lambda_2 is its top
+eigenvalue and cannot mix with lambda_1 even where lambda_1 - lambda_2
+underflows; and no step divides by sqrt(pi), whose tiny tail entries would
+amplify the solver's rounding error.
 """
 
 import math
@@ -22,8 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .ising import ModelParams, all_plus_counts
-from .magchain import (ReducedChain, build_reduced_chain, positive_rates,
-                       reduced_stationary)
+from .magchain import build_reduced_chain, positive_rates, reduced_stationary
 
 # Below this separation of lambda_2 from lambda_3 the eigenvector analysis is
 # flagged unreliable and perturbation formulas refuse to evaluate.
@@ -77,39 +76,6 @@ class StructureReport:
     antisymmetric_at_h0: bool | None
     sign_split: bool | None
     reliable: bool
-
-
-def symmetrize(chain: ReducedChain):
-    """Symmetric tridiagonal (diag, offdiag) similar to the reduced chain.
-
-    offdiag[k] = sqrt(up_k * down_k); a negative product signals an invalid
-    chain and is rejected.
-    """
-    prod = chain.up * chain.down
-    if np.any(prod < 0):
-        raise ValueError("up[k]*down[k] < 0: not a valid birth-death chain")
-    return chain.diag.copy(), np.sqrt(prod)
-
-
-def eigen_symmetric_tridiagonal(diag, offdiag):
-    """Full spectrum of a real symmetric tridiagonal matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending
-    and eigenvectors as orthonormal columns.  LAPACK's divide-and-conquer
-    driver (dstevd) is called directly, which pins the driver and skips the
-    per-call overhead of scipy's eigh_tridiagonal.  Nonzero LAPACK info
-    (non-convergence, or non-finite input) is surfaced as EigensolverError,
-    never silently.
-    """
-    diag = np.asarray(diag, dtype=float)
-    if len(diag) == 1:
-        return diag.copy(), np.ones((1, 1))
-    offdiag = np.asarray(offdiag, dtype=float)
-    w, v, info = scipy.linalg.lapack.dstevd(diag, offdiag)
-    if info != 0:
-        raise EigensolverError(
-            f"tridiagonal eigensolver failed to converge (dstevd info={info})")
-    return w[::-1], v[:, ::-1]  # dstevd sorts ascending
 
 
 def symmetrized_full_chain(P):

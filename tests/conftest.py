@@ -11,6 +11,20 @@ def dense_reduced_chain(chain):
             + np.diag(chain.down, k=-1))
 
 
+def tridiagonal_eigh(diag, offdiag):
+    """Every eigenpair, eigenvalues descending, of the real symmetric
+    tridiagonal matrix (diag, offdiag), from numpy's dense eigh."""
+    w, v = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, 1)
+                          + np.diag(offdiag, -1))
+    return w[::-1], v[:, ::-1]
+
+
+def reduced_eigh(chain):
+    """``tridiagonal_eigh`` of the reduced chain symmetrized by
+    diag(sqrt(pi)), whose off-diagonal is sqrt(up_k * down_k)."""
+    return tridiagonal_eigh(chain.diag, np.sqrt(chain.up * chain.down))
+
+
 def detailed_balance_violation(P, pi):
     """max_ij |pi_i P_ij - pi_j P_ji| of a dense matrix P."""
     flux = P * pi.probabilities[:, None]

@@ -291,6 +291,17 @@ class TestVerifyCommand:
         assert captured.err.startswith("solver failure: full chain")
         assert captured.err.count("\n") == 1
 
+    def test_reduced_spectrum_failure_exits_3(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert run_cli(["verify", "--n", "4", "--J", "0.1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("solver failure: reduced-chain eigensolver "
+                                "failed: Eigenvalues did not converge\n")
+
 
 class TestSimulateCommand:
     def test_too_few_steps_exits_2(self):

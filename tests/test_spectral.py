@@ -1,4 +1,4 @@
-"""Eigensolvers, symmetrization and second-eigenpair conventions."""
+"""Eigensolvers and second-eigenpair conventions."""
 
 import math
 
@@ -6,18 +6,14 @@ import numpy as np
 import pytest
 
 import cwglauber.spectral as spectral
-from conftest import dense_reduced_chain
+from conftest import dense_reduced_chain, reduced_eigh, tridiagonal_eigh
 from cwglauber.ising import Distribution, ModelParams
-from cwglauber.magchain import (ReducedChain, build_reduced_chain,
-                                reduced_stationary)
-from cwglauber.spectral import (EigensolverError,
-                                eigen_symmetric_tridiagonal,
-                                eigen_top_tridiagonal,
+from cwglauber.magchain import build_reduced_chain, reduced_stationary
+from cwglauber.spectral import (EigensolverError, eigen_top_tridiagonal,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
                                 increment_rows, lifted_residual,
-                                second_eigenpair, symmetrize,
-                                symmetrized_full_chain)
+                                second_eigenpair, symmetrized_full_chain)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
 
@@ -30,62 +26,32 @@ def _dense_full_spectrum(params):
     return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
 
 
-class TestSymmetrize:
-    def test_hand_value_free_two_spins(self):
-        # up = (1/2, 1/4), down = (1/4, 1/2): offdiag = sqrt(1/8) twice
-        chain = build_reduced_chain(ModelParams(n=2, J=0.0, H=0.0))
-        diag, offdiag = symmetrize(chain)
-        np.testing.assert_allclose(offdiag, [math.sqrt(2) / 4] * 2, rtol=1e-15)
-        np.testing.assert_array_equal(diag, chain.diag)
-
-    def test_offdiag_strictly_positive(self):
-        chain = build_reduced_chain(ModelParams(n=9, J=0.7, H=0.4))
-        _, offdiag = symmetrize(chain)
-        assert offdiag.min() > 0
-
-    def test_rejects_negative_product(self):
-        bad = ReducedChain(n=1, up=np.array([-0.1]), down=np.array([0.2]),
-                           diag=np.array([1.1, 0.8]))
-        with pytest.raises(ValueError, match="birth-death"):
-            symmetrize(bad)
-
-    @pytest.mark.parametrize("n,J,H", [(4, 0.2, 0.1), (8, 0.5, 0.0), (10, 0.05, -0.4)])
-    def test_preserves_spectrum(self, n, J, H):
-        """Similarity invariance, checked against dense eigvalsh on the
-        nonsymmetric chain matrix pushed through diag(sqrt(pi))."""
-        chain = build_reduced_chain(ModelParams(n=n, J=J, H=H))
-        pi = reduced_stationary(ModelParams(n=n, J=J, H=H))
-        w_tri, _ = eigen_symmetric_tridiagonal(*symmetrize(chain))
-        s = np.sqrt(pi.probabilities)
-        S = (s[:, None] * dense_reduced_chain(chain)) / s[None, :]
-        w_dense = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
-        np.testing.assert_allclose(w_tri, w_dense, atol=1e-12)
-
-
 class TestTridiagonalSolver:
+    """eigen_top_tridiagonal, the library's one tridiagonal solver, on
+    closed forms and random matrices."""
+
     def test_two_by_two(self):
-        w, v = eigen_symmetric_tridiagonal([0.0, 0.0], [1.0])
+        w, v = eigen_top_tridiagonal([0.0, 0.0], [1.0])
         np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(np.abs(v), [math.sqrt(0.5)] * 2, rtol=1e-15)
 
     def test_uniform_closed_form(self):
         a, b = 0.3, 0.2
-        w, _ = eigen_symmetric_tridiagonal([a, a, a], [b, b])
-        expected = sorted([a + b * math.sqrt(2), a, a - b * math.sqrt(2)],
-                          reverse=True)
-        np.testing.assert_allclose(w, expected, atol=1e-14)
+        w, _ = eigen_top_tridiagonal([a, a, a], [b, b])
+        np.testing.assert_allclose(w, [a + b * math.sqrt(2), a], atol=1e-14)
 
     def test_single_element(self):
-        w, v = eigen_symmetric_tridiagonal([2.5], [])
-        assert w[0] == 2.5 and v[0, 0] == 1.0
+        w, v = eigen_top_tridiagonal([2.5], [])
+        assert w.tolist() == [2.5] and v.tolist() == [1.0]
 
     @pytest.mark.parametrize("m", [3, 10, 27, 50])
     def test_against_jacobi_oracle(self, m):
         rng = np.random.default_rng(m)
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
-        w, v = eigen_symmetric_tridiagonal(diag, offdiag)
+        w, _ = eigen_top_tridiagonal(diag, offdiag)
         A = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-        w_oracle = np.linalg.eigvalsh(A)[::-1]
+        w_oracle = np.linalg.eigvalsh(A)[::-1][:2]
         np.testing.assert_allclose(w, w_oracle, atol=1e-12 * max(1, np.abs(w).max()))
 
     @pytest.mark.parametrize("m", [5, 40])
@@ -94,11 +60,10 @@ class TestTridiagonalSolver:
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
         A = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-        w, v = eigen_symmetric_tridiagonal(diag, offdiag)
-        assert np.all(np.diff(w) <= 0)  # descending
-        norm = np.linalg.norm(A)
-        assert np.abs(A @ v - v * w).max() < 1e-12 * norm
-        assert np.abs(v.T @ v - np.eye(m)).max() < 1e-12
+        w, v = eigen_top_tridiagonal(diag, offdiag)
+        assert w[0] >= w[1]  # descending
+        assert np.abs(A @ v - v * w[0]).max() < 1e-12 * np.linalg.norm(A)
+        assert abs(v @ v - 1.0) < 1e-12
 
 
 class TestTopEigenpair:
@@ -107,7 +72,7 @@ class TestTopEigenpair:
         rng = np.random.default_rng(200 + m)
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
-        w_all, v_all = eigen_symmetric_tridiagonal(diag, offdiag)
+        w_all, v_all = tridiagonal_eigh(diag, offdiag)
         w, v = eigen_top_tridiagonal(diag, offdiag)
         np.testing.assert_allclose(w, w_all[:2], rtol=0, atol=1e-12)
         assert abs(abs(v @ v_all[:, 0]) - 1.0) < 1e-12
@@ -129,8 +94,7 @@ class TestSecondEigenpair:
         """At J = 0 the whole reduced spectrum is 1 - j/n."""
         params = ModelParams(n=n, J=0.0, H=0.0)
         res = second_eigenpair(params)
-        w = eigen_symmetric_tridiagonal(
-            *symmetrize(build_reduced_chain(params)))[0]
+        w = reduced_eigh(build_reduced_chain(params))[0]
         np.testing.assert_allclose(w, 1.0 - np.arange(n + 1) / n, atol=1e-12)
         assert res.lambda2 == pytest.approx(w[1], abs=1e-12)
         if n >= 2:
@@ -159,8 +123,7 @@ class TestSecondEigenpair:
         f = res.second_vector
         assert abs(np.sum(pi * f * f) - 1.0) < 1e-10
         assert f[-1] > f[0]
-        w = eigen_symmetric_tridiagonal(
-            *symmetrize(build_reduced_chain(params)))[0]
+        w = reduced_eigh(build_reduced_chain(params))[0]
         assert abs(w[0] - 1.0) < 1e-10
         assert np.abs(w).max() <= 1.0 + 1e-12
         assert abs(res.lambda2 - w[1]) < 1e-12
@@ -284,8 +247,7 @@ class TestLiftedResidual:
         """The spectrum_subset measurement: small for the true eigenpairs,
         at least half the shift for a displaced eigenvalue."""
         params = ModelParams(n=6, J=0.3, H=0.1)
-        w, v = eigen_symmetric_tridiagonal(
-            *symmetrize(build_reduced_chain(params)))
+        w, v = reduced_eigh(build_reduced_chain(params))
         S = symmetrized_full_chain(full_transition_matrix(params))
         assert lifted_residual(S, w, v) < 1e-13
         shifted = w.copy()
@@ -458,7 +420,7 @@ def test_oracle_equivalence_spectrum_subset(n, J, H):
     the point's lambda_2 and lambda_3 are the reduced chain's."""
     params = ModelParams(n=n, J=J, H=H)
     res = second_eigenpair(params)
-    w = eigen_symmetric_tridiagonal(*symmetrize(build_reduced_chain(params)))[0]
+    w = reduced_eigh(build_reduced_chain(params))[0]
     full = _dense_full_spectrum(params)
     dist = np.abs(w[:, None] - full[None, :]).min(axis=1)
     assert dist.max() < 1e-10
