@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -224,6 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("exponential_fit", "integrated_autocorrelation"),
                        default="exponential_fit")
     p_sim.add_argument("--output", default=None)
+    # argparse takes only -1 and -.5 forms for negative numbers and reads the
+    # -1e-3 of --H -1e-3 as an option; here every number is a value
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan).*", re.I)
     return parser
 
 

@@ -75,8 +75,7 @@ def hellmann_feynman(params: ModelParams) -> float:
     when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue assumption
     breaks down, and when f is not finite."""
     res = second_eigenpair(params)
-    sep = math.nan if res.separation is None else res.separation
-    for error in filter(None, _unusable([sep], res.second_vector[None])):
+    for error in filter(None, _unusable([res.separation], res.second_vector[None])):
         raise error
     return float(coupling_derivative(params, res.pi, res.second_vector)[0])
 
@@ -108,13 +107,10 @@ def finite_differences(grid: ModelParams, delta: float, at_J=None):
             [next(filter(None, errors[i::k]), None) for i in range(k)])
 
 
-def finite_difference_gap(params: ModelParams, delta: float | None = None) -> float:
+def finite_difference_gap(params: ModelParams) -> float:
     """Finite-difference oracle for d lambda_2 / dJ: ``finite_differences``
-    at one point, delta FD_DELTA_DEFAULT / n or given in [1e-8, 1e-3]."""
-    if delta is None:
-        delta = FD_DELTA_DEFAULT / params.n
-    elif not 1e-8 <= delta <= 1e-3:
-        raise ValueError(f"delta must lie in [1e-8, 1e-3], got {delta!r}")
+    at one point, with the step FD_DELTA_DEFAULT / n."""
+    delta = FD_DELTA_DEFAULT / params.n
     fd, errors = finite_differences(replace(params, J=np.array([[params.J]])),
                                     delta, None if params.J < delta else math.nan)
     if errors[0] is not None:

@@ -40,23 +40,22 @@ class EigensolverError(RuntimeError):
 class SpectralResult:
     """Spectrum summary of the reduced chain at one parameter point.
 
-    lambda3 is None when the chain has two levels (n = 1); gap = 1 - lambda2
-    and t_rel = 1/gap count single-site steps.  second_vector is f, as
-    ``second_eigenpair`` forms it in the chain's stationary law pi.
+    lambda3, and with it separation, is NaN when the chain has two levels
+    (n = 1); gap = 1 - lambda2 and t_rel = 1/gap count single-site steps.
+    second_vector is f, as ``second_eigenpair`` forms it in the chain's
+    stationary law pi.
     """
 
     lambda2: float
-    lambda3: float | None
+    lambda3: float
     gap: float
     t_rel: float
     second_vector: np.ndarray
     pi: np.ndarray
 
     @property
-    def separation(self) -> float | None:
-        """lambda_2 - lambda_3, or None when the chain has two levels (n = 1)."""
-        if self.lambda3 is None:
-            return None
+    def separation(self) -> float:
+        """lambda_2 - lambda_3."""
         return self.lambda2 - self.lambda3
 
 
@@ -218,26 +217,26 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
     if errors[0] is not None:
         raise errors[0]
     lambda2 = float(w[0, 0])
-    return SpectralResult(lambda2, float(w[0, 1]) if params.n > 1 else None,
-                          *relaxation(lambda2), second_vector=f[0], pi=pi[0])
+    return SpectralResult(lambda2, float(w[0, 1]), *relaxation(lambda2),
+                          second_vector=f[0], pi=pi[0])
 
 
 @np.errstate(invalid="ignore")  # inf - inf in a non-finite f
-def eigenvector_structure_report(f, tol: float = STRUCTURE_TOL, *,
-                                 h: float = 0.0,
-                                 eigen_separation: float | None = None) -> StructureReport:
+def eigenvector_structure_report(f, *, h: float = 0.0,
+                                 eigen_separation: float = math.nan) -> StructureReport:
     """Evaluate the structural predicates of a second eigenvector.
 
-    increasing: f_{k+1} >= f_k for all k (within tol);
+    increasing: f_{k+1} >= f_k for all k (within tol = STRUCTURE_TOL);
     strictly:   every increment is strictly positive;
     antisymmetric_at_h0: max_k |f_k + f_{n-k}| < tol, H = 0 only;
     sign_split: f_k <= 0 for k <= n/2 and f_k >= 0 for k >= n/2 (within tol),
                 H = 0 only.
 
     Pass eigen_separation = lambda_2 - lambda_3 to have near-degenerate
-    points flagged unreliable instead of asserted on; an f with a non-finite
-    entry is flagged unreliable too.
+    points flagged unreliable instead of asserted on (NaN, as at n = 1, is
+    not degenerate); an f with a non-finite entry is flagged unreliable too.
     """
+    tol = STRUCTURE_TOL
     f = np.asarray(f, dtype=float)
     n = len(f) - 1
     d = np.diff(f)
@@ -251,8 +250,7 @@ def eigenvector_structure_report(f, tol: float = STRUCTURE_TOL, *,
                           and np.all(f[k >= n / 2] >= -tol))
     else:
         sign_split = None
-    reliable = bool(np.isfinite(f).all()) and not (
-        eigen_separation is not None and eigen_separation < DEGENERATE_GAP)
+    reliable = bool(np.isfinite(f).all()) and not eigen_separation < DEGENERATE_GAP
     return StructureReport(increasing=increasing, strictly=strictly,
                            antisymmetric_at_h0=antisymmetric,
                            sign_split=sign_split, reliable=reliable)

@@ -303,6 +303,22 @@ class TestVerifyCommand:
                                 "failed: Eigenvalues did not converge\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--n", "8", "--J", "0.1"],
+    ["sweep", "--n", "4", "--J-min", "0", "--J-max", "0.2", "--J-steps", "3"],
+    ["verify", "--n", "4", "--J", "0.1"],
+    ["simulate", "--n", "4", "--J", "0.1", "--steps", "10000"],
+], ids=lambda argv: argv[0])
+def test_negative_exponent_as_separate_argument(argv, tmp_path, capsys):
+    """argparse reads only -1 and -.5 as negative numbers by itself."""
+    if argv[0] in ("sweep", "simulate"):
+        argv = argv + ["--output", str(tmp_path / "out")]
+    assert run_cli(argv + ["--H=-1e-3"]) == 0
+    joined = capsys.readouterr().out
+    assert run_cli(argv + ["--H", "-1e-3"]) == 0
+    assert capsys.readouterr().out == joined
+
+
 class TestSimulateCommand:
     def test_too_few_steps_exits_2(self):
         assert run_cli(["simulate", "--n", "8", "--J", "0.05",

@@ -8,8 +8,8 @@ from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
 from cwglauber.perturbation import (DegenerateGapError, SweepPoint,
-                                    finite_difference_gap, hellmann_feynman,
-                                    sign_structure_terms,
+                                    finite_difference_gap, finite_differences,
+                                    hellmann_feynman, sign_structure_terms,
                                     sweep_monotonicity, temperature_view)
 from cwglauber.spectral import second_eigenpair
 from cwglauber.verification import run_verification
@@ -57,11 +57,6 @@ class TestHellmannFeynman:
 
 
 class TestFiniteDifference:
-    @pytest.mark.parametrize("delta", [1e-9, 5e-3])
-    def test_delta_range_enforced(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            finite_difference_gap(ModelParams(n=4, J=0.2, H=0.0), delta=delta)
-
     def test_single_spin_zero(self):
         assert finite_difference_gap(ModelParams(n=1, J=0.5, H=0.0)) == 0.0
 
@@ -72,9 +67,8 @@ class TestFiniteDifference:
                                     abs=1e-8)
 
     def test_richardson_stability_under_halving(self):
-        params = ModelParams(n=7, J=0.15, H=0.05)
-        a = finite_difference_gap(params, delta=1e-5)
-        b = finite_difference_gap(params, delta=5e-6)
+        grid = ModelParams(n=7, J=np.array([[0.15]]), H=0.05)
+        a, b = (finite_differences(grid, delta)[0][0] for delta in (1e-5, 5e-6))
         assert abs(a - b) < 1e-7
 
     def test_default_step_scales_with_n(self):

@@ -166,8 +166,9 @@ class TestSeparation:
         res = second_eigenpair(ModelParams(n=6, J=0.2, H=0.1))
         assert res.separation == res.lambda2 - res.lambda3 > 0
 
-    def test_none_for_single_spin(self):
-        assert second_eigenpair(ModelParams(n=1, J=0.3, H=0.0)).separation is None
+    def test_nan_for_single_spin(self):
+        res = second_eigenpair(ModelParams(n=1, J=0.3, H=0.0))
+        assert math.isnan(res.lambda3) and math.isnan(res.separation)
 
 
 class TestSolverFailures:
@@ -360,8 +361,7 @@ class TestIncrementVector:
 class TestStructureReport:
     def test_all_flags_at_h0(self):
         res = second_eigenpair(ModelParams(n=7, J=0.15, H=0.0))
-        rep = eigenvector_structure_report(res.second_vector, tol=1e-9,
-                                           h=0.0,
+        rep = eigenvector_structure_report(res.second_vector, h=0.0,
                                            eigen_separation=res.separation)
         assert rep.increasing and rep.strictly
         assert rep.antisymmetric_at_h0 and rep.sign_split and rep.reliable
