@@ -15,8 +15,7 @@ from .magchain import (DerivativeMatrix, ReducedChain, build_reduced_chain,
                        s_values)
 from .mcmc import (RelaxationEstimate, Trajectory, estimate_relaxation,
                    simulate_full, simulate_reduced)
-from .perturbation import (SweepPoint, SweepReport, finite_difference_gap,
-                           hellmann_feynman, sign_structure_terms,
+from .perturbation import (SweepPoint, SweepReport, analyse,
                            sweep_monotonicity, temperature_view)
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
                        eigenvector_structure_report, full_chain_top_eigenvalues,
@@ -31,8 +30,8 @@ __all__ = [
     "derivative_matrix", "lump_vector", "reduced_stationary", "s_values",
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",
     "simulate_full", "simulate_reduced",
-    "SweepPoint", "SweepReport", "finite_difference_gap", "hellmann_feynman",
-    "sign_structure_terms", "sweep_monotonicity", "temperature_view",
+    "SweepPoint", "SweepReport", "analyse", "sweep_monotonicity",
+    "temperature_view",
     "EigensolverError", "SpectralResult", "StructureReport",
     "eigenvector_structure_report", "full_chain_top_eigenvalues",
     "second_eigenpair", "symmetrized_full_chain",

@@ -49,6 +49,17 @@ def _output_path(arg_value: str | None, default_name: str) -> Path:
     return Path(os.environ.get("CWGLAUBER_OUTPUT_DIR", ".")) / default_name
 
 
+def _write(path: Path, text: str) -> bool:
+    """Write an artifact and say so, or report on one stderr line why not."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    print(f"wrote {path}")
+    return True
+
+
 def _params_or_exit(parser, n, J, H) -> ModelParams:
     try:
         return ModelParams(n=n, J=J, H=H)
@@ -98,12 +109,10 @@ def cmd_sweep(parser, args) -> int:
                f"--J-steps {args.J_steps}")
     c = args.c if args.temperature_view else None
     path = _output_path(args.output, f"sweep_n{args.n}.{args.format}")
-    if args.format == "json":
-        path.write_text(sweep_to_json(report, command=command))
-    else:
-        path.write_text(sweep_to_csv(report, command=command,
-                                     temperature_constant=c))
-    print(f"wrote {path}")
+    text = (sweep_to_json(report, command=command) if args.format == "json"
+            else sweep_to_csv(report, command=command, temperature_constant=c))
+    if not _write(path, text):
+        return EXIT_USAGE
     print(f"points: {len(report.points)} computed, {len(report.failures)} failed")
     print(f"monotone: {'true' if report.monotone_in_J else 'false'}")
     print(f"max_violation: {report.max_violation:.17g}")
@@ -159,8 +168,8 @@ def cmd_simulate(parser, args) -> int:
     simulate = simulate_full if args.full else simulate_reduced
     traj = simulate(params, seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     path = _output_path(args.output, f"trajectory_n{args.n}_seed{args.seed}.csv")
-    path.write_text(trajectory_to_csv(traj))
-    print(f"wrote {path}")
+    if not _write(path, trajectory_to_csv(traj)):
+        return EXIT_USAGE
     try:
         est = estimate_relaxation(traj, method=args.method)
     except EstimationError as exc:

@@ -125,6 +125,10 @@ def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL):
         raise ValueError(
             f"full chain for n={n} refused: exceeds n_max_full={n_max_full} "
             f"(2^n state space)")
+    if 8 * (n + 1) << n > np.iinfo(np.intp).max:
+        # numpy fails on byte counts past intp with ValueError or TypeError
+        raise MemoryError(f"full chain for n={n} refused: 2^{n} x {n + 1} "
+                          f"entries exceed the address space")
     # A flip depends only on the site's spin s and the up-count k, since the
     # other spins sum to 2k - n - s: table[b, k] holds it for s = 2b - 1.
     s = np.array([[-1], [1]])

@@ -29,8 +29,8 @@ import numpy as np
 
 from .ising import ModelParams
 from .magchain import build_reduced_chain, derivative_matrix
-from .spectral import (DEGENERATE_GAP, EigensolverError, increment_rows,
-                       relaxation, second_eigenpair, second_eigenpairs)
+from .spectral import (increment_rows, relaxation, second_eigenpairs,
+                       usability_errors)
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
 # FD_DELTA_DEFAULT / n balances central-difference truncation against
@@ -47,39 +47,6 @@ SIGN_TERM_TOL = 1e-12
 BLOCK_ELEMENTS = 1 << 12
 
 
-class DegenerateGapError(RuntimeError):
-    """lambda_2 is numerically degenerate with lambda_3; the perturbation
-    formula assumes a simple eigenvalue."""
-
-
-def coupling_derivative(params: ModelParams, pi, f):
-    """(<f, (dP/dJ) f>_pi, terms f_k ((dP/dJ) f)_k) from pi-normalized f and
-    its pi, one row per coupling if params.J is a column; no solve."""
-    dmf = derivative_matrix(params).apply(f)
-    return np.sum(pi * f * dmf, axis=-1), f * dmf
-
-
-def _unusable(separation, f) -> list:
-    """Per row, the error that bars the perturbation formula, or None."""
-    return [DegenerateGapError(f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
-                               f"eigenvalue not numerically simple")
-            if sep < DEGENERATE_GAP else None if finite else EigensolverError(
-                "second eigenvector is not finite: its increments underflowed "
-                "where pi has its mass")
-            for sep, finite in zip(np.asarray(separation).tolist(),
-                                   np.isfinite(f).all(axis=-1).tolist())]
-
-
-def hellmann_feynman(params: ModelParams) -> float:
-    """d lambda_2 / dJ via <f, (dP/dJ) f>_pi on the reduced chain; refuses
-    when lambda_2 - lambda_3 < 1e-12, where the simple-eigenvalue assumption
-    breaks down, and when f is not finite."""
-    res = second_eigenpair(params)
-    for error in filter(None, _unusable([res.separation], res.second_vector[None])):
-        raise error
-    return float(coupling_derivative(params, res.pi, res.second_vector)[0])
-
-
 def fd_stencil(J, delta: float):
     """The couplings ``difference_quotient`` reads besides J."""
     return J + delta, np.where(J >= delta, J - delta, J + 2 * delta)
@@ -92,46 +59,33 @@ def difference_quotient(J, delta: float, at_J, at_plus, at_other):
                     (-3.0 * at_J + 4.0 * at_plus - at_other) / (2.0 * delta))
 
 
-def finite_differences(grid: ModelParams, delta: float, at_J=None):
+def finite_differences(grid: ModelParams, delta: float, at_J):
     """(d lambda_2/dJ, first stencil error or None) at each coupling of the
-    column grid.J, given lambda_2 at J (at_J; solved here when None)."""
+    column grid.J, given lambda_2 there (at_J)."""
     J, k = grid.J[:, 0], len(grid.J)
-    rows = np.concatenate(([] if at_J is not None else [J]) + [*fd_stencil(J, delta)])
+    rows = np.concatenate(fd_stencil(J, delta))
     errors = [None] * len(rows)
     with np.errstate(all="ignore"):
         chain = build_reduced_chain(replace(grid, J=rows[:, None]))
         lam = increment_rows(chain.up, chain.down, errors)[0][:, 0]
-    m = len(rows) - 2 * k
-    return (difference_quotient(J, delta, lam[:m] if m else at_J,
-                                lam[m:m + k], lam[m + k:]),
-            [next(filter(None, errors[i::k]), None) for i in range(k)])
+    return (difference_quotient(J, delta, at_J, lam[:k], lam[k:]),
+            [errors[i] or errors[k + i] for i in range(k)])
 
 
-def finite_difference_gap(params: ModelParams) -> float:
-    """Finite-difference oracle for d lambda_2 / dJ: ``finite_differences``
-    at one point, with the step FD_DELTA_DEFAULT / n."""
-    delta = FD_DELTA_DEFAULT / params.n
-    fd, errors = finite_differences(replace(params, J=np.array([[params.J]])),
-                                    delta, None if params.J < delta else math.nan)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(fd[0])
-
-
-def sign_structure_terms(params: ModelParams) -> np.ndarray:
-    """Per-level terms f_k (P'f)_k of the derivative quadratic form at H = 0.
-
-    Each term is nonnegative (within rounding) for the increasing
-    eigenvector; their pi-weighted sum is hellmann_feynman's output.  The
-    sign argument lives at H = 0, so other fields are rejected.
-    """
-    if params.H != 0.0:
-        raise ValueError(
-            "sign_structure_terms applies at H = 0 only (the s-based sign "
-            "argument does not cover H != 0); use sweep_monotonicity to "
-            "report H != 0 behavior numerically")
-    res = second_eigenpair(params)
-    return coupling_derivative(params, res.pi, res.second_vector)[1]
+def analyse(grid: ModelParams):
+    """The analysis of each coupling of the column grid.J, one row per
+    coupling, as (w, f, pi, hf, terms, fd, errors): ``second_eigenpairs``'
+    (w, f, pi); the Hellmann-Feynman derivative hf = <f, (dP/dJ) f>_pi and
+    its per-level terms f_k ((dP/dJ) f)_k; the finite-difference derivative
+    fd at the step FD_DELTA_DEFAULT / n; and per row its (solve, usability,
+    stencil) errors, each an exception or None.  Failed rows hold NaN."""
+    w, f, pi, errors = second_eigenpairs(grid)
+    with np.errstate(all="ignore"):  # failed rows are NaN
+        dmf = derivative_matrix(grid).apply(f)
+        hf, terms = np.sum(pi * f * dmf, axis=-1), f * dmf
+    fd, fd_errors = finite_differences(grid, FD_DELTA_DEFAULT / grid.n, w[:, 0])
+    return (w, f, pi, hf, terms, fd,
+            list(zip(errors, usability_errors(w[:, 0] - w[:, 1], f), fd_errors)))
 
 
 @dataclass(frozen=True)
@@ -182,15 +136,12 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
     points, failures = [], []
     rows = max(1, BLOCK_ELEMENTS // (n + 1))
     for block in (J_grid[i:i + rows] for i in range(0, len(J_grid), rows)):
-        grid = ModelParams(n=n, J=np.array(block)[:, None], H=H)
-        w, f, pi, errors = second_eigenpairs(grid)
-        with np.errstate(all="ignore"):  # failed rows are NaN
-            hf, terms = coupling_derivative(grid, pi, f)
+        w, _, _, hf, terms, fd, errors = analyse(
+            ModelParams(n=n, J=np.array(block)[:, None], H=H))
+        with np.errstate(all="ignore"):
             sign_ok = (terms >= -SIGN_TERM_TOL).all(axis=1).tolist()
-        fd, fd_errors = finite_differences(grid, FD_DELTA_DEFAULT / n, w[:, 0])
-        for J, *errs, lambda2, hf_i, fd_i, sign_i in zip(
-                block, errors, _unusable(w[:, 0] - w[:, 1], f), fd_errors,
-                w[:, 0].tolist(), hf.tolist(), fd.tolist(), sign_ok):
+        for J, errs, lambda2, hf_i, fd_i, sign_i in zip(
+                block, errors, w[:, 0].tolist(), hf.tolist(), fd.tolist(), sign_ok):
             error = next(filter(None, errs), None)  # the point's own first
             if error is not None:
                 failures.append({"J": J, "error": f"{type(error).__name__}: {error}"})

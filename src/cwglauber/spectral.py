@@ -36,6 +36,23 @@ class EigensolverError(RuntimeError):
     """An eigensolver failed to converge or was fed an invalid matrix."""
 
 
+class DegenerateGapError(RuntimeError):
+    """lambda_2 is numerically degenerate with lambda_3; the perturbation
+    formula assumes a simple eigenvalue."""
+
+
+def usability_errors(separation, f) -> list:
+    """Per row of f, the error that bars reading it (lambda_2 - lambda_3 =
+    separation below DEGENERATE_GAP, or a non-finite entry), or None."""
+    return [DegenerateGapError(f"lambda2 - lambda3 = {sep:.3e} < {DEGENERATE_GAP}: "
+                               f"eigenvalue not numerically simple")
+            if sep < DEGENERATE_GAP else None if finite else EigensolverError(
+                "second eigenvector is not finite: its increments underflowed "
+                "where pi has its mass")
+            for sep, finite in zip(np.asarray(separation).tolist(),
+                                   np.isfinite(f).all(axis=-1).tolist())]
+
+
 @dataclass(frozen=True)
 class SpectralResult:
     """Spectrum summary of the reduced chain at one parameter point.
@@ -250,7 +267,7 @@ def eigenvector_structure_report(f, *, h: float = 0.0,
                           and np.all(f[k >= n / 2] >= -tol))
     else:
         sign_split = None
-    reliable = bool(np.isfinite(f).all()) and not eigen_separation < DEGENERATE_GAP
+    reliable = usability_errors([eigen_separation], f[None])[0] is None
     return StructureReport(increasing=increasing, strictly=strictly,
                            antisymmetric_at_h0=antisymmetric,
                            sign_split=sign_split, reliable=reliable)

@@ -17,11 +17,9 @@ from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
                     full_transition_matrix, log_weights_full, stationary_full)
 from .magchain import (add_shifted, build_reduced_chain, derivative_matrix,
                        lump_vector, s_values)
-from .perturbation import (coupling_derivative, difference_quotient,
-                           fd_stencil, finite_difference_gap)
-from .spectral import (EigensolverError, eigenvector_structure_report,
-                       full_chain_top_eigenvalues, lifted_residual,
-                       second_eigenpair, symmetrized_full_chain)
+from .perturbation import analyse, difference_quotient, fd_stencil
+from .spectral import (EigensolverError, full_chain_top_eigenvalues,
+                       lifted_residual, symmetrized_full_chain)
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,12 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     n, J, H = params.n, params.J, params.H
     # solved first: a point the reduced solve refuses (underflowed chain
     # entries) stops here, before the full-chain checks overflow on it
-    res = second_eigenpair(params)
+    top, f, pi, hf, terms, fd, errors = (a[0] for a in analyse(
+        ModelParams(n=n, J=np.array([[J]]), H=H)))
+    solve_error, usability_error, stencil_error = errors
+    if solve_error is not None:
+        raise solve_error
+    lambda2, fd = float(top[0]), float(fd)
     out = []
 
     # --- full chain, read one flipped bit at a time ----------------------
@@ -105,12 +108,12 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         name="reduced_positivity",
         status="pass" if positivity > 0 else "fail",
         value=float(positivity), tol=0.0, note="min up/down entry (must be > 0)"))
-    flux = np.abs(res.pi[:-1] * chain.up - res.pi[1:] * chain.down).max()
+    flux = np.abs(pi[:-1] * chain.up - pi[1:] * chain.down).max()
     out.append(CheckResult.from_violation(
         "reduced_detailed_balance", flux, 1e-13))
     lumped = np.bincount(levels, weights=p, minlength=n + 1)
     out.append(CheckResult.from_violation(
-        "stationary_lumping", np.abs(lumped - res.pi).max(), 1e-12))
+        "stationary_lumping", np.abs(lumped - pi).max(), 1e-12))
     below = levels < n
     worst_lump = np.abs(up_mass[below] - chain.up[levels[below]]).max()
     out.append(CheckResult.from_violation(
@@ -121,7 +124,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     S = symmetrized_full_chain(P)
     full_top = full_chain_top_eigenvalues(S)
     out.append(CheckResult.from_violation(
-        "lumping_lambda2", abs(res.lambda2 - full_top[1]), 1e-10))
+        "lumping_lambda2", abs(lambda2 - full_top[1]), 1e-10))
     # the reduced chain's whole spectrum, needed only here (n <= n_max_full),
     # from numpy's dense solve of its symmetric form, apart from the grid core
     off = np.sqrt(chain.up * chain.down)
@@ -138,14 +141,14 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         "eigenvalue_range", max(0.0, np.abs(red_spec).max() - 1.0), 1e-12))
     out.append(CheckResult.from_violation(
         "top_eigenvalue", abs(red_spec[0] - 1.0), 1e-10))
-    lf = lump_vector(res.second_vector, n)
+    lf = lump_vector(f, n)
     # f is pi-normalized, so |lf| reaches ~1e9 where pi is tiny; the rounding
     # floor of P @ lf (n+1 terms per row) then exceeds 1e-10
     lf_floor = 4 * (n + 1) * np.finfo(float).eps * float(np.abs(lf).max())
     out.append(CheckResult.from_violation(
-        "lumped_eigenvector", np.abs(P @ lf - res.lambda2 * lf).max(),
+        "lumped_eigenvector", np.abs(P @ lf - lambda2 * lf).max(),
         max(1e-10, lf_floor)))
-    norm = float(np.sum(res.pi * res.second_vector ** 2))
+    norm = float(np.sum(pi * f ** 2))
     out.append(CheckResult.from_violation(
         "eigenvector_normalization", abs(norm - 1.0), 1e-10))
 
@@ -169,14 +172,12 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         "s_sign_pattern", sign_bad, 0.0))
 
     # --- perturbation identity and eigenvector shape ----------------------
-    report = eigenvector_structure_report(res.second_vector, h=H,
-                                          eigen_separation=res.separation)
-    hf, terms = coupling_derivative(params, res.pi, res.second_vector)
-    if report.reliable:
-        fd = finite_difference_gap(params)
+    if usability_error is None:
+        if stencil_error is not None:
+            raise stencil_error
         out.append(CheckResult.from_violation(
             "hellmann_feynman_vs_fd", abs(hf - fd), max(1e-8, 1e-6 * abs(fd))))
-        mininc = float(np.diff(res.second_vector).min())
+        mininc = float(np.diff(f).min())
         out.append(CheckResult(
             name="eigenvector_increasing",
             status="pass" if mininc > 0 else "fail",
@@ -184,8 +185,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     else:
         for name in ("hellmann_feynman_vs_fd", "eigenvector_increasing"):
             out.append(CheckResult.skipped(name, "lambda2 numerically degenerate"))
-    if H == 0.0 and report.reliable:
-        f = res.second_vector
+    if H == 0.0 and usability_error is None:
         out.append(CheckResult.from_violation(
             "eigenvector_antisymmetry", np.abs(f + f[::-1]).max(), 1e-9))
         split_bad = max(0.0, float(f[2 * k <= n].max()),
@@ -197,7 +197,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
                 "eigenvector_middle_zero", abs(f[n // 2]), 1e-9))
         out.append(CheckResult.from_violation(
             "sign_structure_terms", max(0.0, -(terms.min())), 1e-12))
-        weighted = float(np.sum(res.pi * terms))
+        weighted = float(np.sum(pi * terms))
         out.append(CheckResult.from_violation(
             "sign_terms_sum_vs_hf", abs(weighted - hf), 1e-12))
     elif H != 0.0:

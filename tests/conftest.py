@@ -1,8 +1,26 @@
 """Shared fixtures and helpers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+
+def analyse_point(params, raising=3):
+    """``perturbation.analyse`` at the one point params: its row by name,
+    after raising the first of the row's first ``raising`` errors (solve,
+    usability, stencil).  raising=1 reads what the solve alone refuses,
+    2 what the Hellmann-Feynman route refuses, 3 what a sweep point does."""
+    from cwglauber.ising import ModelParams
+    from cwglauber.perturbation import analyse
+    w, f, pi, hf, terms, fd, errors = (row[0] for row in analyse(
+        ModelParams(params.n, np.array([[params.J]]), params.H)))
+    error = next(filter(None, errors[:raising]), None)
+    if error is not None:
+        raise error
+    return SimpleNamespace(lambda2=float(w[0]), f=f, pi=pi, hf=float(hf),
+                           terms=terms, fd=float(fd))
 
 
 def dense_reduced_chain(chain):

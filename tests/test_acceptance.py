@@ -16,16 +16,14 @@ reports is still printed and written to CSV.
 import numpy as np
 import pytest
 
-from conftest import detailed_balance_violation
+from conftest import analyse_point, detailed_balance_violation
 from cwglauber.ising import (ModelParams, full_transition_matrix,
                              stationary_full)
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import estimate_relaxation, simulate_reduced
-from cwglauber.perturbation import (DegenerateGapError, finite_difference_gap,
-                                    hellmann_feynman, sign_structure_terms,
-                                    sweep_monotonicity, temperature_view)
-from cwglauber.spectral import (full_chain_top_eigenvalues, second_eigenpair,
-                                symmetrized_full_chain)
+from cwglauber.perturbation import sweep_monotonicity, temperature_view
+from cwglauber.spectral import (DegenerateGapError, full_chain_top_eigenvalues,
+                                second_eigenpair, symmetrized_full_chain)
 
 GRID_N = range(2, 11)
 GRID_J = [round(0.05 * i, 2) for i in range(11)]  # 0, 0.05, ..., 0.5
@@ -124,13 +122,12 @@ def test_criterion_03_perturbation_identity():
         for J in GRID_J:
             for H in GRID_H:
                 total += 1
-                params = ModelParams(n=n, J=J, H=H)
                 try:
-                    hf = hellmann_feynman(params)
+                    point = analyse_point(ModelParams(n=n, J=J, H=H))
                 except DegenerateGapError:
                     skipped += 1
                     continue
-                fd = finite_difference_gap(params)
+                hf, fd = point.hf, point.fd
                 excess = abs(hf - fd) / max(1e-8, 1e-6 * abs(fd))
                 if excess > worst:
                     worst, worst_pt = excess, (n, J, H)
@@ -155,7 +152,8 @@ def test_criterion_04_eigenvector_structure():
             max_anti = max(max_anti, float(np.abs(f + f[::-1]).max()))
             if n % 2 == 0:
                 max_mid = max(max_mid, abs(f[n // 2]))
-            min_term = min(min_term, float(sign_structure_terms(params).min()))
+            min_term = min(min_term,
+                           float(analyse_point(params, raising=1).terms.min()))
     ok = verdict(4, "eigenvector structure at H=0",
                  min_inc > 0 and max_anti < 1e-9 and max_mid < 1e-9
                  and min_term >= -1e-12,

@@ -302,6 +302,40 @@ class TestVerifyCommand:
         assert captured.err == ("solver failure: reduced-chain eigensolver "
                                 "failed: Eigenvalues did not converge\n")
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 300])
+    def test_unaddressable_full_chain_exits_3(self, n, capsys):
+        """A 2^n chain past numpy's index range is refused before any
+        allocation, not left to fail inside numpy with a traceback."""
+        assert run_cli(["verify", "--n", str(n), "--J", "0.01",
+                        "--n-max-full", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"solver failure: full chain for n={n}")
+        assert captured.err.count("\n") == 1
+
+
+_SWEEP = ["sweep", "--n", "4", "--J-min", "0", "--J-max", "0.5", "--J-steps", "3"]
+
+
+@pytest.mark.parametrize("argv,output_dir", [
+    (_SWEEP + ["--output", "{tmp}/missing/x.csv"], None),
+    (_SWEEP + ["--output", "{tmp}"], None),
+    (_SWEEP, "{tmp}/missing"),
+    (["simulate", "--n", "4", "--J", "0.1", "--steps", "10000",
+      "--output", "{tmp}/missing/t.csv"], None),
+], ids=["missing-directory", "directory", "output-dir-variable", "simulate"])
+def test_unwritable_output_exits_2(argv, output_dir, tmp_path, monkeypatch,
+                                   capsys):
+    """An output path that cannot be written is a usage error, reported on
+    one stderr line."""
+    if output_dir:
+        monkeypatch.setenv("CWGLAUBER_OUTPUT_DIR", output_dir.format(tmp=tmp_path))
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {tmp_path}")
+    assert captured.err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ["gap", "--n", "8", "--J", "0.1"],

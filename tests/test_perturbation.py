@@ -4,104 +4,97 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import analyse_point
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
-from cwglauber.perturbation import (DegenerateGapError, SweepPoint,
-                                    finite_difference_gap, finite_differences,
-                                    hellmann_feynman, sign_structure_terms,
+from cwglauber.perturbation import (SweepPoint, finite_differences,
                                     sweep_monotonicity, temperature_view)
-from cwglauber.spectral import second_eigenpair
+from cwglauber.spectral import (DegenerateGapError, relaxation,
+                                second_eigenpairs)
 from cwglauber.verification import run_verification
 from test_acceptance import supercritical_slowdown_table
 
 
 class TestHellmannFeynman:
     def test_nonnegative_at_h0(self):
-        assert hellmann_feynman(ModelParams(n=6, J=0.1, H=0.0)) >= -1e-12
+        assert analyse_point(ModelParams(n=6, J=0.1, H=0.0), raising=2).hf >= -1e-12
 
     @pytest.mark.parametrize("J", [0.0, 0.5, 3.0])
     def test_single_spin_chain_is_flat(self, J):
-        assert hellmann_feynman(ModelParams(n=1, J=J, H=0.0)) == 0.0
+        assert analyse_point(ModelParams(n=1, J=J, H=0.0), raising=2).hf == 0.0
 
     def test_matches_finite_difference_relative(self):
-        params = ModelParams(n=5, J=0.2, H=0.0)
-        hf = hellmann_feynman(params)
-        fd = finite_difference_gap(params)
+        point = analyse_point(ModelParams(n=5, J=0.2, H=0.0))
+        hf, fd = point.hf, point.fd
         assert abs(hf - fd) <= 1e-6 * abs(fd)
 
     @pytest.mark.parametrize("n", [2, 4, 7, 10])
     @pytest.mark.parametrize("J", [0.0, 0.2, 0.5, 0.8])
     @pytest.mark.parametrize("H", [0.0, 0.2, -0.2])
     def test_agreement_grid(self, n, J, H):
-        params = ModelParams(n=n, J=J, H=H)
-        hf = hellmann_feynman(params)
-        fd = finite_difference_gap(params)
+        point = analyse_point(ModelParams(n=n, J=J, H=H))
+        hf, fd = point.hf, point.fd
         assert abs(hf - fd) <= max(1e-8, 1e-6 * abs(fd))
 
     def test_refuses_degenerate_gap(self, monkeypatch):
-        from cwglauber.spectral import SpectralResult
-        fake = SpectralResult(
-            lambda2=0.5, lambda3=0.5 + 1e-13, gap=0.5, t_rel=2.0,
-            second_vector=np.array([-1.0, -0.5, 0.5, 1.0]),
-            pi=np.array([0.125, 0.375, 0.375, 0.125]))
-        monkeypatch.setattr(perturbation, "second_eigenpair", lambda p: fake)
+        fake = (np.array([[0.5, 0.5 + 1e-13]]),
+                np.array([[-1.0, -0.5, 0.5, 1.0]]),
+                np.array([[0.125, 0.375, 0.375, 0.125]]), [None])
+        monkeypatch.setattr(perturbation, "second_eigenpairs", lambda grid: fake)
         with pytest.raises(DegenerateGapError):
-            hellmann_feynman(ModelParams(n=3, J=0.1, H=0.0))
+            analyse_point(ModelParams(n=3, J=0.1, H=0.0), raising=2)
 
     @pytest.mark.filterwarnings("error")
     def test_refuses_non_finite_vector(self):
         from cwglauber.spectral import EigensolverError
         with pytest.raises(EigensolverError, match="not finite"):
-            hellmann_feynman(ModelParams(n=1000, J=0.00186, H=-0.5))
+            analyse_point(ModelParams(n=1000, J=0.00186, H=-0.5), raising=2)
 
 
 class TestFiniteDifference:
     def test_single_spin_zero(self):
-        assert finite_difference_gap(ModelParams(n=1, J=0.5, H=0.0)) == 0.0
+        assert analyse_point(ModelParams(n=1, J=0.5, H=0.0)).fd == 0.0
 
     def test_boundary_uses_forward_difference(self):
-        val = finite_difference_gap(ModelParams(n=6, J=0.0, H=0.0))
+        point = analyse_point(ModelParams(n=6, J=0.0, H=0.0))
+        val = point.fd
         assert np.isfinite(val)
-        assert val == pytest.approx(hellmann_feynman(ModelParams(n=6, J=0.0, H=0.0)),
-                                    abs=1e-8)
+        assert val == pytest.approx(point.hf, abs=1e-8)
 
     def test_richardson_stability_under_halving(self):
         grid = ModelParams(n=7, J=np.array([[0.15]]), H=0.05)
-        a, b = (finite_differences(grid, delta)[0][0] for delta in (1e-5, 5e-6))
+        at_J = second_eigenpairs(grid)[0][:, 0]
+        a, b = (finite_differences(grid, delta, at_J)[0][0]
+                for delta in (1e-5, 5e-6))
         assert abs(a - b) < 1e-7
 
     def test_default_step_scales_with_n(self):
         """lambda_2 varies on the J scale 1/n; a step fixed at 1e-5 leaves a
         truncation error of 2.8e-3 relative here, near criticality."""
-        params = ModelParams(n=1000, J=0.001, H=0.0)
-        hf = hellmann_feynman(params)
-        fd = finite_difference_gap(params)
+        point = analyse_point(ModelParams(n=1000, J=0.001, H=0.0))
+        hf, fd = point.hf, point.fd
         assert abs(hf - fd) <= 1e-6 * abs(fd)
 
 
 class TestSignStructure:
-    def test_rejects_field(self):
-        with pytest.raises(ValueError, match="H = 0"):
-            sign_structure_terms(ModelParams(n=5, J=0.2, H=0.1))
-
     @pytest.mark.parametrize("n", [4, 6, 10])
     def test_even_middle_term_vanishes(self, n):
-        terms = sign_structure_terms(ModelParams(n=n, J=0.25, H=0.0))
+        terms = analyse_point(ModelParams(n=n, J=0.25, H=0.0), raising=1).terms
         assert abs(terms[n // 2]) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("J", [0.0, 0.1, 0.3, 0.5])
     def test_terms_nonnegative(self, n, J):
-        terms = sign_structure_terms(ModelParams(n=n, J=J, H=0.0))
+        terms = analyse_point(ModelParams(n=n, J=J, H=0.0), raising=1).terms
         assert terms.min() >= -1e-12
 
     @pytest.mark.parametrize("n,J", [(5, 0.2), (8, 0.4), (3, 0.0)])
     def test_weighted_sum_is_hf(self, n, J):
         params = ModelParams(n=n, J=J, H=0.0)
-        terms = sign_structure_terms(params)
+        point = analyse_point(params, raising=2)
         pi = reduced_stationary(params).probabilities
-        assert abs(np.sum(pi * terms) - hellmann_feynman(params)) < 1e-12
+        assert abs(np.sum(pi * point.terms) - point.hf) < 1e-12
 
 
 class TestSweep:
@@ -151,10 +144,13 @@ class TestOneSolvePerPoint:
         assert lapack_calls == {"dstevd": 0, "dstemr": 9}
 
     def test_verification_lapack_calls(self, lapack_calls):
-        # the point and two FD solves; numpy's dense eigh solves the reduced
-        # spectrum it checks
-        run_verification(ModelParams(n=6, J=0.2, H=0.0))
-        assert lapack_calls == {"dstevd": 0, "dstemr": 3}
+        # the point and two FD solves, also at J below the step, where the
+        # one-sided stencil reads the point's own lambda_2; numpy's dense
+        # eigh solves the reduced spectrum it checks
+        for J in (0.2, 0.0, 5e-7):
+            lapack_calls.update(dstevd=0, dstemr=0)
+            run_verification(ModelParams(n=6, J=J, H=0.0))
+            assert lapack_calls == {"dstevd": 0, "dstemr": 3}, J
 
     @pytest.mark.parametrize("H", [0.0, 0.2])
     def test_one_stationary_law_per_point(self, monkeypatch, H):
@@ -221,23 +217,20 @@ def test_slowdown_table_shape():
 
 
 def _reference_sweep(n, H, grid):
-    """The sweep rebuilt point by point from the public one-row functions."""
+    """The sweep rebuilt point by point from one-row ``analyse`` calls."""
     points, failures = [], []
     for J in grid:
-        params = ModelParams(n=n, J=J, H=H)
         try:
-            res = second_eigenpair(params)
-            hf = hellmann_feynman(params)
-            fd = finite_difference_gap(params)
-            sign_ok = (bool(np.all(sign_structure_terms(params)
-                                   >= -perturbation.SIGN_TERM_TOL))
-                       if H == 0.0 else None)
+            point = analyse_point(ModelParams(n=n, J=J, H=H))
         except Exception as exc:
             failures.append({"J": J, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        points.append(SweepPoint(J=J, H=float(H), n=n, lambda2=res.lambda2,
-                                 gap=res.gap, t_rel=res.t_rel,
-                                 hf_derivative=hf, fd_derivative=fd,
+        gap, t_rel = relaxation(point.lambda2)
+        sign_ok = (bool(np.all(point.terms >= -perturbation.SIGN_TERM_TOL))
+                   if H == 0.0 else None)
+        points.append(SweepPoint(J=J, H=float(H), n=n, lambda2=point.lambda2,
+                                 gap=gap, t_rel=t_rel,
+                                 hf_derivative=point.hf, fd_derivative=point.fd,
                                  sign_terms_ok=sign_ok))
     return points, failures
 

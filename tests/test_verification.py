@@ -158,3 +158,46 @@ def test_lumped_eigenvector_catches_a_relative_perturbation(monkeypatch):
     check = _lumped_eigenvector(
         run_verification(ModelParams(n=4, J=0.0, H=20.0)))
     assert check.status == "fail"
+
+
+def _degenerate_lambda3(monkeypatch):
+    """Solve as usual, then set lambda_3 1e-13 below lambda_2."""
+    import cwglauber.perturbation as perturbation
+    real = perturbation.second_eigenpairs
+
+    def degenerate(grid):
+        w, f, pi, errors = real(grid)
+        w[:, 1] = w[:, 0] - 1e-13
+        return w, f, pi, errors
+
+    monkeypatch.setattr(perturbation, "second_eigenpairs", degenerate)
+
+
+def _failing_stencil(monkeypatch):
+    """Fail every finite-difference stencil row before it is solved."""
+    import cwglauber.perturbation as perturbation
+    real = perturbation.increment_rows
+
+    def failing(up, down, errors):
+        errors[:] = [RuntimeError("stencil solve failed")] * len(errors)
+        return real(up, down, errors)
+
+    monkeypatch.setattr(perturbation, "increment_rows", failing)
+
+
+def test_unusable_point_skips_both_derivative_checks(monkeypatch):
+    """At a degenerate lambda_2 the derivative checks skip with the note,
+    and a failed stencil there is not raised: FD is read only where HF is."""
+    _degenerate_lambda3(monkeypatch)
+    _failing_stencil(monkeypatch)
+    results = {r.name: r for r in run_verification(ModelParams(n=6, J=0.2))}
+    for name in ("hellmann_feynman_vs_fd", "eigenvector_increasing"):
+        assert (results[name].status, results[name].note) == (
+            "skip", "lambda2 numerically degenerate")
+    assert "sign_structure_terms" not in results
+
+
+def test_stencil_failure_at_a_usable_point_is_raised(monkeypatch):
+    _failing_stencil(monkeypatch)
+    with pytest.raises(RuntimeError, match="stencil solve failed"):
+        run_verification(ModelParams(n=6, J=0.2))
