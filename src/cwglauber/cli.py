@@ -17,6 +17,7 @@ CWGLAUBER_OUTPUT_DIR sets the directory for default output filenames.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -47,6 +48,24 @@ def _output_path(arg_value: str | None, default_name: str) -> Path:
     if arg_value:
         return Path(arg_value)
     return Path(os.environ.get("CWGLAUBER_OUTPUT_DIR", ".")) / default_name
+
+
+def _unwritable(path: Path) -> bool:
+    """Report on one stderr line, as ``_write`` would, why path cannot be
+    written, found before any work and without creating or truncating it."""
+    parent = path.parent
+    try:
+        if path.exists():
+            os.close(os.open(path, os.O_WRONLY))  # EISDIR, EACCES
+        elif not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code))
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return True
+    return False
 
 
 def _write(path: Path, text: str) -> bool:
@@ -103,12 +122,14 @@ def cmd_sweep(parser, args) -> int:
     grid = np.linspace(args.J_min, args.J_max, args.J_steps).tolist()
     if len(set(grid)) < args.J_steps:
         parser.error("--J-steps too large: grid couplings coincide")
+    path = _output_path(args.output, f"sweep_n{args.n}.{args.format}")
+    if _unwritable(path):
+        return EXIT_USAGE
     report = sweep_monotonicity(args.n, args.H, grid)
     command = (f"cwglauber sweep --n {args.n} --H {args.H:g} "
                f"--J-min {args.J_min:g} --J-max {args.J_max:g} "
                f"--J-steps {args.J_steps}")
     c = args.c if args.temperature_view else None
-    path = _output_path(args.output, f"sweep_n{args.n}.{args.format}")
     text = (sweep_to_json(report, command=command) if args.format == "json"
             else sweep_to_csv(report, command=command, temperature_constant=c))
     if not _write(path, text):
@@ -165,9 +186,11 @@ def cmd_simulate(parser, args) -> int:
     if args.full and args.n > N_MAX_SIMULATE_FULL:
         parser.error(f"--full needs n <= {N_MAX_SIMULATE_FULL}, got {args.n}")
     params = _params_or_exit(parser, args.n, args.J, args.H)
+    path = _output_path(args.output, f"trajectory_n{args.n}_seed{args.seed}.csv")
+    if _unwritable(path):
+        return EXIT_USAGE
     simulate = simulate_full if args.full else simulate_reduced
     traj = simulate(params, seed=args.seed, steps=args.steps, burn_in=args.burn_in)
-    path = _output_path(args.output, f"trajectory_n{args.n}_seed{args.seed}.csv")
     if not _write(path, trajectory_to_csv(traj)):
         return EXIT_USAGE
     try:

@@ -9,7 +9,14 @@ once they meet, and falls back to a per-site loop where they do not: the
 same bytes either way.  The reduced simulator walks the magnetization
 levels: up to n = N_MAX_SWEEP_KERNEL it draws each recorded level from the
 row of the sweep kernel P^n at the previous level, one uniform per sweep;
-above that it applies the lumped up/down rule once per step.  Both start
+above that it applies the lumped up/down rule once per step.  The kernel
+walk runs in lanes too, speculatively: each lane from a guessed level
+first, then from its true start until it meets that guess.  A step depends
+only on (level, uniform), so walks that meet stay together; meeting is
+checked on the walks themselves and needs no monotonicity, which the
+rounded cumulative rows of P^n do not have.  Lanes started wrong are rerun
+with bisect, and the bisect loop takes over where lanes do not meet: the
+same bytes either way.  Both start
 from an exact stationary sample, so stationarity tests need no burn-in (the
 argument is still honored for runs that want it), and both refuse a chain
 whose rates underflowed to 0, as the spectral core does.
@@ -39,19 +46,24 @@ from .spectral import underflow_error
 N_MAX_SIMULATE_FULL = 24
 
 # Largest n at which the reduced simulator builds the sweep kernel P^n: at
-# n = 512 its nine squarings take under 1/10 of a per-site run of MIN_SAMPLES
-# sweeps (2-core host, two BLAS threads); the share grows with n from there.
+# n = 512 its nine squarings take 0.04 s, under 1/10 of a per-site run of
+# MIN_SAMPLES sweeps (0.44 s at n = 513; 2-core host, two BLAS threads), and
+# the share grows with n from there.  The cap is part of the trajectory
+# format: it decides which of the two streams a run draws.
 N_MAX_SWEEP_KERNEL = 512
 
 # The full simulator runs about SUPERBLOCK_UPDATES site updates (8 draw
 # chunks) at a time as lanes of LANE_SWEEPS sweeps, one numpy step per site
 # update for all lanes at once (2-core host): 819 lanes at n = 10, 341 at
 # n = 24, spread each step's ~1 us per ufunc call over enough updates, and
-# the draw buffers (18 MiB) left `simulate --full --n 10 --steps 1000000` at
-# a peak RSS below the per-site loop's.  Lanes of 64 and 128 sweeps ran
-# equally fast; 128 is ~5x the sweeps by which all lanes have met at n = 10,
-# J = 0.08 (23) and twice those at n = 24, J*n = 1 (56).  Below about 90
-# lanes (n = 3 to 24) the per-site loop runs the same updates faster.
+# the draw buffers (10 MiB, the sites held as bytes) left `simulate --full
+# --n 10 --steps 1000000` at a peak RSS below the per-site loop's.  Lanes of
+# 64 and 128 sweeps ran equally fast; 128 is ~5x the sweeps by which all
+# lanes have met at n = 10, J = 0.08 (23) and twice those at n = 24, J*n = 1
+# (56).  Below about 90 lanes (n = 3 to 24) the per-site loop runs the same
+# updates faster.  The kernel walk takes SUPERBLOCK_UPDATES uniforms, one
+# per sweep, as 8192 lanes of the same length (1024 to a 131072-sweep draw
+# chunk), under the same give-up rule.
 LANE_SWEEPS = 128
 SUPERBLOCK_UPDATES = 1 << 20
 MIN_LANES = 96
@@ -108,9 +120,9 @@ def _record(samples: np.ndarray, ks: list, n: int, t: int,
     m -= n
 
 
-def sweep_kernel_rows(chain: ReducedChain) -> list:
-    """Cumulative rows of P^n without their last entry, so that bisect(row,
-    u) is a level in 0..n.
+def sweep_kernel_rows(chain: ReducedChain) -> np.ndarray:
+    """Cumulative rows of P^n without their last entry, so that the count of
+    a row's entries <= u, bisect(row, u), is a level in 0..n.
 
     P^n comes from binary powering (matmul only, no eigensolver), so Monte
     Carlo stays independent of the spectral core.  Zero levels pad P to a
@@ -121,7 +133,107 @@ def sweep_kernel_rows(chain: ReducedChain) -> list:
     P = (np.diag(chain.diag) + np.diag(chain.up, k=1)
          + np.diag(chain.down, k=-1))
     K = np.linalg.matrix_power(np.pad(P, (0, -(n + 1) % 64)), n)
-    return np.cumsum(K[:n + 1, :n + 1], axis=1)[:, :-1].tolist()
+    return np.cumsum(K[:n + 1, :n + 1], axis=1)[:, :-1]
+
+
+def _kernel_loop(rows: list, k: int, us: list) -> list:
+    """The sweep-kernel walk, one bisect per sweep: from level k, the level
+    after each uniform of us."""
+    ks = []
+    append = ks.append
+    for u in us:
+        k = bisect(rows[k], u)
+        append(k)
+    return ks
+
+
+def _kernel_steps(k: np.ndarray, us: np.ndarray, table: np.ndarray):
+    """Advance the levels k in place: lane (column) b takes the uniforms
+    us[b] in order, all lanes one sweep per numpy step; yield after each.
+    table holds the cumulative rows padded by 2.0 to 2^w > n entries.  A
+    step counts the entries <= u of row k by a branchless binary search:
+    bisect's level, as the rows are nondecreasing."""
+    flat, w = table.ravel(), table.shape[1].bit_length() - 1
+    views = [flat[(1 << s) - 1:] for s in range(w)]  # entry i + 2^s - 1 at i
+    pos, v, le = np.empty_like(k), np.empty(k.shape), np.empty_like(k)
+    for a in range(0, us.shape[1], 8):
+        for u in np.ascontiguousarray(us[:, a:a + 8].T):
+            np.left_shift(k, w, out=pos)  # row k starts at k 2^w
+            for s in reversed(range(w)):
+                views[s].take(pos, out=v, mode="clip")
+                np.less_equal(v, u, out=le)
+                np.left_shift(le, s, out=le)
+                np.add(pos, le, out=pos)
+            np.bitwise_and(pos, (1 << w) - 1, out=k)
+            yield
+
+
+def _rerun(rows: list, levels: np.ndarray, starts: list,
+           us: np.ndarray) -> int:
+    """Make the lanes' walks (columns of levels) right after pass 2, in
+    order: a lane that started from a level other than the previous lane's
+    end is rerun with bisect from that end until it meets its stored walk.
+    Return how many leading lanes are right: all of them, unless the reruns
+    take more than a quarter of the lanes' sweeps first."""
+    lanes = levels.shape[1]
+    budget, ends = levels.size // 4, levels[-1].tolist()
+    end = ends[0]
+    for b in range(1, lanes):
+        if starts[b] != end:
+            walk, k = levels[:, b], end
+            for j, u in enumerate(us[b].tolist()):
+                k = bisect(rows[k], u)
+                if k == walk[j]:
+                    break
+                walk[j] = k
+            budget -= j + 1
+            if budget < 0:
+                return b + 1
+            ends[b] = int(walk[-1])
+        end = ends[b]
+    return lanes
+
+
+def _kernel_lanes(table: np.ndarray, rows: list, k: int, us: np.ndarray,
+                  lanes: int):
+    """Levels after each uniform of us walked from level k as `lanes` lanes
+    of LANE_SWEEPS sweeps, of as many leading lanes as are right; None if
+    pass 1 gives up.
+
+    A step is a function of (level, u) alone, so two walks fed the same
+    uniforms that share a level at some sweep agree from there on: meeting
+    is checked on the walks themselves, and no order between the rows is
+    needed.  Pass 1 runs each lane from level n to its end, with a walk
+    from level 0 beside it for the first eighth; it gives up there if fewer
+    than a quarter of the lanes' two walks have met, as the full
+    simulator's lanes do (at J*n well above 1 the walks keep to their
+    wells).  Pass 2 runs each lane's true walk, from the previous lane's
+    pass-1 end (the first from k), until every lane's has met pass 1's or
+    the lanes end; then ``_rerun`` mends the lanes after one that never
+    met, which started from a wrong level."""
+    n = table.shape[0] - 1
+    us = us.reshape(lanes, LANE_SWEEPS)
+    probe = LANE_SWEEPS // 8
+    ks = np.array([[n], [0]]).repeat(lanes, axis=1)
+    levels = np.empty((LANE_SWEEPS, lanes), dtype=ks.dtype)
+    for j, _ in enumerate(_kernel_steps(ks, us[:, :probe], table)):
+        levels[j] = ks[0]
+    if 4 * np.count_nonzero(ks[0] == ks[1]) < lanes:
+        return None
+    ks = ks[:1]
+    for j, _ in enumerate(_kernel_steps(ks, us[:, probe:], table), probe):
+        levels[j] = ks[0]
+    ks[0] = np.append(k, levels[-1, :-1])
+    starts = ks[0].tolist()
+    differ = np.empty(lanes, dtype=bool)
+    for j, _ in enumerate(_kernel_steps(ks, us, table)):
+        np.not_equal(ks[0], levels[j], out=differ)
+        if not differ.any():
+            break
+        levels[j] = ks[0]
+    else:
+        lanes = _rerun(rows, levels, starts, us)
+    return levels[:, :lanes].T.ravel()
 
 
 def _rates_checked(params: ModelParams) -> ReducedChain:
@@ -139,9 +251,15 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
 
     The initial level is drawn from the exact stationary law.  For n <=
     N_MAX_SWEEP_KERNEL each sweep, burn-in included, is one draw from the row
-    of P^n at the current level, by one uniform; above it each sweep is n
-    single applications of the lumped transition rule, by one uniform each.
-    Identical arguments give bitwise-identical trajectories.
+    of P^n at the current level, bisect(row, u) by one uniform; above it each
+    sweep is n single applications of the lumped transition rule, by one
+    uniform each.  Identical arguments give bitwise-identical trajectories.
+    The kernel walk's uniforms are one sequence however the calls that draw
+    them split it (131072 at a time once lanes give up, as before them):
+    superblocks of them run as lanes (``_kernel_lanes``), and the bisect
+    loop runs a tail of fewer than MIN_LANES lanes, what is left past the
+    last whole lane, and everything after a superblock whose lanes gave up
+    or were not all mended.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -152,13 +270,26 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     samples = np.empty(steps)
     if n <= N_MAX_SWEEP_KERNEL:
         rows = sweep_kernel_rows(chain)
-        for t in range(-burn_in, steps, 131072):
-            ks = []
-            append = ks.append
-            for u in rng.random(min(131072, steps - t)).tolist():
-                k = bisect(rows[k], u)
-                append(k)
-            _record(samples, ks, n, t, 1)
+        table = np.pad(rows, ((0, 0), (0, (1 << n.bit_length()) - n)),
+                       constant_values=2.0)
+        listed, coupled, t = rows.tolist(), True, -burn_in
+        while t < steps:
+            us = rng.random(min(SUPERBLOCK_UPDATES if coupled else 131072,
+                                steps - t))
+            lanes = len(us) // LANE_SWEEPS
+            run = _kernel_lanes(table, listed, k, us[:lanes * LANE_SWEEPS],
+                                lanes) if coupled and lanes >= MIN_LANES else None
+            done = 0 if run is None else len(run)
+            if done:
+                k = int(run[-1])
+                _record(samples, run, n, t, 1)
+                t += done
+            coupled = done == lanes * LANE_SWEEPS
+            for i in range(done, len(us), 131072):
+                ks = _kernel_loop(listed, k, us[i:i + 131072].tolist())
+                k = ks[-1]
+                _record(samples, ks, n, t, 1)
+                t += len(ks)
         return Trajectory(params=params, seed=seed, burn_in=burn_in,
                           samples=samples)
     up = np.append(chain.up, 0.0)
@@ -207,7 +338,7 @@ def _lockstep(c: np.ndarray, k: np.ndarray, us: np.ndarray, xs: np.ndarray,
     one, p = np.ones_like(c), np.empty(c.shape)
     for a in range(0, us.shape[1], 8 * n):
         slab = zip(np.ascontiguousarray(us[:, a:a + 8 * n].T),
-                   np.ascontiguousarray(xs[:, a:a + 8 * n].T))
+                   np.ascontiguousarray(xs[:, a:a + 8 * n].T, c.dtype))
         for j, (u, x) in enumerate(slab, 1):
             np.right_shift(c, x, out=s)
             np.bitwise_and(s, one, out=s)
@@ -263,16 +394,24 @@ def _run_lanes(spins: list, k: int, us: np.ndarray, xs: np.ndarray,
     return levels.T.ravel(), [(end >> i) & 1 for i in range(n)]
 
 
-def _superblocks(rng, n: int, sweeps: int, size: int):
+def _superblocks(rng, n: int, sweeps: int, size: int, coupled):
     """The draws of `sweeps` sweeps, made as the stream makes them (chunks of
-    131072 // n sweeps, each its uniforms, then its sites), regrouped into
-    blocks of `size` updates, then what is left.  Each block is a view of
-    one reused buffer, valid until the next is asked for."""
+    131072 // n sweeps, each its uniforms, then its sites).  While coupled()
+    holds they are regrouped into blocks of `size` updates, then what is
+    left; each block is a view of one reused buffer, valid until the next is
+    asked for.  Once it fails, what the buffers hold comes next, then each
+    chunk as drawn, and the buffers go."""
     chunk = max(1, 131072 // n) * n
-    us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.int64)
+    us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.uint8)
     held = 0
     for t in range(0, sweeps * n, chunk):
         b = min(chunk, sweeps * n - t)
+        if not coupled():
+            if held:
+                yield us[:held], xs[:held]
+            held, us, xs = 0, None, None
+            yield rng.random(b), rng.integers(0, n, size=b)
+            continue
         rng.random(out=us[held:held + b])
         xs[held:held + b] = rng.integers(0, n, size=b)
         held += b
@@ -318,7 +457,8 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     samples = np.empty(steps)
     chunk = max(1, 131072 // n) * n  # the loop takes one draw chunk at a time
     t = -burn_in
-    for us, xs in _superblocks(rng, n, burn_in + steps, block):
+    for us, xs in _superblocks(rng, n, burn_in + steps, block,
+                               lambda: coupled):
         width = len(us) // (LANE_SWEEPS * n)  # whole lanes
         done = width * LANE_SWEEPS * n
         run = _run_lanes(spins, k, us[:done], xs[:done], table, width) if (

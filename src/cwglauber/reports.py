@@ -144,8 +144,9 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     m = traj.samples.astype(np.int64)
     lo = int(m.min(initial=0))
     m -= lo
-    table = [f"{v}\n" for v in range(lo, lo + int(m.max(initial=0)) + 1)]
-    return header + "\nm\n" + "".join([table[i] for i in m.tolist()])
+    table = np.array([f"{v}\n" for v in range(lo, lo + int(m.max(initial=0)) + 1)],
+                     dtype=object)
+    return header + "\nm\n" + "".join(table[m].tolist())
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

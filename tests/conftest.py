@@ -113,3 +113,22 @@ def reference_simulate_full(params, seed, steps, burn_in=0):
             if i % n == 0:
                 levels.append(k)
     return 2.0 * np.array(levels[burn_in:], dtype=float) - n
+
+
+def reference_simulate_reduced(params, seed, steps, burn_in=0):
+    """The reduced simulator's samples from the plain sweep-kernel walk, kept
+    as the oracle for its lanes: 131072 uniforms at a time, and one bisect
+    of the kernel's cumulative row per sweep."""
+    from bisect import bisect
+    from cwglauber.magchain import build_reduced_chain, reduced_stationary
+    from cwglauber.mcmc import sweep_kernel_rows
+    n = params.n
+    rows = sweep_kernel_rows(build_reduced_chain(params)).tolist()
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    levels = []
+    for t in range(-burn_in, steps, 131072):
+        for u in rng.random(min(131072, steps - t)).tolist():
+            k = bisect(rows[k], u)
+            levels.append(k)
+    return 2.0 * np.array(levels[burn_in:], dtype=float) - n

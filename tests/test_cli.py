@@ -337,6 +337,63 @@ def test_unwritable_output_exits_2(argv, output_dir, tmp_path, monkeypatch,
     assert captured.err.count("\n") == 1
 
 
+def no_work(monkeypatch):
+    """Make the simulators and the sweep raise if a command calls them."""
+    import cwglauber.cli as cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for name in ("simulate_reduced", "simulate_full", "sweep_monotonicity"):
+        monkeypatch.setattr(cli, name, refused)
+
+
+@pytest.mark.parametrize("argv,output_dir", [
+    (_SWEEP + ["--output", "{tmp}/missing/x.csv"], None),
+    (_SWEEP + ["--output", "{tmp}"], None),
+    (_SWEEP, "{tmp}/missing"),
+    (["simulate", "--n", "10", "--J", "0.08", "--steps", "1000000",
+      "--output", "{tmp}/missing/t.csv"], None),
+    (["simulate", "--n", "10", "--J", "0.08", "--steps", "10000", "--full",
+      "--output", "{tmp}/file/t.csv"], None),
+], ids=["missing-directory", "directory", "output-dir-variable", "simulate",
+        "simulate-full-under-a-file"])
+def test_unwritable_output_is_refused_before_the_work(
+        argv, output_dir, tmp_path, monkeypatch, capsys):
+    """The output path is checked before the sweep or the simulation runs,
+    with the line and exit code a failed write gives, and nothing is made
+    on disk."""
+    (tmp_path / "file").write_text("kept\n")
+    no_work(monkeypatch)
+    if output_dir:
+        monkeypatch.setenv("CWGLAUBER_OUTPUT_DIR", output_dir.format(tmp=tmp_path))
+    assert run_cli([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = ("Is a directory" if argv[-1] == "{tmp}" else "Not a directory"
+              if "file" in argv[-1] else "No such file or directory")
+    assert captured.err.startswith(f"cannot write {tmp_path}")
+    assert captured.err.endswith(f": {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SWEEP + ["--output", "{path}"],
+    ["simulate", "--n", "4", "--J", "0.1", "--steps", "10000", "--output",
+     "{path}"],
+], ids=["sweep", "simulate"])
+def test_output_check_leaves_a_writable_file_untouched(argv, tmp_path,
+                                                       monkeypatch):
+    """Checking an existing writable output neither truncates nor rewrites
+    it: a command that fails after the check leaves it as it was."""
+    path = tmp_path / "out"
+    path.write_text("kept\n")
+    no_work(monkeypatch)
+    with pytest.raises(AssertionError, match="the work ran"):
+        run_cli([arg.format(path=path) for arg in argv])
+    assert path.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gap", "--n", "8", "--J", "0.1"],
     ["sweep", "--n", "4", "--J-min", "0", "--J-max", "0.2", "--J-steps", "3"],

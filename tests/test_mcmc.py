@@ -9,6 +9,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from bisect import bisect
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,14 @@ from scipy.stats import binom, chi2
 
 import cwglauber
 import cwglauber.mcmc as mcmc
-from conftest import dense_reduced_chain, reference_simulate_full
+from conftest import (dense_reduced_chain, reference_simulate_full,
+                      reference_simulate_reduced)
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
                             RelaxationEstimate, Trajectory, autocovariance,
                             estimate_relaxation, simulate_full,
-                            simulate_reduced)
+                            simulate_reduced, sweep_kernel_rows)
 from cwglauber.reports import trajectory_to_csv
 from cwglauber.spectral import EigensolverError, second_eigenpair
 
@@ -251,6 +253,126 @@ def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
     simulate_full(ModelParams(n=10, J=0.3), seed=6, steps=150_000)
     assert looped[0] == 10 * 150_000
     assert tries == [mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)]
+
+
+KERNEL_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24, 100, 512)
+               for jn in (0.0, 0.5, 1.0, 3.0) for h in (0.0, 0.3, -0.3)]
+
+
+def count_kernel_loop_sweeps(monkeypatch):
+    """Wrap the bisect walk; the returned list holds its sweep count."""
+    counted = [0]
+    loop = mcmc._kernel_loop
+
+    def counting(rows, k, us):
+        counted[0] += len(us)
+        return loop(rows, k, us)
+
+    monkeypatch.setattr(mcmc, "_kernel_loop", counting)
+    return counted
+
+
+@pytest.mark.parametrize("i", range(len(KERNEL_GRID)),
+                         ids=[f"n{n}-Jn{jn:g}-H{h:g}" for n, jn, h in KERNEL_GRID])
+def test_kernel_lanes_match_the_bisect_loop(i, monkeypatch):
+    """Bitwise the plain bisect walk's samples, whichever of lanes, reruns,
+    the loop after lanes that gave up or did not meet, and the tail runs
+    them.  With superblocks of 8192 sweeps (128 lanes of 64) the endings
+    cycle over none, mid-superblock, mid-lane and too few lanes for lanes;
+    the burn-ins over 0, 7 and a whole 131072-sweep draw chunk and 7."""
+    n, jn, h = KERNEL_GRID[i]
+    for name, value in SMALL_LANES.items():
+        monkeypatch.setattr(mcmc, name, value)
+    burn_in = (0, 7, 131072 + 7)[i % 3]
+    steps = 8192 + ENDINGS[i % 4] - burn_in % 8192
+    params = ModelParams(n=n, J=jn / n, H=h)
+    looped = count_kernel_loop_sweeps(monkeypatch)
+    traj = simulate_reduced(params, seed=i, steps=steps, burn_in=burn_in)
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_reduced(params, i, steps, burn_in))
+    if n <= 24 and jn <= 0.5:  # lanes meet well within 64 sweeps here
+        assert looped[0] <= (burn_in + steps) % 8192
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_kernel_step_is_bisect_at_ties(n):
+    """A lane step is bisect(row, u) also where u equals entries of the row,
+    repeated ones and 0 included: it counts the entries <= u."""
+    rng = np.random.default_rng(n)
+    rows = np.sort(rng.integers(0, 5, (n + 1, n)) / 4, axis=1)
+    table = np.pad(rows, ((0, 0), (0, (1 << n.bit_length()) - n)),
+                   constant_values=2.0)
+    cases = [(k, u) for k in range(n + 1) for v in (0.0, 0.25, 0.5, 0.75)
+             for u in (v, np.nextafter(v, 1.0), np.nextafter(v, -1.0)) if u >= 0]
+    ks = np.array([k for k, _ in cases])
+    us = np.array([[u] for _, u in cases])
+    for _ in mcmc._kernel_steps(ks, us, table):
+        pass
+    assert ks.tolist() == [bisect(rows[k].tolist(), u) for k, u in cases]
+
+
+def test_kernel_lanes_carry_a_subcritical_run(monkeypatch):
+    """At n = 10, J = 0.08 all of a 200k-sweep run but its last part-lane
+    goes through the lanes."""
+    looped = count_kernel_loop_sweeps(monkeypatch)
+    params = ModelParams(n=10, J=0.08)
+    traj = simulate_reduced(params, seed=5, steps=200_000)
+    assert looped[0] == 200_000 % mcmc.LANE_SWEEPS
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_reduced(params, 5, 200_000))
+
+
+def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
+        monkeypatch):
+    """At n = 10, J = 0.3 the walks from levels 0 and n keep to their wells:
+    the first superblock's lanes give up and the loop runs the whole run,
+    with no second try."""
+    for name, value in SMALL_LANES.items():
+        monkeypatch.setattr(mcmc, name, value)
+    looped = count_kernel_loop_sweeps(monkeypatch)
+    tries = []
+    kernel_lanes = mcmc._kernel_lanes
+    monkeypatch.setattr(mcmc, "_kernel_lanes",
+                        lambda *a: tries.append(a[-1]) or kernel_lanes(*a))
+    params = ModelParams(n=10, J=0.3)
+    traj = simulate_reduced(params, seed=6, steps=30_000)
+    assert looped[0] == 30_000
+    assert tries == [8192 // 64]
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_reduced(params, 6, 30_000))
+
+
+def test_lanes_after_one_that_never_met_are_rerun(monkeypatch):
+    """At n = 4, J*n = 2 some lanes' true walks never meet pass 1's within
+    64 sweeps; the lanes after them are rerun, and every lane is kept."""
+    for name, value in SMALL_LANES.items():
+        monkeypatch.setattr(mcmc, name, value)
+    kept = []
+    rerun = mcmc._rerun
+    monkeypatch.setattr(mcmc, "_rerun", lambda rows, levels, starts, us: (
+        kept.append((rerun(rows, levels, starts, us), levels.shape[1]))
+        or kept[-1][0]))
+    looped = count_kernel_loop_sweeps(monkeypatch)
+    params = ModelParams(n=4, J=0.5)
+    traj = simulate_reduced(params, seed=1, steps=3 * 8192)
+    assert kept and all(k == lanes for k, lanes in kept)
+    assert looped[0] == 0
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_reduced(params, 1, 3 * 8192))
+
+
+def test_reruns_stop_after_a_quarter_of_the_sweeps():
+    """Reruns that never meet their stored walks stop once they have taken
+    a quarter of the lanes' sweeps; the lanes they return are the walk's."""
+    rows = sweep_kernel_rows(build_reduced_chain(ModelParams(n=10, J=0.08)))
+    rows = rows.tolist()
+    us = np.random.default_rng(7).random((64, 128))
+    walk = mcmc._kernel_loop(rows, 5, us.ravel().tolist())
+    levels = np.full((128, 64), -1)  # stored walks nothing meets
+    levels[:, 0] = walk[:128]
+    kept = mcmc._rerun(rows, levels, [5] + [-1] * 63, us)
+    assert kept == 2 + 64 // 4  # lane 0, then reruns until over 16 lanes
+    assert levels[:, :kept].T.ravel().tolist() == walk[:128 * kept]
 
 
 # sha256 of trajectory_to_csv for (simulator, n, J, H, steps, burn_in,
