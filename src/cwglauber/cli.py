@@ -52,20 +52,25 @@ def _output_path(arg_value: str | None, default_name: str) -> Path:
 
 def _unwritable(path: Path) -> bool:
     """Report on one stderr line, as ``_write`` would, why path cannot be
-    written, found before any work and without creating or truncating it."""
+    written, found before any work and without opening it: no file is
+    created or truncated, and a FIFO or device, whose open could block or
+    whose close would end a reader's stream, is left to ``_write``."""
     parent = path.parent
-    try:
-        if path.exists():
-            os.close(os.open(path, os.O_WRONLY))  # EISDIR, EACCES
-        elif not parent.is_dir():
-            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-            raise OSError(code, os.strerror(code))
-        elif not os.access(parent, os.W_OK | os.X_OK):
-            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
-    except OSError as exc:
-        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return True
-    return False
+    if path.is_dir():
+        code = errno.EISDIR
+    elif path.is_file():
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif path.exists():
+        code = 0  # a FIFO or a device
+    elif not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        code = 0
+    if code:
+        print(f"cannot write {path}: {os.strerror(code)}", file=sys.stderr)
+    return bool(code)
 
 
 def _write(path: Path, text: str) -> bool:

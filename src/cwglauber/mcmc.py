@@ -63,7 +63,10 @@ N_MAX_SWEEP_KERNEL = 512
 # (56).  Below about 90 lanes (n = 3 to 24) the per-site loop runs the same
 # updates faster.  The kernel walk takes SUPERBLOCK_UPDATES uniforms, one
 # per sweep, as 8192 lanes of the same length (1024 to a 131072-sweep draw
-# chunk), under the same give-up rule.
+# chunk), under the same give-up rule.  Its lanes cost 1-4 ms however few
+# they are, so on a tail the bisect loop is faster below 96 lanes at n = 3,
+# about 130 at n = 10 to 24 and 150 at n = 512: with the same MIN_LANES a
+# run loses at most 1.3 ms, once, on a tail between those counts.
 LANE_SWEEPS = 128
 SUPERBLOCK_UPDATES = 1 << 20
 MIN_LANES = 96
@@ -394,24 +397,16 @@ def _run_lanes(spins: list, k: int, us: np.ndarray, xs: np.ndarray,
     return levels.T.ravel(), [(end >> i) & 1 for i in range(n)]
 
 
-def _superblocks(rng, n: int, sweeps: int, size: int, coupled):
+def _superblocks(rng, n: int, sweeps: int, size: int):
     """The draws of `sweeps` sweeps, made as the stream makes them (chunks of
-    131072 // n sweeps, each its uniforms, then its sites).  While coupled()
-    holds they are regrouped into blocks of `size` updates, then what is
-    left; each block is a view of one reused buffer, valid until the next is
-    asked for.  Once it fails, what the buffers hold comes next, then each
-    chunk as drawn, and the buffers go."""
+    131072 // n sweeps, each its uniforms, then its sites), regrouped into
+    blocks of `size` updates, then what is left.  Each block is a view of
+    one reused buffer, valid until the next is asked for."""
     chunk = max(1, 131072 // n) * n
     us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.uint8)
     held = 0
     for t in range(0, sweeps * n, chunk):
         b = min(chunk, sweeps * n - t)
-        if not coupled():
-            if held:
-                yield us[:held], xs[:held]
-            held, us, xs = 0, None, None
-            yield rng.random(b), rng.integers(0, n, size=b)
-            continue
         rng.random(out=us[held:held + b])
         xs[held:held + b] = rng.integers(0, n, size=b)
         held += b
@@ -457,8 +452,7 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     samples = np.empty(steps)
     chunk = max(1, 131072 // n) * n  # the loop takes one draw chunk at a time
     t = -burn_in
-    for us, xs in _superblocks(rng, n, burn_in + steps, block,
-                               lambda: coupled):
+    for us, xs in _superblocks(rng, n, burn_in + steps, block):
         width = len(us) // (LANE_SWEEPS * n)  # whole lanes
         done = width * LANE_SWEEPS * n
         run = _run_lanes(spins, k, us[:done], xs[:done], table, width) if (

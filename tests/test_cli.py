@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -377,21 +379,76 @@ def test_unwritable_output_is_refused_before_the_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-@pytest.mark.parametrize("argv", [
+_TO_PATH = [
     _SWEEP + ["--output", "{path}"],
     ["simulate", "--n", "4", "--J", "0.1", "--steps", "10000", "--output",
      "{path}"],
-], ids=["sweep", "simulate"])
-def test_output_check_leaves_a_writable_file_untouched(argv, tmp_path,
+]
+
+
+class Blocked(Exception):
+    """A command blocked on its output."""
+
+
+@contextmanager
+def within(seconds):
+    """Raise Blocked in the test if the block takes longer than seconds, so
+    a command stuck in a system call fails rather than hangs."""
+    def blocked(signum, frame):
+        raise Blocked
+
+    previous = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", _TO_PATH, ids=["sweep", "simulate"])
+@pytest.mark.parametrize("kind", ["file", "fifo"])
+def test_output_check_leaves_a_writable_file_untouched(argv, kind, tmp_path,
                                                        monkeypatch):
     """Checking an existing writable output neither truncates nor rewrites
-    it: a command that fails after the check leaves it as it was."""
+    it: a command that fails after the check leaves it as it was.  A FIFO
+    is not opened, as that would block with no reader attached."""
     path = tmp_path / "out"
-    path.write_text("kept\n")
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        path.write_text("kept\n")
     no_work(monkeypatch)
-    with pytest.raises(AssertionError, match="the work ran"):
+    with within(20), pytest.raises(AssertionError, match="the work ran"):
         run_cli([arg.format(path=path) for arg in argv])
-    assert path.read_text() == "kept\n"
+    if kind == "file":
+        assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", _TO_PATH, ids=["sweep", "simulate"])
+def test_fifo_output_reaches_its_reader(argv, tmp_path):
+    """A reader attached to a FIFO output before the command gets the whole
+    artifact, as a regular file would hold it (timestamp aside)."""
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen([sys.executable, "-c", "import shutil, sys; "
+                               "shutil.copyfileobj(open(sys.argv[1], 'rb'), "
+                               "sys.stdout.buffer)", str(fifo)],
+                              stdout=subprocess.PIPE)
+    try:
+        with within(20):
+            assert run_cli([arg.format(path=fifo) for arg in argv]) == 0
+    finally:  # end the reader's wait if no writer came; ENXIO: it is done
+        with suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    got = reader.communicate(timeout=20)[0]
+    assert run_cli([arg.format(path=plain) for arg in argv]) == 0
+
+    def artifact(data):
+        return [line for line in data.splitlines()
+                if not line.startswith(b"# timestamp:")]
+
+    assert artifact(got) == artifact(plain.read_bytes()) != []
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ regressions rather than unlucky draws.
 """
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -191,23 +192,30 @@ def test_underflowed_chain_is_refused_before_any_draw(simulate, monkeypatch):
 # 64-sweep lanes, superblocks of 8192 site updates, partial ones run as lanes
 # from 4 lanes up (every n here fits at least 5 lanes in a superblock).
 SMALL_LANES = {"LANE_SWEEPS": 64, "SUPERBLOCK_UPDATES": 8192, "MIN_LANES": 4}
+# (J*n, H) of the lane oracle tests; only the sizes differ between them.
+COUPLINGS_FIELDS = [(jn, h) for jn in (0.0, 0.5, 1.0, 3.0)
+                    for h in (0.0, 0.3, -0.3)]
 ORACLE_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24)
-               for jn in (0.0, 0.5, 1.0, 3.0) for h in (0.0, 0.3, -0.3)]
+               for jn, h in COUPLINGS_FIELDS]
+KERNEL_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24, 100, 512)
+               for jn, h in COUPLINGS_FIELDS]
 # Sweeps past the first superblock: none, four whole lanes (mid-superblock),
 # four lanes and 3 sweeps (mid-lane), and too few lanes for lanes (the loop).
 ENDINGS = (0, 4 * 64, 4 * 64 + 3, 2 * 64 + 3)
 
 
-def count_loop_updates(monkeypatch):
-    """Wrap the per-site loop; the returned list holds its update count."""
+def count_loop_draws(monkeypatch, name):
+    """Wrap the loop mcmc.<name> (``_site_loop`` or ``_kernel_loop``); the
+    returned list holds the count of uniforms, one per step, it was given."""
     counted = [0]
-    loop = mcmc._site_loop
+    loop = getattr(mcmc, name)
+    signature = inspect.signature(loop)
 
-    def counting(spins, k, p_plus, us, xs):
-        counted[0] += len(us)
-        return loop(spins, k, p_plus, us, xs)
+    def counting(*args):
+        counted[0] += len(signature.bind(*args).arguments["us"])
+        return loop(*args)
 
-    monkeypatch.setattr(mcmc, "_site_loop", counting)
+    monkeypatch.setattr(mcmc, name, counting)
     return counted
 
 
@@ -225,7 +233,7 @@ def test_lanes_match_the_per_site_loop(i, monkeypatch):
     burn_in = (0, 7, 131072)[i % 3] if n == 1 else (0, 7)[i % 2]
     steps = block + ENDINGS[i % 4] - burn_in % block
     params = ModelParams(n=n, J=jn / n, H=h)
-    looped = count_loop_updates(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_site_loop")
     traj = simulate_full(params, seed=i, steps=steps, burn_in=burn_in)
     np.testing.assert_array_equal(
         traj.samples, reference_simulate_full(params, i, steps, burn_in))
@@ -236,7 +244,7 @@ def test_lanes_match_the_per_site_loop(i, monkeypatch):
 def test_lanes_carry_a_subcritical_run(monkeypatch):
     """At n = 10, J = 0.08 all but a partial lane's worth of a 200k-sweep
     run goes through the lanes."""
-    looped = count_loop_updates(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_site_loop")
     simulate_full(ModelParams(n=10, J=0.08), seed=5, steps=200_000)
     assert looped[0] <= 0.1 * 10 * 200_000
 
@@ -245,7 +253,7 @@ def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
     """At n = 10, J = 0.3 the top and bottom chains stay apart: the first
     superblock's lanes give up and the loop runs the whole trajectory,
     with no second try."""
-    looped = count_loop_updates(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_site_loop")
     tries = []
     run_lanes = mcmc._run_lanes
     monkeypatch.setattr(mcmc, "_run_lanes",
@@ -253,23 +261,6 @@ def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
     simulate_full(ModelParams(n=10, J=0.3), seed=6, steps=150_000)
     assert looped[0] == 10 * 150_000
     assert tries == [mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)]
-
-
-KERNEL_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24, 100, 512)
-               for jn in (0.0, 0.5, 1.0, 3.0) for h in (0.0, 0.3, -0.3)]
-
-
-def count_kernel_loop_sweeps(monkeypatch):
-    """Wrap the bisect walk; the returned list holds its sweep count."""
-    counted = [0]
-    loop = mcmc._kernel_loop
-
-    def counting(rows, k, us):
-        counted[0] += len(us)
-        return loop(rows, k, us)
-
-    monkeypatch.setattr(mcmc, "_kernel_loop", counting)
-    return counted
 
 
 @pytest.mark.parametrize("i", range(len(KERNEL_GRID)),
@@ -286,7 +277,7 @@ def test_kernel_lanes_match_the_bisect_loop(i, monkeypatch):
     burn_in = (0, 7, 131072 + 7)[i % 3]
     steps = 8192 + ENDINGS[i % 4] - burn_in % 8192
     params = ModelParams(n=n, J=jn / n, H=h)
-    looped = count_kernel_loop_sweeps(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_kernel_loop")
     traj = simulate_reduced(params, seed=i, steps=steps, burn_in=burn_in)
     np.testing.assert_array_equal(
         traj.samples, reference_simulate_reduced(params, i, steps, burn_in))
@@ -314,7 +305,7 @@ def test_kernel_step_is_bisect_at_ties(n):
 def test_kernel_lanes_carry_a_subcritical_run(monkeypatch):
     """At n = 10, J = 0.08 all of a 200k-sweep run but its last part-lane
     goes through the lanes."""
-    looped = count_kernel_loop_sweeps(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_kernel_loop")
     params = ModelParams(n=10, J=0.08)
     traj = simulate_reduced(params, seed=5, steps=200_000)
     assert looped[0] == 200_000 % mcmc.LANE_SWEEPS
@@ -329,7 +320,7 @@ def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
     with no second try."""
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)
-    looped = count_kernel_loop_sweeps(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_kernel_loop")
     tries = []
     kernel_lanes = mcmc._kernel_lanes
     monkeypatch.setattr(mcmc, "_kernel_lanes",
@@ -352,7 +343,7 @@ def test_lanes_after_one_that_never_met_are_rerun(monkeypatch):
     monkeypatch.setattr(mcmc, "_rerun", lambda rows, levels, starts, us: (
         kept.append((rerun(rows, levels, starts, us), levels.shape[1]))
         or kept[-1][0]))
-    looped = count_kernel_loop_sweeps(monkeypatch)
+    looped = count_loop_draws(monkeypatch, "_kernel_loop")
     params = ModelParams(n=4, J=0.5)
     traj = simulate_reduced(params, seed=1, steps=3 * 8192)
     assert kept and all(k == lanes for k, lanes in kept)
