@@ -67,7 +67,8 @@ def finite_differences(grid: ModelParams, delta: float, at_J):
     errors = [None] * len(rows)
     with np.errstate(all="ignore"):
         chain = build_reduced_chain(replace(grid, J=rows[:, None]))
-        lam = increment_rows(chain.up, chain.down, errors)[0][:, 0]
+        lam = increment_rows(chain.up, chain.down, errors,
+                             increments=False)[0][:, 0]
     return (difference_quotient(J, delta, at_J, lam[:k], lam[k:]),
             [errors[i] or errors[k + i] for i in range(k)])
 

@@ -13,13 +13,20 @@ reduced chain.  That chain lacks the eigenvalue 1, so lambda_2 is its top
 eigenvalue and cannot mix with lambda_1 even where lambda_1 - lambda_2
 underflows; and no step divides by sqrt(pi), whose tiny tail entries would
 amplify the solver's rounding error.
+
+Each row is one call of LAPACK's MRRR driver dstemr (``top_eigenpairs``),
+made through the function pointer scipy.linalg.cython_lapack exports: scipy's
+f2py wrapper would allocate and zero an n x n eigenvector array per call,
+where this call writes an n x 2 block in a workspace shared by the batch's
+rows, so memory stays O(n) at every n.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 
 from .ising import ModelParams, all_plus_counts
 from .magchain import build_reduced_chain, positive_rates, reduced_stationary
@@ -144,45 +151,82 @@ def lifted_residual(S, w, v) -> float:
     return float(np.max(residuals))
 
 
-def eigen_top_tridiagonal(diag, offdiag):
-    """Two largest eigenvalues w (descending; one for a 1x1 matrix) and the
-    top eigenvector v of a real symmetric tridiagonal matrix.
-
-    Only these are computed, with LAPACK's MRRR driver (dstemr): its
-    eigenvectors keep tiny components to high relative accuracy, where
-    inverse iteration leaves them at the absolute level eps * ||v||.  v has
-    the solver's sign and views its m x m workspace.  Nonzero LAPACK info
-    is surfaced as EigensolverError."""
-    m = len(diag)
-    e = np.append(offdiag, 0.0)  # dstemr takes m off-diagonal slots
-    k, w, z, info = scipy.linalg.lapack.dstemr(diag, e, 3, 0.0, 0.0,
-                                               max(m - 1, 1), m)
-    if info != 0:
-        raise EigensolverError(f"dstemr failed with info={info}")
-    # w[:k] ascending; the slots after it are not eigenvalues
-    return w[:k][::-1], z[:, k - 1]
+def _lapack_function(name: str, arguments: int):
+    """LAPACK routine ``name`` as a ctypes function of ``arguments`` pointers,
+    through the function pointer scipy.linalg.cython_lapack exports."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)(
+        get_pointer(capsule, get_name(capsule)))
 
 
-def increment_rows(up, down, errors):
+# LAPACK's MRRR driver; ``top_eigenpairs`` makes its one call per row here.
+dstemr = _lapack_function("dstemr", 21)
+
+
+def top_eigenpairs(diag, offdiag, errors, vectors=True):
+    """(w, v) per row of the (rows, m) symmetric tridiagonals (diag, offdiag):
+    the two largest eigenvalues w, descending (NaN where absent or unsolved),
+    and the top eigenvector v with the solver's sign (None unless
+    ``vectors``).
+
+    Only these are computed, with LAPACK's MRRR driver (dstemr: jobz V,
+    range I, il = max(m - 1, 1), iu = m, tryrac 0, as scipy's wrapper calls
+    it): its eigenvectors keep tiny components to high relative accuracy,
+    where inverse iteration leaves them at the absolute level eps * ||v||.
+    One workspace, with an m x 2 eigenvector block, serves every row.  Rows
+    with an ``errors`` entry are skipped; a nonzero LAPACK info is stored
+    there as an EigensolverError."""
+    rows, m = diag.shape
+    d, e, lam = np.empty(m), np.zeros(m), np.empty(m)  # e[m-1] is scratch
+    z = np.empty((m, 2), order="F")
+    isuppz = np.empty(4, np.intc)
+    work, iwork = np.empty(18 * m), np.empty(10 * m, np.intc)
+    # n, il, iu, M, ldz, nzc, tryrac, lwork, liwork, info
+    ints = np.array([m, max(m - 1, 1), m, 0, m, 2, 0, 18 * m, 10 * m, 0],
+                    np.intc)
+    at = [ints.ctypes.data + k * ints.itemsize for k in range(len(ints))]
+    chars, bounds = ctypes.create_string_buffer(b"VI"), np.zeros(2)
+    args = (ctypes.addressof(chars), ctypes.addressof(chars) + 1, at[0],
+            d.ctypes.data, e.ctypes.data, bounds.ctypes.data,
+            bounds.ctypes.data + bounds.itemsize, at[1], at[2], at[3],
+            lam.ctypes.data, z.ctypes.data, at[4], at[5], isuppz.ctypes.data,
+            at[6], work.ctypes.data, at[7], iwork.ctypes.data, at[8], at[9])
+    w = np.full((rows, 2), np.nan)
+    v = np.full((rows, m), np.nan) if vectors else None
+    for i, error in enumerate(errors):
+        if error is None:
+            d[:], e[:-1] = diag[i], offdiag[i]  # dstemr overwrites both
+            dstemr(*args)
+            found, info = ints[3], ints[9]
+            if info:
+                errors[i] = EigensolverError(f"dstemr failed with info={info}")
+                continue
+            w[i, :found] = lam[found - 1::-1]  # lam[:found] ascending
+            if vectors:
+                v[i] = z[:, found - 1]
+    return w, v
+
+
+def increment_rows(up, down, errors, increments=True):
     """(w, g) per row of the (rows, n) rates: the top two eigenvalues of the
-    increment chain Q (NaN where absent or unsolved) and increments g of f.
+    increment chain Q (NaN where absent or unsolved) and increments g of f
+    (None unless ``increments``).
 
     Q has diagonal 1 - up[k] - down[k], superdiagonal up[k+1], subdiagonal
-    down[k]; one ``eigen_top_tridiagonal`` call per row solves S = D Q D^-1,
+    down[k]; ``top_eigenpairs`` solves S = D Q D^-1,
     log D_{k+1} - log D_k = log(up[k+1]/down[k]) / 2, for u, and g = D^-1 u
     (max |g| = 1) is formed in log space, one sign per row making sum(u) > 0
     so a g that is not positive stays visible.  Rows with an ``errors``
-    entry are skipped; a solve that raises stores its exception there."""
-    diag, offdiag = 1.0 - (up + down), np.sqrt(up[:, 1:] * down[:, :-1])
-    w = np.full((len(up), 2), np.nan)
-    u = np.full(up.shape, np.nan)
-    for i, error in enumerate(errors):
-        if error is None:
-            try:
-                top, u[i] = eigen_top_tridiagonal(diag[i], offdiag[i])
-                w[i, :len(top)] = top
-            except Exception as exc:  # this row's failure, kept for its caller
-                errors[i] = exc
+    entry are skipped; a failed solve stores its error there."""
+    w, u = top_eigenpairs(1.0 - (up + down), np.sqrt(up[:, 1:] * down[:, :-1]),
+                          errors, vectors=increments)
+    if not increments:
+        return w, None
     u *= np.where(u.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
     log_d = np.zeros(up.shape)
     np.cumsum(0.5 * np.log(up[:, 1:] / down[:, :-1]), axis=1, out=log_d[:, 1:])

@@ -1,10 +1,13 @@
 """Shared fixtures and helpers."""
 
+import ctypes
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+import cwglauber.spectral as spectral
 
 
 def analyse_point(params, raising=3):
@@ -49,37 +52,85 @@ def detailed_balance_violation(P, pi):
     return np.abs(flux - flux.T).max()
 
 
+class DstemrCall:
+    """One call of ``spectral.dstemr``, its pointer arguments read as arrays:
+    d, e and w of length n, the ldz x nzc eigenvector block z, and the int
+    outputs M and info (ctypes ints; set ``.value``)."""
+
+    def __init__(self, args):
+        self.args = args
+        n, ldz, nzc = (ctypes.c_int.from_address(args[k]).value
+                       for k in (2, 12, 13))
+        self.d, self.e, self.w, z = (
+            np.ctypeslib.as_array((ctypes.c_double * size).from_address(args[k]))
+            for k, size in ((3, n), (4, n), (10, n), (11, ldz * nzc)))
+        self.z = z.reshape(nzc, ldz).T
+        self.M, self.info = (ctypes.c_int.from_address(args[k]) for k in (9, 20))
+
+    def real(self):
+        """Run this call on LAPACK's dstemr."""
+        REAL_DSTEMR(*self.args)
+
+
+REAL_DSTEMR = spectral.dstemr
+
+
+def patch_dstemr(monkeypatch, stand_in):
+    """Route the solver's one LAPACK call per row through stand_in(call), a
+    function of a DstemrCall, which may run ``call.real()``."""
+    monkeypatch.setattr(spectral, "dstemr", lambda *args: stand_in(DstemrCall(args)))
+
+
+def failing_dstemr_rows(monkeypatch, codes):
+    """Make dstemr report info=code on the rows whose diagonal is a key of
+    codes; every other row is solved by the real routine."""
+    def stand_in(call):
+        for diag, code in codes.items():
+            if np.array_equal(call.d, diag):
+                call.M.value, call.info.value = 0, code
+                return
+        call.real()
+
+    patch_dstemr(monkeypatch, stand_in)
+
+
 @pytest.fixture
 def dstemr_fails(monkeypatch):
     """Make LAPACK dstemr report a nonzero info (7) on every call."""
-    def failing(d, e, *args, **kwargs):
-        return 0, np.zeros(len(d)), np.zeros((len(d), len(d))), 7
+    def stand_in(call):
+        call.M.value, call.info.value = 0, 7
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", failing)
+    patch_dstemr(monkeypatch, stand_in)
 
 
 @pytest.fixture
 def dstemr_out_of_memory(monkeypatch):
-    """Make LAPACK dstemr raise MemoryError, as its n x n eigenvector array
-    does at n = 10^5, without allocating anything."""
-    def failing(*args, **kwargs):
-        raise MemoryError("Unable to allocate 74.5 GiB for the eigenvectors")
+    """Make the solve raise MemoryError, as numpy does where a workspace does
+    not fit, without allocating anything."""
+    def stand_in(call):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with "
+                          "shape (2000000000,) and data type float64")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", failing)
+    patch_dstemr(monkeypatch, stand_in)
 
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Count calls to LAPACK dstevd and dstemr, keyed by routine name."""
+    """Count calls to LAPACK dstevd (scipy's wrapper) and dstemr (the
+    solver's), keyed by routine name."""
     counts = {"dstevd": 0, "dstemr": 0}
-    for name in counts:
-        real = getattr(scipy.linalg.lapack, name)
+    real_dstevd = scipy.linalg.lapack.dstevd
 
-        def counting(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+    def dstevd(*args, **kwargs):
+        counts["dstevd"] += 1
+        return real_dstevd(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, name, counting)
+    def dstemr(call):
+        counts["dstemr"] += 1
+        call.real()
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", dstevd)
+    patch_dstemr(monkeypatch, dstemr)
     return counts
 
 

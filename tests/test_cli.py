@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cwglauber
+from conftest import failing_dstemr_rows
 from cwglauber.cli import main
 from cwglauber.mcmc import simulate_reduced
 from cwglauber.ising import ModelParams
@@ -79,10 +81,27 @@ class TestGapCommand:
 
     def test_memory_error_exits_3_on_one_line(self, dstemr_out_of_memory,
                                               capsys):
-        assert run_cli(["gap", "--n", "100000", "--J", "0"]) == 3
+        assert run_cli(["gap", "--n", "6", "--J", "0"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure: Unable to allocate")
         assert err.count("\n") == 1
+
+    def test_large_n_runs_in_linear_memory(self):
+        """gap at n = 10^5 solves with an n x 2 eigenvector block: exit 0
+        and a peak far below the 74.5 GiB an n x n block would take."""
+        src = str(Path(cwglauber.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cwglauber.cli", "gap", "--n", "100000",
+             "--J", "0"], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0, out
+        assert usage.ru_maxrss < 256 * 1024  # KiB
+        gap = float(re.search(r"^gap += (\S+)$", out, re.M).group(1))
+        assert gap == pytest.approx(1e-5, rel=1e-9)
 
     @pytest.mark.filterwarnings("error")
     def test_underflowed_chain_exits_3(self, capsys):
@@ -185,18 +204,10 @@ class TestSweepCommand:
 
     def test_per_point_failure_gives_partial_output_and_exit_4(
             self, tmp_path, monkeypatch, capsys):
-        import scipy.linalg
         from cwglauber.magchain import build_reduced_chain
         chain = build_reduced_chain(ModelParams(n=4, J=0.2, H=0.0))
         at_point = 1.0 - (chain.up + chain.down)  # the increment diagonal
-        real = scipy.linalg.lapack.dstemr
-
-        def flaky(d, *args, **kwargs):
-            if np.array_equal(d, at_point):
-                return 0, np.zeros(len(d)), np.zeros((len(d), len(d))), 7
-            return real(d, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", flaky)
+        failing_dstemr_rows(monkeypatch, {tuple(at_point): 7})
         out = tmp_path / "partial.csv"
         code = run_cli(["sweep", "--n", "4", "--H", "0", "--J-min", "0",
                         "--J-max", "0.4", "--J-steps", "5",

@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from conftest import analyse_point
+from conftest import analyse_point, failing_dstemr_rows, patch_dstemr
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
@@ -235,20 +234,6 @@ def _reference_sweep(n, H, grid):
     return points, failures
 
 
-def _failing_dstemr(monkeypatch, diags):
-    """Make dstemr report info=code on the rows whose diagonal is a key of
-    diags; every other row is solved by the real routine."""
-    real = scipy.linalg.lapack.dstemr
-
-    def dstemr(d, *args, **kwargs):
-        for diag, code in diags.items():
-            if np.array_equal(d, diag):
-                return 0, np.zeros(len(d)), np.zeros((len(d), len(d))), code
-        return real(d, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
-
-
 def _increment_diagonal(n, J, H):
     chain = build_reduced_chain(ModelParams(n=n, J=J, H=H))
     return tuple(1.0 - (chain.up + chain.down))
@@ -282,7 +267,7 @@ class TestGridCore:
         grid = np.linspace(0.0, 0.2, 6).tolist()
         clean = sweep_monotonicity(n, H, grid)
         delta = perturbation.FD_DELTA_DEFAULT / n
-        _failing_dstemr(monkeypatch, {
+        failing_dstemr_rows(monkeypatch, {
             # grid[2] fails in its own solve and in its J + delta solve
             _increment_diagonal(n, grid[2], H): 7,
             _increment_diagonal(n, grid[2] + delta, H): 8,
@@ -299,21 +284,18 @@ class TestGridCore:
 
     def test_working_set_is_bounded_by_the_block(self, monkeypatch):
         """A 400-point sweep at n = 3000 peaks within 2x a 4-point sweep.
-        dstemr is replaced by a stand-in that allocates the real wrapper's
-        m x m eigenvector array and returns a positive top vector, so the
-        test sees that array kept alive (a view into it pins 72 MB) without
-        the 30 ms per call the real routine spends filling it."""
+        dstemr is replaced by a stand-in that writes a positive top vector
+        into the solver's m x 2 block, so the test sees what the sweep keeps
+        alive without the milliseconds per call the real routine spends."""
         import tracemalloc
 
-        def dstemr(d, e, rng, vl, vu, il, iu, *args, **kwargs):
-            m = len(d)
-            z = np.zeros((m, m), order="F")
-            z[:, 1] = 1.0 / np.sqrt(m)
-            w = np.zeros(m)
-            w[:2] = 0.4, 0.5
-            return 2, w, z, 0
+        def dstemr(call):
+            m = len(call.d)
+            call.z[:, 1] = 1.0 / np.sqrt(m)
+            call.w[:2] = 0.4, 0.5
+            call.M.value, call.info.value = 2, 0
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstemr", dstemr)
+        patch_dstemr(monkeypatch, dstemr)
         n = 3000
         peaks = []
         for points in (4, 400):

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
-import cwglauber.spectral as spectral
-from conftest import dense_reduced_chain, reduced_eigh, tridiagonal_eigh
+import scipy.linalg
+
+from conftest import (dense_reduced_chain, patch_dstemr,
+                      reduced_eigh, tridiagonal_eigh)
 from cwglauber.ising import Distribution, ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
-from cwglauber.spectral import (EigensolverError, eigen_top_tridiagonal,
+from cwglauber.spectral import (EigensolverError,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
                                 increment_rows, lifted_residual,
-                                second_eigenpair, symmetrized_full_chain)
+                                second_eigenpair, symmetrized_full_chain,
+                                top_eigenpairs)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
 
@@ -26,22 +29,33 @@ def _dense_full_spectrum(params):
     return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
 
 
+def top_pair(diag, offdiag):
+    """``top_eigenpairs`` of one matrix: its eigenvalues (one for a 1 x 1
+    matrix) and top eigenvector, raising the row's error."""
+    errors = [None]
+    w, v = top_eigenpairs(np.array([diag], dtype=float),
+                          np.array(offdiag, dtype=float).reshape(1, -1), errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return w[0, :min(len(diag), 2)], v[0]
+
+
 class TestTridiagonalSolver:
-    """eigen_top_tridiagonal, the library's one tridiagonal solver, on
-    closed forms and random matrices."""
+    """top_eigenpairs, the library's one tridiagonal solver, on closed forms
+    and random matrices."""
 
     def test_two_by_two(self):
-        w, v = eigen_top_tridiagonal([0.0, 0.0], [1.0])
+        w, v = top_pair([0.0, 0.0], [1.0])
         np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-15)
         np.testing.assert_allclose(np.abs(v), [math.sqrt(0.5)] * 2, rtol=1e-15)
 
     def test_uniform_closed_form(self):
         a, b = 0.3, 0.2
-        w, _ = eigen_top_tridiagonal([a, a, a], [b, b])
+        w, _ = top_pair([a, a, a], [b, b])
         np.testing.assert_allclose(w, [a + b * math.sqrt(2), a], atol=1e-14)
 
     def test_single_element(self):
-        w, v = eigen_top_tridiagonal([2.5], [])
+        w, v = top_pair([2.5], [])
         assert w.tolist() == [2.5] and v.tolist() == [1.0]
 
     @pytest.mark.parametrize("m", [3, 10, 27, 50])
@@ -49,7 +63,7 @@ class TestTridiagonalSolver:
         rng = np.random.default_rng(m)
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
-        w, _ = eigen_top_tridiagonal(diag, offdiag)
+        w, _ = top_pair(diag, offdiag)
         w_oracle = tridiagonal_eigh(diag, offdiag)[0][:2]
         np.testing.assert_allclose(w, w_oracle, atol=1e-12 * max(1, np.abs(w).max()))
 
@@ -59,10 +73,51 @@ class TestTridiagonalSolver:
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
         A = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
-        w, v = eigen_top_tridiagonal(diag, offdiag)
+        w, v = top_pair(diag, offdiag)
         assert w[0] >= w[1]  # descending
         assert np.abs(A @ v - v * w[0]).max() < 1e-12 * np.linalg.norm(A)
         assert abs(v @ v - 1.0) < 1e-12
+
+
+class TestScipyWrapperOracle:
+    """Every row's dstemr call gives the bits of scipy's f2py wrapper
+    (``scipy.linalg.lapack.dstemr``, which allocates an m x m eigenvector
+    array), called as the library called it before it passed an m x 2
+    block: the same M, info, eigenvalues and eigenvectors."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 40, 100, 300, 1000, 3000])
+    @pytest.mark.parametrize("H", [0.0, 0.2, -0.5, 1.0])
+    def test_bitwise_equal(self, monkeypatch, n, H):
+        calls = []
+
+        def recording(call):
+            d, e = call.d.copy(), call.e.copy()
+            call.real()
+            found = call.M.value
+            calls.append((d, e, found, call.info.value, call.w[:found].copy(),
+                          call.z[:, :found].copy()))
+
+        patch_dstemr(monkeypatch, recording)
+        params = ModelParams(n, np.array([[0.0], [0.5], [1.0], [1.5], [3.0]]) / n, H)
+        with np.errstate(all="ignore"):
+            chain = build_reduced_chain(params)
+            diag = 1.0 - (chain.up + chain.down)
+            offdiag = np.sqrt(chain.up[:, 1:] * chain.down[:, :-1])
+        errors = [None] * len(diag)
+        w, v = top_eigenpairs(diag, offdiag, errors)
+        # one call per row: n = 1 (a 1 x 1 matrix) and n = 2 take this path too
+        assert len(calls) == len(diag) and errors == [None] * len(diag)
+        for i, (d, e, found, info, lam, z) in enumerate(calls):
+            assert np.array_equal(d, diag[i])
+            assert np.array_equal(e[:-1], offdiag[i])
+            m = len(d)
+            ref = scipy.linalg.lapack.dstemr(d, np.append(e[:-1], 0.0), 3,
+                                             0.0, 0.0, max(m - 1, 1), m)
+            assert (found, info) == (ref[0], ref[3]) == (min(m, 2), 0)
+            assert lam.tobytes() == ref[1][:found].tobytes()
+            assert z.tobytes() == ref[2][:, :found].tobytes()
+            assert w[i, :found].tobytes() == ref[1][:found][::-1].tobytes()
+            assert v[i].tobytes() == ref[2][:, found - 1].tobytes()
 
 
 class TestTopEigenpair:
@@ -72,17 +127,17 @@ class TestTopEigenpair:
         diag = rng.standard_normal(m)
         offdiag = rng.standard_normal(m - 1)
         w_all, v_all = tridiagonal_eigh(diag, offdiag)
-        w, v = eigen_top_tridiagonal(diag, offdiag)
+        w, v = top_pair(diag, offdiag)
         np.testing.assert_allclose(w, w_all[:2], rtol=0, atol=1e-12)
         assert abs(abs(v @ v_all[:, 0]) - 1.0) < 1e-12
 
     def test_single_element(self):
-        w, v = eigen_top_tridiagonal([0.3], [])
+        w, v = top_pair([0.3], [])
         assert w == 0.3 and v.tolist() == [1.0]
 
     def test_lapack_failure_is_eigensolver_error(self, dstemr_fails):
         with pytest.raises(EigensolverError, match="info=7"):
-            eigen_top_tridiagonal([1.0, 2.0], [0.5])
+            top_pair([1.0, 2.0], [0.5])
         with pytest.raises(EigensolverError):
             second_eigenpair(ModelParams(n=6, J=0.1, H=0.0))
 
@@ -314,24 +369,26 @@ class TestIncrementVector:
     def test_solver_sign_does_not_matter(self, monkeypatch):
         params = ModelParams(n=9, J=0.2, H=0.1)
         before = second_eigenpair(params).second_vector
-        real = spectral.eigen_top_tridiagonal
-        monkeypatch.setattr(spectral, "eigen_top_tridiagonal",
-                            lambda d, e: (real(d, e)[0], -real(d, e)[1]))
+
+        def negated(call):
+            call.real()
+            call.z[:, call.M.value - 1] *= -1.0
+
+        patch_dstemr(monkeypatch, negated)
         np.testing.assert_array_equal(second_eigenpair(params).second_vector,
                                       before)
 
     def test_one_global_sign_keeps_defects_visible(self, monkeypatch):
         """A wrong-signed component must not be hidden by the sign fix."""
         params = ModelParams(n=8, J=0.1, H=0.0)
-        real = spectral.eigen_top_tridiagonal
 
-        def flawed(diag, offdiag):
-            w, u = real(diag, offdiag)
-            u = -np.abs(u)  # the solver's sign, negative overall
-            u[0] = -u[0]    # and one component of the wrong sign
-            return w, u
+        def flawed(call):
+            call.real()
+            u = call.z[:, call.M.value - 1]
+            u[:] = -np.abs(u)  # the solver's sign, negative overall
+            u[0] = -u[0]       # and one component of the wrong sign
 
-        monkeypatch.setattr(spectral, "eigen_top_tridiagonal", flawed)
+        patch_dstemr(monkeypatch, flawed)
         res = second_eigenpair(params)
         rep = eigenvector_structure_report(res.second_vector, h=0.0)
         assert not rep.increasing and not rep.strictly

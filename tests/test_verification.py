@@ -178,9 +178,9 @@ def _failing_stencil(monkeypatch):
     import cwglauber.perturbation as perturbation
     real = perturbation.increment_rows
 
-    def failing(up, down, errors):
+    def failing(up, down, errors, **kwargs):
         errors[:] = [RuntimeError("stencil solve failed")] * len(errors)
-        return real(up, down, errors)
+        return real(up, down, errors, **kwargs)
 
     monkeypatch.setattr(perturbation, "increment_rows", failing)
 
