@@ -182,6 +182,10 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
     with an ``errors`` entry are skipped; a nonzero LAPACK info is stored
     there as an EigensolverError."""
     rows, m = diag.shape
+    if m < 1 or offdiag.shape != (rows, m - 1) or len(errors) != rows:
+        raise ValueError(f"diagonals {diag.shape}, off-diagonals "
+                         f"{offdiag.shape} and {len(errors)} error slots "
+                         f"do not describe the same rows of order m >= 1")
     d, e, lam = np.empty(m), np.zeros(m), np.empty(m)  # e[m-1] is scratch
     z = np.empty((m, 2), order="F")
     isuppz = np.empty(4, np.intc)

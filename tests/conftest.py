@@ -52,6 +52,10 @@ def detailed_balance_violation(P, pi):
     return np.abs(flux - flux.T).max()
 
 
+# the solver's LAPACK routine, kept before any test replaces it
+REAL_DSTEMR = spectral.dstemr
+
+
 class DstemrCall:
     """One call of ``spectral.dstemr``, its pointer arguments read as arrays:
     d, e and w of length n, the ldz x nzc eigenvector block z, and the int
@@ -70,9 +74,6 @@ class DstemrCall:
     def real(self):
         """Run this call on LAPACK's dstemr."""
         REAL_DSTEMR(*self.args)
-
-
-REAL_DSTEMR = spectral.dstemr
 
 
 def patch_dstemr(monkeypatch, stand_in):

@@ -135,6 +135,15 @@ class TestTopEigenpair:
         w, v = top_pair([0.3], [])
         assert w == 0.3 and v.tolist() == [1.0]
 
+    @pytest.mark.parametrize("diag,offdiag,slots", [
+        ((2, 5), (2, 1), 2),   # one off-diagonal would broadcast over four
+        ((2, 5), (2, 5), 2),
+        ((2, 5), (2, 4), 1),
+        ((1, 0), (1, 0), 1)])
+    def test_mismatched_shapes_are_refused(self, diag, offdiag, slots):
+        with pytest.raises(ValueError, match="do not describe the same rows"):
+            top_eigenpairs(np.ones(diag), np.ones(offdiag), [None] * slots)
+
     def test_lapack_failure_is_eigensolver_error(self, dstemr_fails):
         with pytest.raises(EigensolverError, match="info=7"):
             top_pair([1.0, 2.0], [0.5])
