@@ -118,6 +118,10 @@ class TestScipyWrapperOracle:
             assert z.tobytes() == ref[2][:, :found].tobytes()
             assert w[i, :found].tobytes() == ref[1][:found][::-1].tobytes()
             assert v[i].tobytes() == ref[2][:, found - 1].tobytes()
+        # the stencil's eigenvalues-only read makes the same call
+        w_only, none = top_eigenpairs(diag, offdiag, [None] * len(diag),
+                                      vectors=False)
+        assert none is None and w_only.tobytes() == w.tobytes()
 
 
 class TestTopEigenpair:
