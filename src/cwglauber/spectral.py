@@ -175,7 +175,7 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
     ``vectors``).
 
     Only these are computed, with LAPACK's MRRR driver (dstemr: jobz V,
-    range I, il = max(m - 1, 1), iu = m, tryrac 0, as scipy's wrapper calls
+    range I, il = max(m - 1, 1), iu = m, tryrac 1, as scipy's wrapper calls
     it): its eigenvectors keep tiny components to high relative accuracy,
     where inverse iteration leaves them at the absolute level eps * ||v||.
     One workspace, with an m x 2 eigenvector block, serves every row.  Rows
@@ -191,7 +191,7 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
     isuppz = np.empty(4, np.intc)
     work, iwork = np.empty(18 * m), np.empty(10 * m, np.intc)
     # n, il, iu, M, ldz, nzc, tryrac, lwork, liwork, info
-    ints = np.array([m, max(m - 1, 1), m, 0, m, 2, 0, 18 * m, 10 * m, 0],
+    ints = np.array([m, max(m - 1, 1), m, 0, m, 2, 1, 18 * m, 10 * m, 0],
                     np.intc)
     at = [ints.ctypes.data + k * ints.itemsize for k in range(len(ints))]
     chars, bounds = ctypes.create_string_buffer(b"VI"), np.zeros(2)

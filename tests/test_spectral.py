@@ -79,49 +79,69 @@ class TestTridiagonalSolver:
         assert abs(v @ v - 1.0) < 1e-12
 
 
-class TestScipyWrapperOracle:
-    """Every row's dstemr call gives the bits of scipy's f2py wrapper
-    (``scipy.linalg.lapack.dstemr``, which allocates an m x m eigenvector
-    array), called as the library called it before it passed an m x 2
-    block: the same M, info, eigenvalues and eigenvectors."""
+def assert_scipy_wrapper_bits(monkeypatch, diag, offdiag):
+    """Every row's dstemr call, and what ``top_eigenpairs`` reads from it,
+    has the bits of scipy's f2py wrapper (``scipy.linalg.lapack.dstemr``,
+    which allocates an m x m eigenvector array) called as the library
+    called it before it passed an m x 2 block: the same M, info,
+    eigenvalues and eigenvectors."""
+    calls = []
 
+    def recording(call):
+        d, e = call.d.copy(), call.e.copy()
+        call.real()
+        found = call.M.value
+        calls.append((d, e, found, call.info.value, call.w[:found].copy(),
+                      call.z[:, :found].copy()))
+
+    patch_dstemr(monkeypatch, recording)
+    errors = [None] * len(diag)
+    w, v = top_eigenpairs(diag, offdiag, errors)
+    # one call per row, a 1 x 1 matrix included
+    assert len(calls) == len(diag) and errors == [None] * len(diag)
+    for i, (d, e, found, info, lam, z) in enumerate(calls):
+        assert np.array_equal(d, diag[i])
+        assert np.array_equal(e[:-1], offdiag[i])
+        m = len(d)
+        ref = scipy.linalg.lapack.dstemr(d, np.append(e[:-1], 0.0), 3,
+                                         0.0, 0.0, max(m - 1, 1), m)
+        assert (found, info) == (ref[0], ref[3]) == (min(m, 2), 0)
+        assert lam.tobytes() == ref[1][:found].tobytes()
+        assert z.tobytes() == ref[2][:, :found].tobytes()
+        assert w[i, :found].tobytes() == ref[1][:found][::-1].tobytes()
+        assert v[i].tobytes() == ref[2][:, found - 1].tobytes()
+    # the stencil's eigenvalues-only read makes the same call
+    w_only, none = top_eigenpairs(diag, offdiag, [None] * len(diag),
+                                  vectors=False)
+    assert none is None and w_only.tobytes() == w.tobytes()
+
+
+class TestScipyWrapperOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 12, 40, 100, 300, 1000, 3000])
     @pytest.mark.parametrize("H", [0.0, 0.2, -0.5, 1.0])
-    def test_bitwise_equal(self, monkeypatch, n, H):
-        calls = []
-
-        def recording(call):
-            d, e = call.d.copy(), call.e.copy()
-            call.real()
-            found = call.M.value
-            calls.append((d, e, found, call.info.value, call.w[:found].copy(),
-                          call.z[:, :found].copy()))
-
-        patch_dstemr(monkeypatch, recording)
+    def test_increment_chains(self, monkeypatch, n, H):
         params = ModelParams(n, np.array([[0.0], [0.5], [1.0], [1.5], [3.0]]) / n, H)
         with np.errstate(all="ignore"):
             chain = build_reduced_chain(params)
             diag = 1.0 - (chain.up + chain.down)
             offdiag = np.sqrt(chain.up[:, 1:] * chain.down[:, :-1])
-        errors = [None] * len(diag)
-        w, v = top_eigenpairs(diag, offdiag, errors)
-        # one call per row: n = 1 (a 1 x 1 matrix) and n = 2 take this path too
-        assert len(calls) == len(diag) and errors == [None] * len(diag)
-        for i, (d, e, found, info, lam, z) in enumerate(calls):
-            assert np.array_equal(d, diag[i])
-            assert np.array_equal(e[:-1], offdiag[i])
-            m = len(d)
-            ref = scipy.linalg.lapack.dstemr(d, np.append(e[:-1], 0.0), 3,
-                                             0.0, 0.0, max(m - 1, 1), m)
-            assert (found, info) == (ref[0], ref[3]) == (min(m, 2), 0)
-            assert lam.tobytes() == ref[1][:found].tobytes()
-            assert z.tobytes() == ref[2][:, :found].tobytes()
-            assert w[i, :found].tobytes() == ref[1][:found][::-1].tobytes()
-            assert v[i].tobytes() == ref[2][:, found - 1].tobytes()
-        # the stencil's eigenvalues-only read makes the same call
-        w_only, none = top_eigenpairs(diag, offdiag, [None] * len(diag),
-                                      vectors=False)
-        assert none is None and w_only.tobytes() == w.tobytes()
+        assert_scipy_wrapper_bits(monkeypatch, diag, offdiag)
+
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "graded"])
+    @pytest.mark.parametrize("m", [1, 5, 30, 200])
+    def test_generic_matrices(self, monkeypatch, kind, m):
+        """Definite and graded matrices take dstemr's relative-accuracy
+        path (tryrac) where increment chains do not."""
+        rng = np.random.default_rng(m)
+        if kind == "definite":
+            diag, offdiag = 4.0 + rng.random((6, m)), rng.random((6, m - 1))
+        elif kind == "indefinite":
+            diag = rng.standard_normal((6, m))
+            offdiag = rng.standard_normal((6, m - 1))
+        else:
+            diag = 10.0 ** rng.uniform(-12.0, 0.0, (6, m))
+            offdiag = 0.1 * np.sqrt(diag[:, 1:] * diag[:, :-1])
+        assert_scipy_wrapper_bits(monkeypatch, diag, offdiag)
 
 
 class TestTopEigenpair:
