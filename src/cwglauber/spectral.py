@@ -14,7 +14,7 @@ eigenvalue and cannot mix with lambda_1 even where lambda_1 - lambda_2
 underflows; and no step divides by sqrt(pi), whose tiny tail entries would
 amplify the solver's rounding error.
 
-Each row is one call of LAPACK's MRRR driver dstemr (``top_eigenpairs``),
+Each row is one call of LAPACK's MRRR routine dstemr (``top_eigenpairs``),
 made through the function pointer scipy.linalg.cython_lapack exports: scipy's
 f2py wrapper would allocate and zero an n x n eigenvector array per call,
 where this call writes an n x 2 block in a workspace shared by the batch's
@@ -164,7 +164,7 @@ def _lapack_function(name: str, arguments: int):
         get_pointer(capsule, get_name(capsule)))
 
 
-# LAPACK's MRRR driver; ``top_eigenpairs`` makes its one call per row here.
+# LAPACK's MRRR routine; ``top_eigenpairs`` makes its one call per row here.
 dstemr = _lapack_function("dstemr", 21)
 
 
@@ -174,7 +174,7 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
     and the top eigenvector v with the solver's sign (None unless
     ``vectors``).
 
-    Only these are computed, with LAPACK's MRRR driver (dstemr: jobz V,
+    Only these are computed, with LAPACK's MRRR routine (dstemr: jobz V,
     range I, il = max(m - 1, 1), iu = m, tryrac 1, as scipy's wrapper calls
     it): its eigenvectors keep tiny components to high relative accuracy,
     where inverse iteration leaves them at the absolute level eps * ||v||.
