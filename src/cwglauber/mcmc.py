@@ -2,24 +2,25 @@
 
 Both simulators record the total magnetization m = 2k - n once per sweep (n
 elementary single-site steps).  The full simulator resets one uniformly
-chosen spin per step from its conditional law.  For J >= 0 that update is
-monotone, so it runs a trajectory's time windows side by side (lanes) with
-numpy, each lane fixed by the all-up and all-down chains fed the same draws
-once they meet, and falls back to a per-site loop where they do not: the
-same bytes either way.  The reduced simulator walks the magnetization
-levels: up to n = N_MAX_SWEEP_KERNEL it draws each recorded level from the
-row of the sweep kernel P^n at the previous level, one uniform per sweep;
-above that it applies the lumped up/down rule once per step.  The kernel
-walk runs in lanes too, speculatively: each lane from a guessed level
-first, then from its true start until it meets that guess.  A step depends
-only on (level, uniform), so walks that meet stay together; meeting is
-checked on the walks themselves and needs no monotonicity, which the
-rounded cumulative rows of P^n do not have.  Lanes started wrong are rerun
-with bisect, and the bisect loop takes over where lanes do not meet: the
-same bytes either way.  Both start
-from an exact stationary sample, so stationarity tests need no burn-in (the
-argument is still honored for runs that want it), and both refuse a chain
-whose rates underflowed to 0, as the spectral core does.
+chosen spin per step from its conditional law.  The reduced simulator walks
+the magnetization levels: up to n = N_MAX_SWEEP_KERNEL it draws each
+recorded level from the row of the sweep kernel P^n at the previous level,
+one uniform per sweep; above that it applies the lumped up/down rule once
+per step.
+
+The full simulator and the kernel walk share one lane runner (``_run``):
+it runs a trajectory's time windows side by side (lanes) with numpy,
+speculatively, each lane from a guessed state first, then from its true
+start until it meets that guess.  A sweep's state (the level, or the
+configuration as a bitmask) is a function of the state before and the
+draws alone, so chains that meet stay together; meeting is checked on the
+states themselves and needs no monotonicity, which the rounded cumulative
+rows of P^n do not have.  Lanes started wrong are rerun by the chain's
+loop, and the loop takes over where lanes do not meet: the same bytes
+either way.  Both simulators start from an exact stationary sample, so
+stationarity tests need no burn-in (the argument is still honored for runs
+that want it), and both refuse a chain whose rates underflowed to 0, as the
+spectral core does.
 
 The relaxation time targeted by the estimators is 1/(1 - lambda_2) in
 single-site steps, i.e. (1/(1 - lambda_2))/n in the sweep units of the
@@ -33,6 +34,7 @@ contiguous batches.
 import math
 from bisect import bisect
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,21 +54,20 @@ N_MAX_SIMULATE_FULL = 24
 # format: it decides which of the two streams a run draws.
 N_MAX_SWEEP_KERNEL = 512
 
-# The full simulator runs about SUPERBLOCK_UPDATES site updates (8 draw
-# chunks) at a time as lanes of LANE_SWEEPS sweeps, one numpy step per site
-# update for all lanes at once (2-core host): 819 lanes at n = 10, 341 at
-# n = 24, spread each step's ~1 us per ufunc call over enough updates, and
-# the draw buffers (10 MiB, the sites held as bytes) left `simulate --full
-# --n 10 --steps 1000000` at a peak RSS below the per-site loop's.  Lanes of
-# 64 and 128 sweeps ran equally fast; 128 is ~5x the sweeps by which all
-# lanes have met at n = 10, J = 0.08 (23) and twice those at n = 24, J*n = 1
-# (56).  Below about 90 lanes (n = 3 to 24) the per-site loop runs the same
-# updates faster.  The kernel walk takes SUPERBLOCK_UPDATES uniforms, one
-# per sweep, as 8192 lanes of the same length (1024 to a 131072-sweep draw
-# chunk), under the same give-up rule.  Its lanes cost 1-4 ms however few
-# they are, so on a tail the bisect loop is faster below 96 lanes at n = 3,
-# about 130 at n = 10 to 24 and 150 at n = 512: with the same MIN_LANES a
-# run loses at most 1.3 ms, once, on a tail between those counts.
+# The lanes take about SUPERBLOCK_UPDATES draws at a time (8 draw chunks) as
+# lanes of LANE_SWEEPS sweeps, one numpy step for all lanes at once per site
+# update of the full chain (819 lanes at n = 10, 341 at n = 24) or per sweep
+# of the kernel walk (8192 lanes), which spreads each step's ~1 us per ufunc
+# call over enough updates (2-core host).  The full chain's draw buffers
+# (10 MiB, the sites held as bytes) left `simulate --full --n 10 --steps
+# 1000000` at a peak RSS below the per-site loop's.  Lanes of 64 and 128
+# sweeps ran equally fast; 128 is ~5x the sweeps by which all lanes have met
+# at n = 10, J = 0.08 (23) and twice those at n = 24, J*n = 1 (56).  Below
+# MIN_LANES lanes the loops run the same sweeps faster: the per-site loop
+# below about 90 lanes (n = 3 to 24), and the bisect loop, as the kernel
+# walk's lanes cost 1-4 ms however few they are, below 96 lanes at n = 3,
+# about 130 at n = 10 to 24 and 150 at n = 512: with one MIN_LANES a run
+# loses at most 1.3 ms, once, on a tail between those counts.
 LANE_SWEEPS = 128
 SUPERBLOCK_UPDATES = 1 << 20
 MIN_LANES = 96
@@ -152,7 +153,7 @@ def _kernel_loop(rows: list, k: int, us: list) -> list:
 
 def _kernel_steps(k: np.ndarray, us: np.ndarray, table: np.ndarray):
     """Advance the levels k in place: lane (column) b takes the uniforms
-    us[b] in order, all lanes one sweep per numpy step; yield after each.
+    us[b] in order, all lanes one sweep per numpy step; yield k after each.
     table holds the cumulative rows padded by 2.0 to 2^w > n entries.  A
     step counts the entries <= u of row k by a branchless binary search:
     bisect's level, as the rows are nondecreasing."""
@@ -168,75 +169,91 @@ def _kernel_steps(k: np.ndarray, us: np.ndarray, table: np.ndarray):
                 np.left_shift(le, s, out=le)
                 np.add(pos, le, out=pos)
             np.bitwise_and(pos, (1 << w) - 1, out=k)
-            yield
+            yield k
 
 
-def _rerun(rows: list, levels: np.ndarray, starts: list,
-           us: np.ndarray) -> int:
-    """Make the lanes' walks (columns of levels) right after pass 2, in
-    order: a lane that started from a level other than the previous lane's
-    end is rerun with bisect from that end until it meets its stored walk.
-    Return how many leading lanes are right: all of them, unless the reruns
-    take more than a quarter of the lanes' sweeps first."""
-    lanes = levels.shape[1]
-    budget, ends = levels.size // 4, levels[-1].tolist()
-    end = ends[0]
-    for b in range(1, lanes):
-        if starts[b] != end:
-            walk, k = levels[:, b], end
-            for j, u in enumerate(us[b].tolist()):
-                k = bisect(rows[k], u)
-                if k == walk[j]:
-                    break
-                walk[j] = k
-            budget -= j + 1
-            if budget < 0:
-                return b + 1
-            ends[b] = int(walk[-1])
-        end = ends[b]
-    return lanes
+def _lanes(steps, walk, start: int, top: int, lanes: int):
+    """The levels after each sweep of `lanes` lanes of LANE_SWEEPS sweeps,
+    run one after another from state `start`, and the end state, for as
+    many leading lanes as are right; None if pass 1 gives up.
 
-
-def _kernel_lanes(table: np.ndarray, rows: list, k: int, us: np.ndarray,
-                  lanes: int):
-    """Levels after each uniform of us walked from level k as `lanes` lanes
-    of LANE_SWEEPS sweeps, of as many leading lanes as are right; None if
-    pass 1 gives up.
-
-    A step is a function of (level, u) alone, so two walks fed the same
-    uniforms that share a level at some sweep agree from there on: meeting
-    is checked on the walks themselves, and no order between the rows is
-    needed.  Pass 1 runs each lane from level n to its end, with a walk
-    from level 0 beside it for the first eighth; it gives up there if fewer
-    than a quarter of the lanes' two walks have met, as the full
-    simulator's lanes do (at J*n well above 1 the walks keep to their
-    wells).  Pass 2 runs each lane's true walk, from the previous lane's
-    pass-1 end (the first from k), until every lane's has met pass 1's or
-    the lanes end; then ``_rerun`` mends the lanes after one that never
-    met, which started from a wrong level."""
-    n = table.shape[0] - 1
-    us = us.reshape(lanes, LANE_SWEEPS)
+    steps(states, a, b) advances the states (one column per lane) in place
+    through sweeps a to b of every lane, yielding the levels after each (the
+    states themselves, where they are levels: then one array holds both);
+    walk(state, a, b) runs one chain through sweeps a to b of the lanes'
+    draws by the loop and returns its levels and end state.  Two chains fed
+    the same draws that share a state at some sweep agree from there on.
+    Pass 1 runs each lane from `top`, with a chain from state 0 beside it
+    until they have met in every lane or for the first eighth; it gives up
+    there if fewer than a quarter of the lanes' two chains have met (at J*n
+    well above 1 they keep to their wells).  For J >= 0 the heat-bath
+    update is monotone, so the chain from the top meets the true one no
+    later than the one from 0 does.  Pass 2 runs each lane's true chain,
+    from the previous lane's pass-1 end (the first from `start`), until
+    every lane's state is pass 1's at the same sweep or the lanes end.  A
+    lane after one that never met started from a wrong state: walk reruns
+    it from the true one, until the reruns have taken more than a quarter
+    of the lanes' sweeps."""
     probe = LANE_SWEEPS // 8
-    ks = np.array([[n], [0]]).repeat(lanes, axis=1)
-    levels = np.empty((LANE_SWEEPS, lanes), dtype=ks.dtype)
-    for j, _ in enumerate(_kernel_steps(ks, us[:, :probe], table)):
-        levels[j] = ks[0]
-    if 4 * np.count_nonzero(ks[0] == ks[1]) < lanes:
-        return None
-    ks = ks[:1]
-    for j, _ in enumerate(_kernel_steps(ks, us[:, probe:], table), probe):
-        levels[j] = ks[0]
-    ks[0] = np.append(k, levels[-1, :-1])
-    starts = ks[0].tolist()
-    differ = np.empty(lanes, dtype=bool)
-    for j, _ in enumerate(_kernel_steps(ks, us, table)):
-        np.not_equal(ks[0], levels[j], out=differ)
-        if not differ.any():
+    states = np.array([[top], [0]]).repeat(lanes, axis=1)
+    path = levels = np.empty((LANE_SWEEPS, lanes), dtype=states.dtype)
+    for j, k in enumerate(steps(states, 0, probe)):
+        if levels is path and k is not states:
+            levels = np.empty_like(path)
+        path[j], levels[j] = states[0], k[0]
+        if (states[0] == states[1]).all():
             break
-        levels[j] = ks[0]
-    else:
-        lanes = _rerun(rows, levels, starts, us)
-    return levels[:, :lanes].T.ravel()
+    if 4 * np.count_nonzero(states[0] == states[1]) < lanes:
+        return None
+    states = states[:1]
+    for j, k in enumerate(steps(states, j + 1, LANE_SWEEPS), j + 1):
+        path[j], levels[j] = states[0], k[0]
+    starts = np.append(start, path[-1, :-1])
+    states[0] = starts
+    for j, k in enumerate(steps(states, 0, LANE_SWEEPS)):
+        if (states[0] == path[j]).all():
+            return levels.T.ravel(), int(path[-1, -1])
+        levels[j] = k[0]
+    starts, ends = starts.tolist(), states[0].tolist()
+    budget = lanes * LANE_SWEEPS // 4
+    for b in range(1, lanes):
+        if starts[b] != ends[b - 1]:
+            levels[:, b], ends[b] = walk(ends[b - 1], b * LANE_SWEEPS,
+                                         (b + 1) * LANE_SWEEPS)
+            budget -= LANE_SWEEPS
+            if budget < 0:
+                lanes = b + 1
+                break
+    return levels[:, :lanes].T.ravel(), ends[lanes - 1]
+
+
+def _run(samples: np.ndarray, n: int, t: int, blocks, steps, walk,
+         state: int, top: int, chunk: int) -> None:
+    """Record the levels of a chain run from `state` through the superblocks
+    of draws `blocks`, from sweep t on (t < 0 indexes burn-in sweeps).
+
+    blocks yields (sweeps, draws); steps(draws, states, a, b) and
+    walk(draws, state, a, b) are ``_lanes``'s over those draws.  A
+    superblock runs as lanes while every one before took all of its lanes;
+    the loop, `chunk` sweeps at a time, runs what is left past the last
+    whole lane, a tail of fewer than MIN_LANES lanes, and whatever the lanes
+    do not take."""
+    trying = True
+    for sweeps, draws in blocks:
+        lanes, done = sweeps // LANE_SWEEPS, 0
+        if trying and lanes >= MIN_LANES:
+            run = _lanes(partial(steps, draws), partial(walk, draws), state,
+                         top, lanes)
+            if run is not None:
+                levels, state = run
+                done = len(levels)
+                _record(samples, levels, n, t, 1)
+                t += done
+            trying = done == lanes * LANE_SWEEPS
+        for i in range(done, sweeps, chunk):
+            levels, state = walk(draws, state, i, min(i + chunk, sweeps))
+            _record(samples, levels, n, t, 1)
+            t += len(levels)
 
 
 def _rates_checked(params: ModelParams) -> ReducedChain:
@@ -258,11 +275,9 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
     sweep is n single applications of the lumped transition rule, by one
     uniform each.  Identical arguments give bitwise-identical trajectories.
     The kernel walk's uniforms are one sequence however the calls that draw
-    them split it (131072 at a time once lanes give up, as before them):
-    superblocks of them run as lanes (``_kernel_lanes``), and the bisect
-    loop runs a tail of fewer than MIN_LANES lanes, what is left past the
-    last whole lane, and everything after a superblock whose lanes gave up
-    or were not all mended.
+    them split it: ``_run`` takes them SUPERBLOCK_UPDATES at a time, as
+    lanes of ``_kernel_steps`` where it can and by the bisect loop, 131072
+    at a time, where it cannot.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -275,24 +290,20 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
         rows = sweep_kernel_rows(chain)
         table = np.pad(rows, ((0, 0), (0, (1 << n.bit_length()) - n)),
                        constant_values=2.0)
-        listed, coupled, t = rows.tolist(), True, -burn_in
-        while t < steps:
-            us = rng.random(min(SUPERBLOCK_UPDATES if coupled else 131072,
-                                steps - t))
-            lanes = len(us) // LANE_SWEEPS
-            run = _kernel_lanes(table, listed, k, us[:lanes * LANE_SWEEPS],
-                                lanes) if coupled and lanes >= MIN_LANES else None
-            done = 0 if run is None else len(run)
-            if done:
-                k = int(run[-1])
-                _record(samples, run, n, t, 1)
-                t += done
-            coupled = done == lanes * LANE_SWEEPS
-            for i in range(done, len(us), 131072):
-                ks = _kernel_loop(listed, k, us[i:i + 131072].tolist())
-                k = ks[-1]
-                _record(samples, ks, n, t, 1)
-                t += len(ks)
+        listed = rows.tolist()
+
+        def advance(us, ks, a, b):
+            us = us[:ks.shape[1] * LANE_SWEEPS].reshape(-1, LANE_SWEEPS)
+            return _kernel_steps(ks, us[:, a:b], table)
+
+        def walk(us, k, a, b):
+            ks = _kernel_loop(listed, k, us[a:b].tolist())
+            return ks, ks[-1]
+
+        sizes = [min(SUPERBLOCK_UPDATES, steps - t)
+                 for t in range(-burn_in, steps, SUPERBLOCK_UPDATES)]
+        blocks = ((size, rng.random(size)) for size in sizes)
+        _run(samples, n, -burn_in, blocks, advance, walk, k, n, 131072)
         return Trajectory(params=params, seed=seed, burn_in=burn_in,
                           samples=samples)
     up = np.append(chain.up, 0.0)
@@ -329,14 +340,15 @@ def _site_loop(spins: list, k: int, p_plus: list, us: list, xs: list) -> list:
     return ks
 
 
-def _lockstep(c: np.ndarray, k: np.ndarray, us: np.ndarray, xs: np.ndarray,
+def _lockstep(c: np.ndarray, us: np.ndarray, xs: np.ndarray,
               p_plus: np.ndarray, n: int):
-    """Advance the bitmask configurations c, at levels k, in place: lane
-    (column) b takes the updates us[b], xs[b] in order, all lanes one step
-    per numpy step.  Yield after each sweep of n steps.  The draws are
-    transposed a few sweeps at a time, so a pass stopped early leaves the
-    rest untouched; the work arrays keep every ufunc on one dtype, and
-    the take on intp indices."""
+    """Advance the bitmask configurations c in place: lane (column) b takes
+    the updates us[b], xs[b] in order, all lanes one step per numpy step.
+    Yield the levels after each sweep of n steps, counted from c once on
+    entry and kept up to date.  The draws are transposed a few sweeps at a
+    time, so a pass stopped early leaves the rest untouched; the work arrays
+    keep every ufunc on one dtype, and the take on intp indices."""
+    k = np.bitwise_count(c).astype(c.dtype)
     s, m, new = (np.empty_like(c) for _ in range(3))
     one, p = np.ones_like(c), np.empty(c.shape)
     for a in range(0, us.shape[1], 8 * n):
@@ -353,55 +365,15 @@ def _lockstep(c: np.ndarray, k: np.ndarray, us: np.ndarray, xs: np.ndarray,
             np.left_shift(s, x, out=s)
             np.bitwise_xor(c, s, out=c)
             if j % n == 0:
-                yield
-
-
-def _run_lanes(spins: list, k: int, us: np.ndarray, xs: np.ndarray,
-               p_plus: np.ndarray, lanes: int):
-    """Sweep-end levels of the updates us, xs run from (spins, k) as `lanes`
-    lanes of LANE_SWEEPS sweeps, and the end configuration; None unless
-    every lane's top and bottom chains meet within it.
-
-    For nondecreasing p_plus the update is monotone: chains started above
-    and below the true one and fed its draws stay above and below it, so
-    once they meet the true chain is theirs (Propp & Wilson, Random Struct.
-    Alg. 9, 1996).  Pass 1 runs each lane's all-up and all-down chains until
-    they have met in every lane, then the top ones alone to the lane ends;
-    pass 2 runs each lane's true chain, from the previous lane's end (the
-    first from spins), up to that meeting.  Pass 1 gives up an eighth of
-    the way in if fewer than a quarter of the lanes have met: at J*n well
-    above 1 hardly any do, while every run seen to meet within the lanes
-    had 45% or more (n = 10, J*n = 1.5)."""
-    n = len(spins)
-    us, xs = us.reshape(lanes, -1), xs.reshape(lanes, -1)
-    c = np.array([[(1 << n) - 1], [0]]).repeat(lanes, axis=1)
-    ks = np.array([[n], [0]]).repeat(lanes, axis=1)
-    for met, _ in enumerate(_lockstep(c, ks, us, xs, p_plus, n), 1):
-        joined = np.count_nonzero(c[0] == c[1])
-        if joined == lanes:
-            break
-        if met == LANE_SWEEPS // 8 and 4 * joined < lanes:
-            return None
-    else:
-        return None
-    c, ks = c[:1], ks[:1]
-    levels = np.empty((LANE_SWEEPS, lanes), dtype=ks.dtype)
-    for j, _ in enumerate(_lockstep(c, ks, us[:, met * n:], xs[:, met * n:],
-                                    p_plus, n), met):
-        levels[j] = ks[0]
-    end = int(c[0, -1])
-    c[0] = np.append(sum(s << i for i, s in enumerate(spins)), c[0, :-1])
-    ks[0] = np.append(k, ks[0, :-1])
-    for j, _ in zip(range(met), _lockstep(c, ks, us, xs, p_plus, n)):
-        levels[j] = ks[0]
-    return levels.T.ravel(), [(end >> i) & 1 for i in range(n)]
+                yield k
 
 
 def _superblocks(rng, n: int, sweeps: int, size: int):
     """The draws of `sweeps` sweeps, made as the stream makes them (chunks of
     131072 // n sweeps, each its uniforms, then its sites), regrouped into
-    blocks of `size` updates, then what is left.  Each block is a view of
-    one reused buffer, valid until the next is asked for."""
+    blocks of `size` updates, then what is left; each as (sweeps, (uniforms,
+    sites)).  Each block is a view of one reused buffer, valid until the
+    next is asked for."""
     chunk = max(1, 131072 // n) * n
     us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.uint8)
     held = 0
@@ -411,11 +383,11 @@ def _superblocks(rng, n: int, sweeps: int, size: int):
         xs[held:held + b] = rng.integers(0, n, size=b)
         held += b
         while held >= size:
-            yield us[:size], xs[:size]
+            yield size // n, (us[:size], xs[:size])
             held -= size
             us[:held], xs[:held] = us[size:size + held], xs[size:size + held]
     if held:
-        yield us[:held], xs[:held]
+        yield held // n, (us[:held], xs[:held])
 
 
 def simulate_full(params: ModelParams, seed: int, steps: int,
@@ -425,12 +397,11 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     Each step picks a site uniformly and sets its spin to +1 with probability
     logistic(2 (J * (sum of other spins) + H)); n <= N_MAX_SIMULATE_FULL.
     Each chunk of 131072 // n sweeps draws its uniforms, then its sites, so
-    the chunk size is part of the stream.  Superblocks of the draws run as
-    coupled lanes (``_run_lanes``); the per-site loop runs what is left past
-    the last whole lane, a tail of fewer than MIN_LANES lanes, and a
-    superblock whose lanes do not all meet with everything after it.  Either
-    way the trajectory is the per-site loop's, bit for bit.  An underflowed
-    chain raises EigensolverError before any draw.
+    the chunk size is part of the stream.  ``_run`` takes the draws in
+    superblocks, as lanes of ``_lockstep`` where it can and by the per-site
+    loop, one draw chunk at a time, where it cannot; either way the
+    trajectory is the per-site loop's, bit for bit.  An underflowed chain
+    raises EigensolverError before any draw.
     """
     if steps < 0 or burn_in < 0:
         raise ValueError("steps and burn_in must be nonnegative")
@@ -440,39 +411,33 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
     _rates_checked(params)
     rng = np.random.default_rng(seed)
     k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
-    spins = np.bincount(rng.permutation(n)[:k], minlength=n).tolist()
+    c = sum(1 << i for i in rng.permutation(n)[:k].tolist())  # spin i is bit i
     # p(set +1) depends only on m = k - spins[x], the number of up spins
     # among the other n - 1 sites, whose sum is 2m - n + 1.
     p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
               for m in range(n)]
     table = np.array(p_plus)
-    coupled = bool(np.all(table[:-1] <= table[1:]))  # the sandwich needs it
     lanes = max(1, SUPERBLOCK_UPDATES // (n * LANE_SWEEPS))
-    block = lanes * LANE_SWEEPS * n
+    lists = []
+
+    def advance(draws, c, a, b):
+        us, xs = (d[:c.shape[1] * LANE_SWEEPS * n].reshape(-1, LANE_SWEEPS * n)
+                  for d in draws)
+        return _lockstep(c, us[:, a * n:b * n], xs[:, a * n:b * n], table, n)
+
+    def walk(draws, c, a, b):
+        spins = [c >> i & 1 for i in range(n)]
+        # built while the last call's lists live: built after they were
+        # freed, the loop ran about 8% slower, for a 5 MiB lower peak
+        # (fresh processes, 2-core host)
+        lists[:] = (d[a * n:b * n].tolist() for d in draws)
+        ks = _site_loop(spins, c.bit_count(), p_plus, *lists)
+        return ks[n - 1::n], sum(s << i for i, s in enumerate(spins))
+
     samples = np.empty(steps)
-    chunk = max(1, 131072 // n) * n  # the loop takes one draw chunk at a time
-    t = -burn_in
-    for us, xs in _superblocks(rng, n, burn_in + steps, block):
-        width = len(us) // (LANE_SWEEPS * n)  # whole lanes
-        done = width * LANE_SWEEPS * n
-        run = _run_lanes(spins, k, us[:done], xs[:done], table, width) if (
-            coupled and width >= MIN_LANES) else None
-        if run is None:
-            coupled, done = False, 0  # the loop runs the rest
-        else:
-            levels, spins = run
-            k = int(levels[-1])
-            _record(samples, levels, n, t, 1)
-            t += len(levels)
-        for i in range(done, len(us), chunk):
-            # built while the last piece's lists live, as when each chunk was
-            # drawn and looped at once; built inside the call, the loop ran
-            # ~10% slower (fresh processes, 2-core host)
-            u, x = us[i:i + chunk].tolist(), xs[i:i + chunk].tolist()
-            ks = _site_loop(spins, k, p_plus, u, x)
-            k = ks[-1]
-            _record(samples, ks, n, t, n)
-            t += len(ks) // n
+    _run(samples, n, -burn_in,
+         _superblocks(rng, n, burn_in + steps, lanes * LANE_SWEEPS * n),
+         advance, walk, c, (1 << n) - 1, max(1, 131072 // n))
     return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
 
 

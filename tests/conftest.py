@@ -137,8 +137,8 @@ def lapack_calls(monkeypatch):
 
 def reference_simulate_full(params, seed, steps, burn_in=0):
     """The full simulator's samples from its plain per-site loop, kept as
-    the oracle for the coupled lanes: the same draws, chunk by chunk, and
-    one Python update per site."""
+    the oracle for its lanes: the same draws, chunk by chunk, and one
+    Python update per site."""
     from cwglauber.ising import logistic
     from cwglauber.magchain import reduced_stationary
     n = params.n

@@ -200,8 +200,9 @@ ORACLE_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24)
 KERNEL_GRID = [(n, jn, h) for n in (1, 2, 3, 10, 24, 100, 512)
                for jn, h in COUPLINGS_FIELDS]
 # Sweeps past the first superblock: none, four whole lanes (mid-superblock),
-# four lanes and 3 sweeps (mid-lane), and too few lanes for lanes (the loop).
-ENDINGS = (0, 4 * 64, 4 * 64 + 3, 2 * 64 + 3)
+# four lanes and 3 sweeps (mid-lane), too few lanes for lanes (the loop), and
+# 3 sweeps, fewer than one lane (the loop, with no whole lane at all).
+ENDINGS = (0, 4 * 64, 4 * 64 + 3, 2 * 64 + 3, 3)
 
 
 def count_loop_draws(monkeypatch, name):
@@ -222,8 +223,9 @@ def count_loop_draws(monkeypatch, name):
 @pytest.mark.parametrize("i", range(len(ORACLE_GRID)),
                          ids=[f"n{n}-Jn{jn:g}-H{h:g}" for n, jn, h in ORACLE_GRID])
 def test_lanes_match_the_per_site_loop(i, monkeypatch):
-    """Bitwise the per-site loop's samples, whichever of lanes, the loop
-    after a superblock whose lanes did not meet, and the tail runs them.
+    """Bitwise the per-site loop's samples, whichever of lanes, reruns, the
+    loop after lanes that gave up or were not all rerun, and the tail runs
+    them.
     Burn-ins and endings cycle over the grid; 131072, one chunk at n = 1,
     runs there only."""
     n, jn, h = ORACLE_GRID[i]
@@ -231,7 +233,7 @@ def test_lanes_match_the_per_site_loop(i, monkeypatch):
         monkeypatch.setattr(mcmc, name, value)
     block = 8192 // (n * 64) * 64  # sweeps per superblock
     burn_in = (0, 7, 131072)[i % 3] if n == 1 else (0, 7)[i % 2]
-    steps = block + ENDINGS[i % 4] - burn_in % block
+    steps = block + ENDINGS[i % 5] - burn_in % block
     params = ModelParams(n=n, J=jn / n, H=h)
     looped = count_loop_draws(monkeypatch, "_site_loop")
     traj = simulate_full(params, seed=i, steps=steps, burn_in=burn_in)
@@ -255,9 +257,9 @@ def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
     with no second try."""
     looped = count_loop_draws(monkeypatch, "_site_loop")
     tries = []
-    run_lanes = mcmc._run_lanes
-    monkeypatch.setattr(mcmc, "_run_lanes",
-                        lambda *a: tries.append(a[-1]) or run_lanes(*a))
+    lanes = mcmc._lanes
+    monkeypatch.setattr(mcmc, "_lanes",
+                        lambda *a: tries.append(a[-1]) or lanes(*a))
     simulate_full(ModelParams(n=10, J=0.3), seed=6, steps=150_000)
     assert looped[0] == 10 * 150_000
     assert tries == [mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)]
@@ -269,13 +271,14 @@ def test_kernel_lanes_match_the_bisect_loop(i, monkeypatch):
     """Bitwise the plain bisect walk's samples, whichever of lanes, reruns,
     the loop after lanes that gave up or did not meet, and the tail runs
     them.  With superblocks of 8192 sweeps (128 lanes of 64) the endings
-    cycle over none, mid-superblock, mid-lane and too few lanes for lanes;
-    the burn-ins over 0, 7 and a whole 131072-sweep draw chunk and 7."""
+    cycle over none, mid-superblock, mid-lane, too few lanes for lanes and
+    less than one lane; the burn-ins over 0, 7 and a whole 131072-sweep draw
+    chunk and 7."""
     n, jn, h = KERNEL_GRID[i]
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)
     burn_in = (0, 7, 131072 + 7)[i % 3]
-    steps = 8192 + ENDINGS[i % 4] - burn_in % 8192
+    steps = 8192 + ENDINGS[i % 5] - burn_in % 8192
     params = ModelParams(n=n, J=jn / n, H=h)
     looped = count_loop_draws(monkeypatch, "_kernel_loop")
     traj = simulate_reduced(params, seed=i, steps=steps, burn_in=burn_in)
@@ -322,9 +325,9 @@ def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
         monkeypatch.setattr(mcmc, name, value)
     looped = count_loop_draws(monkeypatch, "_kernel_loop")
     tries = []
-    kernel_lanes = mcmc._kernel_lanes
-    monkeypatch.setattr(mcmc, "_kernel_lanes",
-                        lambda *a: tries.append(a[-1]) or kernel_lanes(*a))
+    lanes = mcmc._lanes
+    monkeypatch.setattr(mcmc, "_lanes",
+                        lambda *a: tries.append(a[-1]) or lanes(*a))
     params = ModelParams(n=10, J=0.3)
     traj = simulate_reduced(params, seed=6, steps=30_000)
     assert looped[0] == 30_000
@@ -333,37 +336,70 @@ def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
         traj.samples, reference_simulate_reduced(params, 6, 30_000))
 
 
-def test_lanes_after_one_that_never_met_are_rerun(monkeypatch):
-    """At n = 4, J*n = 2 some lanes' true walks never meet pass 1's within
-    64 sweeps; the lanes after them are rerun, and every lane is kept."""
+@pytest.mark.parametrize("simulate,loop,seed,steps,reference", [
+    (simulate_reduced, "_kernel_loop", 1, 3 * 8192,
+     reference_simulate_reduced),
+    (simulate_full, "_site_loop", 8, 4 * 2048, reference_simulate_full)],
+    ids=["reduced", "full"])
+def test_lanes_after_one_that_never_met_are_rerun(simulate, loop, seed, steps,
+                                                  reference, monkeypatch):
+    """At n = 4, J*n = 2 some lanes' true chains never meet pass 1's within
+    64 sweeps (the full chain's, rarer, in the second of these four
+    superblocks); the lanes after them are rerun by the loop, every lane is
+    kept, and no draw reaches the loop outside the lanes."""
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)
-    kept = []
-    rerun = mcmc._rerun
-    monkeypatch.setattr(mcmc, "_rerun", lambda rows, levels, starts, us: (
-        kept.append((rerun(rows, levels, starts, us), levels.shape[1]))
-        or kept[-1][0]))
-    looped = count_loop_draws(monkeypatch, "_kernel_loop")
+    looped = count_loop_draws(monkeypatch, loop)
+    calls = []  # (lanes asked for, lanes returned, loop draws within)
+    lanes = mcmc._lanes
+
+    def counting(*a):
+        before = looped[0]
+        run = lanes(*a)
+        calls.append((a[-1], run and len(run[0]) // 64, looped[0] - before))
+        return run
+
+    monkeypatch.setattr(mcmc, "_lanes", counting)
     params = ModelParams(n=4, J=0.5)
-    traj = simulate_reduced(params, seed=1, steps=3 * 8192)
-    assert kept and all(k == lanes for k, lanes in kept)
-    assert looped[0] == 0
-    np.testing.assert_array_equal(
-        traj.samples, reference_simulate_reduced(params, 1, 3 * 8192))
+    traj = simulate(params, seed=seed, steps=steps)
+    assert calls and all(asked == kept for asked, kept, _ in calls)
+    assert any(reran for _, _, reran in calls)
+    assert looped[0] == sum(reran for _, _, reran in calls)
+    np.testing.assert_array_equal(traj.samples,
+                                  reference(params, seed, steps))
 
 
 def test_reruns_stop_after_a_quarter_of_the_sweeps():
-    """Reruns that never meet their stored walks stop once they have taken
-    a quarter of the lanes' sweeps; the lanes they return are the walk's."""
+    """Reruns that never meet pass 1 stop once they have taken a quarter of
+    the lanes' sweeps; the lanes kept are the walk's.  The stand-in pass 1
+    leaves every chain at level -1, which no true walk reaches."""
     rows = sweep_kernel_rows(build_reduced_chain(ModelParams(n=10, J=0.08)))
+    table = np.pad(rows, ((0, 0), (0, 6)), constant_values=2.0)
     rows = rows.tolist()
     us = np.random.default_rng(7).random((64, 128))
-    walk = mcmc._kernel_loop(rows, 5, us.ravel().tolist())
-    levels = np.full((128, 64), -1)  # stored walks nothing meets
-    levels[:, 0] = walk[:128]
-    kept = mcmc._rerun(rows, levels, [5] + [-1] * 63, us)
+    passes = []
+
+    def stuck(ks, a, b):
+        for _ in range(a, b):
+            ks[:] = -1
+            yield ks
+
+    def steps(ks, a, b):
+        passes.append((a, b))  # pass 1 asks twice, then pass 2 once
+        if len(passes) <= 2:
+            return stuck(ks, a, b)
+        return mcmc._kernel_steps(ks, us[:, a:b], table)
+
+    def walk(k, a, b):
+        ks = mcmc._kernel_loop(rows, k, us.ravel()[a:b].tolist())
+        return ks, ks[-1]
+
+    levels, end = mcmc._lanes(steps, walk, 5, 10, 64)
+    kept = len(levels) // 128
     assert kept == 2 + 64 // 4  # lane 0, then reruns until over 16 lanes
-    assert levels[:, :kept].T.ravel().tolist() == walk[:128 * kept]
+    truth = mcmc._kernel_loop(rows, 5, us.ravel().tolist())
+    assert levels.tolist() == truth[:128 * kept]
+    assert end == truth[128 * kept - 1]
 
 
 # sha256 of trajectory_to_csv for (simulator, n, J, H, steps, burn_in,
@@ -374,8 +410,10 @@ def test_reruns_stop_after_a_quarter_of_the_sweeps():
 # 131072, so every step count here ends mid-chunk and burn-in 131072 spans
 # whole chunks; J = 0.3 at n = 10 and J = 0.15 at n = 24 keep the walk on the
 # walls k = 0, n; n = 512 and 513 sit on either side of the cap.  The last
-# full case, recorded from the per-site loop, spans two superblocks of lanes,
-# a partial one and a tail of less than a lane.
+# two full cases, recorded from the per-site loop (the last from
+# conftest.reference_simulate_full), span two superblocks of lanes, a partial
+# one and a tail of less than a lane; in the last, lanes after one that never
+# met are rerun in the second and third.
 PINNED_STREAMS = [
     ("reduced", 1, 0.0, 0.0, 131500, 0, 11,
      "3825bbefbd02c27a69b19399a22f5d2153e94c800411d5d5f2ee6dbeaac35b07"),
@@ -417,6 +455,8 @@ PINNED_STREAMS = [
      "326f12fcbb031d82f6bb110cd7ae88ae25985503bb44f929c6212717f7419164"),
     ("full", 10, 0.08, 0.1, 250_000, 3, 30,
      "69b943aa9d48d216008d6843e0c81c9faa1556db320f06575deb6d84efdce021"),
+    ("full", 10, 0.15, 0.0, 250_000, 0, 35,
+     "98e3616ff9b58a99691aed9a7101e5b7a7dc4f410b7f5e4bd942a278e36fd762"),
 ]
 
 
