@@ -178,8 +178,7 @@ def _lanes(steps, walk, start: int, top: int, lanes: int):
     many leading lanes as are right; None if pass 1 gives up.
 
     steps(states, a, b) advances the states (one column per lane) in place
-    through sweeps a to b of every lane, yielding the levels after each (the
-    states themselves, where they are levels: then one array holds both);
+    through sweeps a to b of every lane, yielding the levels after each;
     walk(state, a, b) runs one chain through sweeps a to b of the lanes'
     draws by the loop and returns its levels and end state.  Two chains fed
     the same draws that share a state at some sweep agree from there on.
@@ -192,14 +191,15 @@ def _lanes(steps, walk, start: int, top: int, lanes: int):
     from the previous lane's pass-1 end (the first from `start`), until
     every lane's state is pass 1's at the same sweep or the lanes end.  A
     lane after one that never met started from a wrong state: walk reruns
-    it from the true one, until the reruns have taken more than a quarter
-    of the lanes' sweeps."""
+    the whole lane from the true one, until the reruns (LANE_SWEEPS sweeps
+    each) have taken more than a quarter of the lanes' sweeps."""
     probe = LANE_SWEEPS // 8
     states = np.array([[top], [0]]).repeat(lanes, axis=1)
-    path = levels = np.empty((LANE_SWEEPS, lanes), dtype=states.dtype)
+    # pass 1's states, and the levels, in the fewest bytes that hold them:
+    # at int64, `simulate --full --n 3` ran about 10% slower than in uint8
+    path = np.empty((LANE_SWEEPS, lanes), np.min_scalar_type(top))
+    levels = np.empty_like(path)
     for j, k in enumerate(steps(states, 0, probe)):
-        if levels is path and k is not states:
-            levels = np.empty_like(path)
         path[j], levels[j] = states[0], k[0]
         if (states[0] == states[1]).all():
             break
@@ -348,7 +348,7 @@ def _lockstep(c: np.ndarray, us: np.ndarray, xs: np.ndarray,
     entry and kept up to date.  The draws are transposed a few sweeps at a
     time, so a pass stopped early leaves the rest untouched; the work arrays
     keep every ufunc on one dtype, and the take on intp indices."""
-    k = np.bitwise_count(c).astype(c.dtype)
+    k = sum((c >> i) & 1 for i in range(n))
     s, m, new = (np.empty_like(c) for _ in range(3))
     one, p = np.ones_like(c), np.empty(c.shape)
     for a in range(0, us.shape[1], 8 * n):

@@ -251,6 +251,20 @@ def test_lanes_carry_a_subcritical_run(monkeypatch):
     assert looped[0] <= 0.1 * 10 * 200_000
 
 
+def test_lanes_run_without_numpy_2_popcount(monkeypatch):
+    """The full chain's lanes count levels without np.bitwise_count, which
+    NumPy 1.x (the declared floor is 1.24) lacks."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    for name, value in SMALL_LANES.items():
+        monkeypatch.setattr(mcmc, name, value)
+    looped = count_loop_draws(monkeypatch, "_site_loop")
+    params = ModelParams(n=10, J=0.08)
+    traj = simulate_full(params, seed=5, steps=3 * 768)
+    assert looped[0] == 0  # three superblocks of 12 lanes, all as lanes
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_full(params, 5, 3 * 768))
+
+
 def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
     """At n = 10, J = 0.3 the top and bottom chains stay apart: the first
     superblock's lanes give up and the loop runs the whole trajectory,
