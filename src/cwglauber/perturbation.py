@@ -43,7 +43,8 @@ MONOTONE_TOL = 1e-10
 
 SIGN_TERM_TOL = 1e-12
 
-# A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time: O(block x n) memory.
+# A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time, split between
+# spectral.WORKERS threads: O(block x n + workers x n) memory.
 BLOCK_ELEMENTS = 1 << 12
 
 

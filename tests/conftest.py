@@ -1,6 +1,7 @@
 """Shared fixtures and helpers."""
 
 import ctypes
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,8 +119,10 @@ def dstemr_out_of_memory(monkeypatch):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """Count calls to LAPACK dstevd (scipy's wrapper) and dstemr (the
-    solver's), keyed by routine name."""
+    solver's), keyed by routine name; dstemr's count is safe under the
+    solver's worker threads."""
     counts = {"dstevd": 0, "dstemr": 0}
+    lock = threading.Lock()
     real_dstevd = scipy.linalg.lapack.dstevd
 
     def dstevd(*args, **kwargs):
@@ -127,7 +130,8 @@ def lapack_calls(monkeypatch):
         return real_dstevd(*args, **kwargs)
 
     def dstemr(call):
-        counts["dstemr"] += 1
+        with lock:
+            counts["dstemr"] += 1
         call.real()
 
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", dstevd)

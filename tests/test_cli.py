@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cwglauber
-from conftest import failing_dstemr_rows
+import cwglauber.spectral as spectral
+from conftest import failing_dstemr_rows, patch_dstemr
 from cwglauber.cli import main
 from cwglauber.mcmc import simulate_reduced
 from cwglauber.ising import ModelParams
@@ -217,6 +219,43 @@ class TestSweepCommand:
         assert len(report.points) == 4
         assert report.failures and report.failures[0]["J"] == 0.2
         assert "dstemr failed with info=7" in report.failures[0]["error"]
+
+    def test_csv_does_not_depend_on_the_worker_count(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # n = 200 solves blocks of 20 rows, split between the workers
+        csvs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "WORKERS", workers)
+            out = tmp_path / f"sweep{workers}.csv"
+            assert run_cli(["sweep", "--n", "200", "--H", "0.2", "--J-min", "0",
+                            "--J-max", "0.015", "--J-steps", "40",
+                            "--output", str(out)]) == 0
+            csvs.append([line for line in out.read_text().split("\n")
+                         if not line.startswith("# timestamp:")])
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    @pytest.mark.parametrize("where", ["every call", "worker threads"])
+    def test_worker_memory_error_exits_3_on_one_line(self, where, monkeypatch,
+                                                     capsys):
+        """A MemoryError in a solver thread reaches the caller, and every
+        thread has ended when the command returns."""
+        def stand_in(call):
+            if where == "every call" or (threading.current_thread()
+                                         is not threading.main_thread()):
+                raise MemoryError("Unable to allocate 14.9 GiB for an array "
+                                  "with shape (2000000000,) and data type "
+                                  "float64")
+            call.real()
+
+        patch_dstemr(monkeypatch, stand_in)
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        threads = threading.active_count()
+        assert run_cli(["sweep", "--n", "100", "--H", "0", "--J-min", "0",
+                        "--J-max", "0.02", "--J-steps", "16"]) == 3
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Unable to allocate")
+        assert err.count("\n") == 1
 
     def test_underflowed_point_is_a_failure(self, tmp_path, capsys):
         out = tmp_path / "big_j.csv"

@@ -7,6 +7,7 @@ from conftest import analyse_point, failing_dstemr_rows, patch_dstemr
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
+import cwglauber.spectral as spectral
 from cwglauber.perturbation import (SweepPoint, finite_differences,
                                     sweep_monotonicity, temperature_view)
 from cwglauber.spectral import (DegenerateGapError, relaxation,
@@ -136,11 +137,16 @@ class TestOneSolvePerPoint:
     for eigenvalues alone."""
 
     @pytest.mark.parametrize("H", [0.0, 0.2])
-    def test_sweep_lapack_calls(self, lapack_calls, H):
-        report = sweep_monotonicity(8, H, [0.1, 0.2, 0.3])
-        assert len(report.points) == 3 and not report.failures
-        # per point: one top pair, plus two FD solves; no full spectrum
-        assert lapack_calls == {"dstevd": 0, "dstemr": 9}
+    def test_sweep_lapack_calls(self, lapack_calls, monkeypatch, H):
+        # at n = 40 each batch is split between two worker threads
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        assert 8 < spectral.MIN_THREADED_ORDER <= 40
+        for n in (8, 40):
+            lapack_calls.update(dstevd=0, dstemr=0)
+            report = sweep_monotonicity(n, H, [0.8 / n, 1.6 / n, 2.4 / n])
+            assert len(report.points) == 3 and not report.failures
+            # per point: one top pair, plus two FD solves; no full spectrum
+            assert lapack_calls == {"dstevd": 0, "dstemr": 9}, n
 
     def test_verification_lapack_calls(self, lapack_calls):
         # the point and two FD solves, also at J below the step, where the

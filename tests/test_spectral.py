@@ -1,13 +1,16 @@
 """Eigensolvers and second-eigenpair conventions."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import scipy.linalg
 
-from conftest import (dense_reduced_chain, patch_dstemr,
+import cwglauber.spectral as spectral
+from conftest import (dense_reduced_chain, failing_dstemr_rows, patch_dstemr,
                       reduced_eigh, tridiagonal_eigh)
 from cwglauber.ising import Distribution, ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
@@ -84,26 +87,30 @@ def assert_scipy_wrapper_bits(monkeypatch, diag, offdiag):
     has the bits of scipy's f2py wrapper (``scipy.linalg.lapack.dstemr``,
     which allocates an m x m eigenvector array) called as the library
     called it before it passed an m x 2 block: the same M, info,
-    eigenvalues and eigenvectors."""
-    calls = []
+    eigenvalues and eigenvectors.  Calls are matched to rows by their input
+    bytes, as worker threads interleave them."""
+    calls = {}
 
     def recording(call):
-        d, e = call.d.copy(), call.e.copy()
+        d, e = call.d.tobytes(), call.e[:-1].tobytes()
         call.real()
         found = call.M.value
-        calls.append((d, e, found, call.info.value, call.w[:found].copy(),
-                      call.z[:, :found].copy()))
+        calls.setdefault((d, e), []).append(
+            (found, call.info.value, call.w[:found].copy(),
+             call.z[:, :found].copy()))
 
     patch_dstemr(monkeypatch, recording)
     errors = [None] * len(diag)
     w, v = top_eigenpairs(diag, offdiag, errors)
     # one call per row, a 1 x 1 matrix included
-    assert len(calls) == len(diag) and errors == [None] * len(diag)
-    for i, (d, e, found, info, lam, z) in enumerate(calls):
-        assert np.array_equal(d, diag[i])
-        assert np.array_equal(e[:-1], offdiag[i])
-        m = len(d)
-        ref = scipy.linalg.lapack.dstemr(d, np.append(e[:-1], 0.0), 3,
+    assert sum(map(len, calls.values())) == len(diag)
+    assert errors == [None] * len(diag)
+    for i in range(len(diag)):
+        row_calls = calls.get((diag[i].tobytes(), offdiag[i].tobytes()), [])
+        assert row_calls, f"no dstemr call has row {i}'s input"
+        found, info, lam, z = row_calls.pop()
+        m = diag.shape[1]
+        ref = scipy.linalg.lapack.dstemr(diag[i], np.append(offdiag[i], 0.0), 3,
                                          0.0, 0.0, max(m - 1, 1), m)
         assert (found, info) == (ref[0], ref[3]) == (min(m, 2), 0)
         assert lam.tobytes() == ref[1][:found].tobytes()
@@ -173,6 +180,72 @@ class TestTopEigenpair:
             top_pair([1.0, 2.0], [0.5])
         with pytest.raises(EigensolverError):
             second_eigenpair(ModelParams(n=6, J=0.1, H=0.0))
+
+
+class TestWorkerThreads:
+    """From order MIN_THREADED_ORDER, top_eigenpairs splits a batch's rows
+    into contiguous shares, one per worker; the bytes are one worker's."""
+
+    @staticmethod
+    def increment_batch(n, H, rows=7):
+        with np.errstate(all="ignore"):
+            chain = build_reduced_chain(
+                ModelParams(n, np.linspace(0.0, 3.0 / n, rows)[:, None], H))
+        return (1.0 - (chain.up + chain.down),
+                np.sqrt(chain.up[:, 1:] * chain.down[:, :-1]))
+
+    @pytest.mark.parametrize("n", [24, 100, 333])
+    @pytest.mark.parametrize("H", [0.0, 0.2, -0.4])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, n, H):
+        diag, offdiag = self.increment_batch(n, H)
+        # rows 0-2 | 3-6 with two workers, 0-1 | 2-3 | 4-6 with three: row 1
+        # comes with an error, rows 2 and 5 fail in dstemr
+        failing_dstemr_rows(monkeypatch, {tuple(diag[2]): 7, tuple(diag[5]): 8})
+        given = EigensolverError("given")
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(spectral, "WORKERS", workers)
+            errors = [None, given] + [None] * 5
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # threads interleave as often as can be
+            try:
+                w, v = top_eigenpairs(diag, offdiag, errors)
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors[1] is given
+            assert [str(e) for e in errors[2::3]] == [
+                "dstemr failed with info=7", "dstemr failed with info=8"]
+            assert [e is None for e in errors] == [True, False, False, True,
+                                                   True, False, True]
+            assert np.isnan(w[[1, 2, 5]]).all() and np.isnan(v[[1, 2, 5]]).all()
+            assert np.isfinite(v[[0, 3, 4, 6]]).all()
+            results.append((w.tobytes(), v.tobytes()))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("m,threaded", [
+        (spectral.MIN_THREADED_ORDER - 1, False),
+        (spectral.MIN_THREADED_ORDER, True)])
+    def test_threads_start_from_the_order_threshold(self, monkeypatch, m,
+                                                    threaded):
+        pools = []
+
+        class Recording(spectral.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(spectral, "WORKERS", 2)
+        threads = threading.active_count()
+        diag, offdiag = self.increment_batch(m, 0.0, rows=40)
+        errors = [None] * 40
+        w, _ = top_eigenpairs(diag, offdiag, errors)
+        assert pools == ([(1,)] if threaded else [])
+        assert threading.active_count() == threads
+        assert errors == [None] * 40 and np.isfinite(w).all()
+        # one row is solved serially at any order
+        top_eigenpairs(diag[:1], offdiag[:1], [None])
+        assert len(pools) == threaded
 
 
 class TestSecondEigenpair:
