@@ -23,14 +23,13 @@ also carries the temperature view t_rel(T) with T = c/J.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ising import ModelParams
-from .magchain import build_reduced_chain, derivative_matrix
-from .spectral import (increment_rows, relaxation, second_eigenpairs,
-                       usability_errors)
+from .magchain import derivative_matrix
+from .spectral import relaxation, second_eigenpairs, usability_errors
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
 # FD_DELTA_DEFAULT / n balances central-difference truncation against
@@ -43,8 +42,9 @@ MONOTONE_TOL = 1e-10
 
 SIGN_TERM_TOL = 1e-12
 
-# A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time, split between
-# spectral.WORKERS threads: O(block x n + workers x n) memory.
+# A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time, three rows each
+# (the point and its fd_stencil couplings), split between spectral.WORKERS
+# threads: O(3 x block x n + workers x n) memory.
 BLOCK_ELEMENTS = 1 << 12
 
 
@@ -60,34 +60,25 @@ def difference_quotient(J, delta: float, at_J, at_plus, at_other):
                     (-3.0 * at_J + 4.0 * at_plus - at_other) / (2.0 * delta))
 
 
-def finite_differences(grid: ModelParams, delta: float, at_J):
-    """(d lambda_2/dJ, first stencil error or None) at each coupling of the
-    column grid.J, given lambda_2 there (at_J)."""
-    J, k = grid.J[:, 0], len(grid.J)
-    rows = np.concatenate(fd_stencil(J, delta))
-    errors = [None] * len(rows)
-    with np.errstate(all="ignore"):
-        chain = build_reduced_chain(replace(grid, J=rows[:, None]))
-        lam = increment_rows(chain.up, chain.down, errors,
-                             increments=False)[0][:, 0]
-    return (difference_quotient(J, delta, at_J, lam[:k], lam[k:]),
-            [errors[i] or errors[k + i] for i in range(k)])
-
-
 def analyse(grid: ModelParams):
     """The analysis of each coupling of the column grid.J, one row per
     coupling, as (w, f, pi, hf, terms, fd, errors): ``second_eigenpairs``'
     (w, f, pi); the Hellmann-Feynman derivative hf = <f, (dP/dJ) f>_pi and
     its per-level terms f_k ((dP/dJ) f)_k; the finite-difference derivative
-    fd at the step FD_DELTA_DEFAULT / n; and per row its (solve, usability,
+    fd at the step FD_DELTA_DEFAULT / n, from lambda_2 at the ``fd_stencil``
+    couplings, solved in the grid's batch; and per row its (solve, usability,
     stencil) errors, each an exception or None.  Failed rows hold NaN."""
-    w, f, pi, errors = second_eigenpairs(grid)
+    k, delta = len(grid.J), FD_DELTA_DEFAULT / grid.n
+    w, f, pi, errors = second_eigenpairs(grid, *fd_stencil(grid.J, delta))
+    lam, w = w[:, 0], w[:k]
     with np.errstate(all="ignore"):  # failed rows are NaN
         dmf = derivative_matrix(grid).apply(f)
         hf, terms = np.sum(pi * f * dmf, axis=-1), f * dmf
-    fd, fd_errors = finite_differences(grid, FD_DELTA_DEFAULT / grid.n, w[:, 0])
+        fd = difference_quotient(grid.J[:, 0], delta, *lam.reshape(3, k))
+    stencil_errors = [a or b for a, b in zip(errors[k:2 * k], errors[2 * k:])]
     return (w, f, pi, hf, terms, fd,
-            list(zip(errors, usability_errors(w[:, 0] - w[:, 1], f), fd_errors)))
+            list(zip(errors, usability_errors(w[:, 0] - w[:, 1], f),
+                     stencil_errors)))
 
 
 @dataclass(frozen=True)

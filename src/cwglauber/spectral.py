@@ -9,10 +9,11 @@ The second eigenpair (lambda_2, f), eigenvalues descending and f in chain
 coordinates with <f, f>_pi = 1 and f_n > f_0, is solved on the increment
 chain, whose eigenvectors are the increments f_{k+1} - f_k, for a whole J
 grid in one pass (``second_eigenpairs``), the library's one solver of the
-reduced chain.  That chain lacks the eigenvalue 1, so lambda_2 is its top
-eigenvalue and cannot mix with lambda_1 even where lambda_1 - lambda_2
-underflows; and no step divides by sqrt(pi), whose tiny tail entries would
-amplify the solver's rounding error.
+reduced chain; a finite-difference stencil's couplings are rows of the same
+batch, read for their eigenvalues.  That chain lacks the eigenvalue 1, so
+lambda_2 is its top eigenvalue and cannot mix with lambda_1 even where
+lambda_1 - lambda_2 underflows; and no step divides by sqrt(pi), whose tiny
+tail entries would amplify the solver's rounding error.
 
 Each row is one call of LAPACK's MRRR routine dstemr (``top_eigenpairs``),
 made through the function pointer scipy.linalg.cython_lapack exports: scipy's
@@ -28,7 +29,7 @@ import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg.cython_lapack
@@ -193,7 +194,7 @@ MIN_THREADED_ORDER = 24
 
 def _solve_rows(diag, offdiag, errors, w, v, rows):
     """``top_eigenpairs`` on the rows in ``rows``, with its own workspace,
-    writing into w and v (None for eigenvalues alone) and errors."""
+    writing into w, v and errors."""
     m = diag.shape[1]
     d, e, lam = np.empty(m), np.zeros(m), np.empty(m)  # e[m-1] is scratch
     z = np.empty((m, 2), order="F")
@@ -218,15 +219,13 @@ def _solve_rows(diag, offdiag, errors, w, v, rows):
                 errors[i] = EigensolverError(f"dstemr failed with info={info}")
                 continue
             w[i, :found] = lam[found - 1::-1]  # lam[:found] ascending
-            if v is not None:
-                v[i] = z[:, found - 1]
+            v[i] = z[:, found - 1]
 
 
-def top_eigenpairs(diag, offdiag, errors, vectors=True):
+def top_eigenpairs(diag, offdiag, errors):
     """(w, v) per row of the (rows, m) symmetric tridiagonals (diag, offdiag):
     the two largest eigenvalues w, descending (NaN where absent or unsolved),
-    and the top eigenvector v with the solver's sign (None unless
-    ``vectors``).
+    and the top eigenvector v with the solver's sign.
 
     Only these are computed, with LAPACK's MRRR routine (dstemr: jobz V,
     range I, il = max(m - 1, 1), iu = m, tryrac 1, as scipy's wrapper calls
@@ -246,7 +245,7 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
                          f"{offdiag.shape} and {len(errors)} error slots "
                          f"do not describe the same rows of order m >= 1")
     w = np.full((rows, 2), np.nan)
-    v = np.full((rows, m), np.nan) if vectors else None
+    v = np.full((rows, m), np.nan)
     workers = min(WORKERS, rows) if m >= MIN_THREADED_ORDER else 1
     if workers <= 1:
         _solve_rows(diag, offdiag, errors, w, v, range(rows))
@@ -265,10 +264,9 @@ def top_eigenpairs(diag, offdiag, errors, vectors=True):
     return w, v
 
 
-def increment_rows(up, down, errors, increments=True):
+def increment_rows(up, down, errors):
     """(w, g) per row of the (rows, n) rates: the top two eigenvalues of the
-    increment chain Q (NaN where absent or unsolved) and increments g of f
-    (None unless ``increments``).
+    increment chain Q (NaN where absent or unsolved) and increments g of f.
 
     Q has diagonal 1 - up[k] - down[k], superdiagonal up[k+1], subdiagonal
     down[k]; ``top_eigenpairs`` solves S = D Q D^-1,
@@ -277,9 +275,7 @@ def increment_rows(up, down, errors, increments=True):
     so a g that is not positive stays visible.  Rows with an ``errors``
     entry are skipped; a failed solve stores its error there."""
     w, u = top_eigenpairs(1.0 - (up + down), np.sqrt(up[:, 1:] * down[:, :-1]),
-                          errors, vectors=increments)
-    if not increments:
-        return w, None
+                          errors)
     u *= np.where(u.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
     log_d = np.zeros(up.shape)
     np.cumsum(0.5 * np.log(up[:, 1:] / down[:, :-1]), axis=1, out=log_d[:, 1:])
@@ -294,19 +290,22 @@ def underflow_error(n: int, J: float, H: float) -> EigensolverError:
         f"n={n}, J={J:g}, H={H:g}")
 
 
-def second_eigenpairs(grid: ModelParams):
+def second_eigenpairs(grid: ModelParams, *stencil):
     """The grid core: ``second_eigenpair`` at each coupling of the column
     grid.J as (w, f, pi, errors), w = (lambda_2, lambda_3 or NaN) per row,
-    with each row's exception or None.  Only the LAPACK call runs per row in
+    with each row's exception or None.  The couplings of each column in
+    ``stencil`` are solved in the same batch; their rows follow the grid's in
+    w and errors, with no f or pi.  Only the LAPACK call runs per row in
     Python; a failed row is meaningless and emits no warning."""
+    k, J = len(grid.J), np.concatenate([grid.J, *stencil])
     with np.errstate(all="ignore"):
-        chain = build_reduced_chain(grid)
+        chain = build_reduced_chain(replace(grid, J=J))
         errors = [None if ok else underflow_error(grid.n, j, grid.H)
                   for ok, j in zip(positive_rates(chain).tolist(),
-                                   grid.J[:, 0].tolist())]
+                                   J[:, 0].tolist())]
         w, g = increment_rows(chain.up, chain.down, errors)
-        f = np.zeros((len(g), grid.n + 1))
-        np.cumsum(g, axis=1, out=f[:, 1:])
+        f = np.zeros((k, grid.n + 1))
+        np.cumsum(g[:k], axis=1, out=f[:, 1:])
         pi = reduced_stationary(grid).probabilities
         # a (1 x m) @ (m x 1) matmul per row is BLAS ddot, as pi @ f is
         f -= (pi[:, None] @ f[..., None])[:, 0]

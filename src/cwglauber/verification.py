@@ -17,9 +17,11 @@ from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
                     full_transition_matrix, log_weights_full, stationary_full)
 from .magchain import (add_shifted, build_reduced_chain, derivative_matrix,
                        lump_vector, s_values)
-from .perturbation import analyse, difference_quotient, fd_stencil
-from .spectral import (EigensolverError, full_chain_top_eigenvalues,
-                       lifted_residual, symmetrized_full_chain)
+from .perturbation import (SIGN_TERM_TOL, analyse, difference_quotient,
+                           fd_stencil)
+from .spectral import (STRUCTURE_TOL, EigensolverError,
+                       full_chain_top_eigenvalues, lifted_residual,
+                       symmetrized_full_chain)
 
 
 @dataclass(frozen=True)
@@ -187,16 +189,18 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
             out.append(CheckResult.skipped(name, "lambda2 numerically degenerate"))
     if H == 0.0 and usability_error is None:
         out.append(CheckResult.from_violation(
-            "eigenvector_antisymmetry", np.abs(f + f[::-1]).max(), 1e-9))
+            "eigenvector_antisymmetry", np.abs(f + f[::-1]).max(),
+            STRUCTURE_TOL))
         split_bad = max(0.0, float(f[2 * k <= n].max()),
                         float(-(f[2 * k >= n].min())))
         out.append(CheckResult.from_violation(
-            "eigenvector_sign_split", split_bad, 1e-9))
+            "eigenvector_sign_split", split_bad, STRUCTURE_TOL))
         if n % 2 == 0:
             out.append(CheckResult.from_violation(
-                "eigenvector_middle_zero", abs(f[n // 2]), 1e-9))
+                "eigenvector_middle_zero", abs(f[n // 2]), STRUCTURE_TOL))
         out.append(CheckResult.from_violation(
-            "sign_structure_terms", max(0.0, -(terms.min())), 1e-12))
+            "sign_structure_terms", max(0.0, -(terms.min())),
+            SIGN_TERM_TOL))
         weighted = float(np.sum(pi * terms))
         out.append(CheckResult.from_violation(
             "sign_terms_sum_vs_hf", abs(weighted - hf), 1e-12))

@@ -293,6 +293,13 @@ class TestSweepCommand:
          dict.fromkeys(np.linspace(0.00185, 0.00187, 3).tolist(),
                        "EigensolverError: second eigenvector is not finite: "
                        "its increments underflowed where pi has its mass")),
+        # the point keeps its rates, its J + delta stencil chain does not:
+        # refused, not read as lambda2 = 1 with a derivative of 0
+        (["--n", "4", "--J-min", "0", "--J-max", "124.18886860032352",
+          "--J-steps", "2"],
+         {124.18886860032352: "EigensolverError: reduced chain has transition "
+                              "entries that underflow to 0 at n=4, "
+                              "J=124.189, H=0"}),
     ])
     def test_failing_rows_warn_nothing(self, argv, failures, tmp_path, capsys):
         """The grid core runs failed rows through its vectorized passes too;

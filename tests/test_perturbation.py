@@ -8,10 +8,9 @@ from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
 import cwglauber.spectral as spectral
-from cwglauber.perturbation import (SweepPoint, finite_differences,
-                                    sweep_monotonicity, temperature_view)
-from cwglauber.spectral import (DegenerateGapError, relaxation,
-                                second_eigenpairs)
+from cwglauber.perturbation import (SweepPoint, sweep_monotonicity,
+                                    temperature_view)
+from cwglauber.spectral import DegenerateGapError, relaxation
 from cwglauber.verification import run_verification
 from test_acceptance import supercritical_slowdown_table
 
@@ -38,10 +37,12 @@ class TestHellmannFeynman:
         assert abs(hf - fd) <= max(1e-8, 1e-6 * abs(fd))
 
     def test_refuses_degenerate_gap(self, monkeypatch):
-        fake = (np.array([[0.5, 0.5 + 1e-13]]),
+        # the point's row, then its two stencil rows
+        fake = (np.array([[0.5, 0.5 + 1e-13], [0.5, 0.4], [0.5, 0.4]]),
                 np.array([[-1.0, -0.5, 0.5, 1.0]]),
-                np.array([[0.125, 0.375, 0.375, 0.125]]), [None])
-        monkeypatch.setattr(perturbation, "second_eigenpairs", lambda grid: fake)
+                np.array([[0.125, 0.375, 0.375, 0.125]]), [None] * 3)
+        monkeypatch.setattr(perturbation, "second_eigenpairs",
+                            lambda grid, *stencil: fake)
         with pytest.raises(DegenerateGapError):
             analyse_point(ModelParams(n=3, J=0.1, H=0.0), raising=2)
 
@@ -62,11 +63,13 @@ class TestFiniteDifference:
         assert np.isfinite(val)
         assert val == pytest.approx(point.hf, abs=1e-8)
 
-    def test_richardson_stability_under_halving(self):
-        grid = ModelParams(n=7, J=np.array([[0.15]]), H=0.05)
-        at_J = second_eigenpairs(grid)[0][:, 0]
-        a, b = (finite_differences(grid, delta, at_J)[0][0]
-                for delta in (1e-5, 5e-6))
+    def test_richardson_stability_under_halving(self, monkeypatch):
+        params, fds = ModelParams(n=7, J=0.15, H=0.05), []
+        for delta in (1e-5, 5e-6):
+            monkeypatch.setattr(perturbation, "FD_DELTA_DEFAULT", delta * 7)
+            assert perturbation.FD_DELTA_DEFAULT / 7 == delta
+            fds.append(analyse_point(params).fd)
+        a, b = fds
         assert abs(a - b) < 1e-7
 
     def test_default_step_scales_with_n(self):
@@ -133,20 +136,32 @@ class TestSweep:
 
 class TestOneSolvePerPoint:
     """Each point's eigenpair is solved once, on the increment chain, and
-    read by every consumer; only the finite-difference oracle solves again,
-    for eigenvalues alone."""
+    read by every consumer; the finite-difference oracle's two stencil
+    couplings are solved in the same batch."""
 
     @pytest.mark.parametrize("H", [0.0, 0.2])
     def test_sweep_lapack_calls(self, lapack_calls, monkeypatch, H):
         # at n = 40 each batch is split between two worker threads
         monkeypatch.setattr(spectral, "WORKERS", 2)
         assert 8 < spectral.MIN_THREADED_ORDER <= 40
+        batches, real = [], spectral.top_eigenpairs
+
+        def counting(diag, offdiag, errors):
+            batches.append(len(diag))
+            return real(diag, offdiag, errors)
+
+        monkeypatch.setattr(spectral, "top_eigenpairs", counting)
         for n in (8, 40):
+            # blocks of two points: the 3-point sweep takes two blocks
+            monkeypatch.setattr(perturbation, "BLOCK_ELEMENTS", 2 * (n + 1))
             lapack_calls.update(dstevd=0, dstemr=0)
+            batches.clear()
             report = sweep_monotonicity(n, H, [0.8 / n, 1.6 / n, 2.4 / n])
             assert len(report.points) == 3 and not report.failures
             # per point: one top pair, plus two FD solves; no full spectrum
             assert lapack_calls == {"dstevd": 0, "dstemr": 9}, n
+            # one batch per block, with the point and its stencil's rows
+            assert batches == [3 * 2, 3 * 1], n
 
     def test_verification_lapack_calls(self, lapack_calls):
         # the point and two FD solves, also at J below the step, where the

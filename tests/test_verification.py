@@ -165,8 +165,8 @@ def _degenerate_lambda3(monkeypatch):
     import cwglauber.perturbation as perturbation
     real = perturbation.second_eigenpairs
 
-    def degenerate(grid):
-        w, f, pi, errors = real(grid)
+    def degenerate(grid, *stencil):
+        w, f, pi, errors = real(grid, *stencil)
         w[:, 1] = w[:, 0] - 1e-13
         return w, f, pi, errors
 
@@ -174,15 +174,18 @@ def _degenerate_lambda3(monkeypatch):
 
 
 def _failing_stencil(monkeypatch):
-    """Fail every finite-difference stencil row before it is solved."""
-    import cwglauber.perturbation as perturbation
-    real = perturbation.increment_rows
+    """Fail every finite-difference stencil row before it is solved: the
+    rows after the first k of a batch that solves k points and their two
+    stencil couplings each."""
+    import cwglauber.spectral as spectral
+    real = spectral.increment_rows
 
-    def failing(up, down, errors, **kwargs):
-        errors[:] = [RuntimeError("stencil solve failed")] * len(errors)
-        return real(up, down, errors, **kwargs)
+    def failing(up, down, errors):
+        k = len(errors) // 3
+        errors[k:] = [RuntimeError("stencil solve failed")] * (len(errors) - k)
+        return real(up, down, errors)
 
-    monkeypatch.setattr(perturbation, "increment_rows", failing)
+    monkeypatch.setattr(spectral, "increment_rows", failing)
 
 
 def test_unusable_point_skips_both_derivative_checks(monkeypatch):
