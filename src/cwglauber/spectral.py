@@ -10,8 +10,9 @@ coordinates with <f, f>_pi = 1 and f_n > f_0, is solved on the increment
 chain, whose eigenvectors are the increments f_{k+1} - f_k, for a whole J
 grid in one pass (``second_eigenpairs``), the library's one solver of the
 reduced chain; a finite-difference stencil's couplings are rows of the same
-batch, read for their eigenvalues.  That chain lacks the eigenvalue 1, so
-lambda_2 is its top eigenvalue and cannot mix with lambda_1 even where
+batch, read for their eigenvalues only, as the increments and f are formed
+for the grid's rows alone.  That chain lacks the eigenvalue 1, so lambda_2
+is its top eigenvalue and cannot mix with lambda_1 even where
 lambda_1 - lambda_2 underflows; and no step divides by sqrt(pi), whose tiny
 tail entries would amplify the solver's rounding error.
 
@@ -170,8 +171,10 @@ def _lapack_function(name: str, arguments: int):
         get_pointer(capsule, get_name(capsule)))
 
 
-# LAPACK's MRRR routine; ``top_eigenpairs`` makes its one call per row here.
-dstemr = _lapack_function("dstemr", 21)
+try:  # LAPACK's MRRR, called once per row; None where scipy lacks it
+    dstemr = _lapack_function("dstemr", 21)
+except (LookupError, AttributeError):
+    dstemr = None
 
 # top_eigenpairs splits a batch into one contiguous share of rows per CPU the
 # process may run on; ctypes releases the GIL during each dstemr call.
@@ -237,13 +240,15 @@ def top_eigenpairs(diag, offdiag, errors):
     eigenvector block, serves its share; each row's arithmetic is the same
     in any thread, so the bytes do not depend on the split.  Rows with an
     ``errors`` entry are skipped; a nonzero LAPACK info is stored there as an
-    EigensolverError, and an exception in a worker is raised here once every
-    worker has ended."""
+    EigensolverError.  An exception in a worker is raised once every worker
+    has ended; an EigensolverError, before any row, if dstemr is missing."""
     rows, m = diag.shape
     if m < 1 or offdiag.shape != (rows, m - 1) or len(errors) != rows:
         raise ValueError(f"diagonals {diag.shape}, off-diagonals "
                          f"{offdiag.shape} and {len(errors)} error slots "
                          f"do not describe the same rows of order m >= 1")
+    if dstemr is None:
+        raise EigensolverError("scipy.linalg.cython_lapack lacks dstemr")
     w = np.full((rows, 2), np.nan)
     v = np.full((rows, m), np.nan)
     workers = min(WORKERS, rows) if m >= MIN_THREADED_ORDER else 1
@@ -264,25 +269,6 @@ def top_eigenpairs(diag, offdiag, errors):
     return w, v
 
 
-def increment_rows(up, down, errors):
-    """(w, g) per row of the (rows, n) rates: the top two eigenvalues of the
-    increment chain Q (NaN where absent or unsolved) and increments g of f.
-
-    Q has diagonal 1 - up[k] - down[k], superdiagonal up[k+1], subdiagonal
-    down[k]; ``top_eigenpairs`` solves S = D Q D^-1,
-    log D_{k+1} - log D_k = log(up[k+1]/down[k]) / 2, for u, and g = D^-1 u
-    (max |g| = 1) is formed in log space, one sign per row making sum(u) > 0
-    so a g that is not positive stays visible.  Rows with an ``errors``
-    entry are skipped; a failed solve stores its error there."""
-    w, u = top_eigenpairs(1.0 - (up + down), np.sqrt(up[:, 1:] * down[:, :-1]),
-                          errors)
-    u *= np.where(u.sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
-    log_d = np.zeros(up.shape)
-    np.cumsum(0.5 * np.log(up[:, 1:] / down[:, :-1]), axis=1, out=log_d[:, 1:])
-    log_g = np.log(np.abs(u)) - log_d
-    return w, np.copysign(np.exp(log_g - log_g.max(axis=1, keepdims=True)), u)
-
-
 def underflow_error(n: int, J: float, H: float) -> EigensolverError:
     """The refusal of a chain that ``positive_rates`` finds underflowed."""
     return EigensolverError(
@@ -296,16 +282,28 @@ def second_eigenpairs(grid: ModelParams, *stencil):
     with each row's exception or None.  The couplings of each column in
     ``stencil`` are solved in the same batch; their rows follow the grid's in
     w and errors, with no f or pi.  Only the LAPACK call runs per row in
-    Python; a failed row is meaningless and emits no warning."""
+    Python; a failed row is meaningless and emits no warning.  Each row's
+    increment chain Q (diagonal 1 - up - down, superdiagonal up[1:],
+    subdiagonal down[:-1]) is solved as S = D Q D^-1 for u, with
+    log D_{k+1} - log D_k = log(up[k+1]/down[k]) / 2; the grid's increments
+    g = D^-1 u of f (max |g| = 1) are formed in log space, one sign per row
+    making sum(u) > 0 so a g that is not positive stays visible."""
     k, J = len(grid.J), np.concatenate([grid.J, *stencil])
     with np.errstate(all="ignore"):
         chain = build_reduced_chain(replace(grid, J=J))
+        up, down = chain.up, chain.down
         errors = [None if ok else underflow_error(grid.n, j, grid.H)
                   for ok, j in zip(positive_rates(chain).tolist(),
                                    J[:, 0].tolist())]
-        w, g = increment_rows(chain.up, chain.down, errors)
+        w, u = top_eigenpairs(1.0 - (up + down),
+                              np.sqrt(up[:, 1:] * down[:, :-1]), errors)
+        u = u[:k] * np.where(u[:k].sum(axis=1, keepdims=True) < 0, -1.0, 1.0)
+        log_g = np.log(np.abs(u))  # log D_0 = 0
+        log_g[:, 1:] -= np.cumsum(0.5 * np.log(up[:k, 1:] / down[:k, :-1]),
+                                  axis=1)
+        g = np.copysign(np.exp(log_g - log_g.max(axis=1, keepdims=True)), u)
         f = np.zeros((k, grid.n + 1))
-        np.cumsum(g[:k], axis=1, out=f[:, 1:])
+        np.cumsum(g, axis=1, out=f[:, 1:])
         pi = reduced_stationary(grid).probabilities
         # a (1 x m) @ (m x 1) matmul per row is BLAS ddot, as pi @ f is
         f -= (pi[:, None] @ f[..., None])[:, 0]

@@ -65,8 +65,8 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     up_mass = np.zeros(P.shape[0])
     for x in range(n):
         nb = idx ^ (1 << x)
-        fwd, rev = P[idx, nb], P[nb, idx]
-        # rev is fwd permuted, so this covers every flip; ratios of
+        fwd = P[idx, nb]
+        rev = fwd[nb]  # P[nb, idx], so fwd holds every flip; ratios of
         # subnormal flip probabilities carry no relative precision
         if fwd.min() < np.finfo(float).tiny:
             raise EigensolverError(f"full chain has flip probabilities that "

@@ -602,6 +602,22 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_missing_dstemr_exits_3_on_one_line():
+    """A scipy that exports no dstemr still lets the CLI import: gap then
+    exits 3 with one solver-failure line and no traceback."""
+    src = str(Path(cwglauber.__file__).resolve().parents[1])
+    code = ("import sys, scipy.linalg.cython_lapack as lapack; "
+            "del lapack.__pyx_capi__['dstemr']; "
+            "from cwglauber.cli import main; "
+            "sys.exit(main(['gap', '--n', '6', '--J', '0.1']))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == ("solver failure: scipy.linalg.cython_lapack "
+                           "lacks dstemr\n")
+
+
 # sha256 of sweep_to_csv, its timestamp line dropped, and of sweep_to_json,
 # for sweep_monotonicity(n, H, linspace(0, J_max, steps)), with the command
 # line and temperature constant given (None: left out).  Recorded while the

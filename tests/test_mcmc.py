@@ -253,7 +253,7 @@ def test_lanes_carry_a_subcritical_run(monkeypatch):
 
 def test_lanes_run_without_numpy_2_popcount(monkeypatch):
     """The full chain's lanes count levels without np.bitwise_count, which
-    NumPy 1.x (the declared floor is 1.24) lacks."""
+    NumPy 1.x (the declared floor is 1.26.4) lacks."""
     monkeypatch.delattr(np, "bitwise_count", raising=False)
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)

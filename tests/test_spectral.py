@@ -17,8 +17,8 @@ from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.spectral import (EigensolverError,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
-                                increment_rows, lifted_residual,
-                                second_eigenpair, symmetrized_full_chain,
+                                lifted_residual, second_eigenpair,
+                                second_eigenpairs, symmetrized_full_chain,
                                 top_eigenpairs)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
@@ -335,6 +335,13 @@ class TestSolverFailures:
         with pytest.raises(EigensolverError, match="underflow"):
             second_eigenpair(params)
 
+    def test_missing_dstemr_refuses_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(spectral, "dstemr", None)
+        errors = [None, None]
+        with pytest.raises(EigensolverError, match="lacks dstemr"):
+            top_eigenpairs(np.ones((2, 3)), np.ones((2, 2)), errors)
+        assert errors == [None, None]
+
     def test_dense_oracle_failure_is_eigensolver_error(self, monkeypatch):
         import scipy.sparse.linalg
 
@@ -453,20 +460,22 @@ class TestIncrementVector:
     @pytest.mark.parametrize("n,J,H", [(12, 0.1, 0.0), (12, 0.1, 0.3),
                                        (30, 0.05, 0.2)])
     def test_top_eigenpair_of_increment_chain(self, n, J, H):
-        """g > 0 solves lambda_2 g = Q g and is parallel to the increments
-        of the second eigenvector."""
+        """The increments d > 0 of the second eigenvector solve
+        lambda_2 d = Q d, and the grid core's w, with stencil rows in its
+        batch, holds lambda_2 and lambda_3."""
         params = ModelParams(n=n, J=J, H=H)
         chain = build_reduced_chain(params)
         res = second_eigenpair(params)
-        w, g = increment_rows(chain.up[None], chain.down[None], [None])
-        w, g = w[0], g[0]
-        assert w[0] == res.lambda2 and w[1] == res.lambda3
+        w, f, _, _ = second_eigenpairs(ModelParams(n, np.array([[J]]), H),
+                                       np.array([[J - 1e-3]]),
+                                       np.array([[J + 1e-3]]))
+        assert w[0, 0] == res.lambda2 and w[0, 1] == res.lambda3
+        assert f.tobytes() == res.second_vector.tobytes()
         Q = (np.diag(1.0 - (chain.up + chain.down))
              + np.diag(chain.up[1:], 1) + np.diag(chain.down[:-1], -1))
-        assert g.min() > 0 and abs(g.max() - 1.0) < 1e-15
-        assert np.abs(Q @ g - res.lambda2 * g).max() < 1e-13
         d = np.diff(res.second_vector)
-        np.testing.assert_allclose(d / d.max(), g, atol=1e-13)
+        assert d.min() > 0
+        assert np.abs(Q @ d - res.lambda2 * d).max() < 1e-13 * d.max()
 
     def test_solver_sign_does_not_matter(self, monkeypatch):
         params = ModelParams(n=9, J=0.2, H=0.1)

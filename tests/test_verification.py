@@ -178,14 +178,14 @@ def _failing_stencil(monkeypatch):
     rows after the first k of a batch that solves k points and their two
     stencil couplings each."""
     import cwglauber.spectral as spectral
-    real = spectral.increment_rows
+    real = spectral.top_eigenpairs
 
-    def failing(up, down, errors):
+    def failing(diag, offdiag, errors):
         k = len(errors) // 3
         errors[k:] = [RuntimeError("stencil solve failed")] * (len(errors) - k)
-        return real(up, down, errors)
+        return real(diag, offdiag, errors)
 
-    monkeypatch.setattr(spectral, "increment_rows", failing)
+    monkeypatch.setattr(spectral, "top_eigenpairs", failing)
 
 
 def test_unusable_point_skips_both_derivative_checks(monkeypatch):
