@@ -194,6 +194,7 @@ def cmd_simulate(parser, args) -> int:
     path = _output_path(args.output, f"trajectory_n{args.n}_seed{args.seed}.csv")
     if _unwritable(path):
         return EXIT_USAGE
+    res = second_eigenpair(params)
     simulate = simulate_full if args.full else simulate_reduced
     traj = simulate(params, seed=args.seed, steps=args.steps, burn_in=args.burn_in)
     if not _write(path, trajectory_to_csv(traj)):
@@ -203,7 +204,6 @@ def cmd_simulate(parser, args) -> int:
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    res = second_eigenpair(params)
     spectral_sweeps = res.t_rel / params.n
     print(f"estimate ({est.method}): t_rel_hat = {est.t_rel_hat:.6g} sweeps, "
           f"stderr = {est.stderr:.3g}"

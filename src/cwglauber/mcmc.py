@@ -8,19 +8,19 @@ recorded level from the row of the sweep kernel P^n at the previous level,
 one uniform per sweep; above that it applies the lumped up/down rule once
 per step.
 
-The full simulator and the kernel walk share one lane runner (``_run``):
-it runs a trajectory's time windows side by side (lanes) with numpy,
-speculatively, each lane from a guessed state first, then from its true
-start until it meets that guess.  A sweep's state (the level, or the
-configuration as a bitmask) is a function of the state before and the
-draws alone, so chains that meet stay together; meeting is checked on the
-states themselves and needs no monotonicity, which the rounded cumulative
-rows of P^n do not have.  Lanes started wrong are rerun by the chain's
-loop, and the loop takes over where lanes do not meet: the same bytes
-either way.  Both simulators start from an exact stationary sample, so
-stationarity tests need no burn-in (the argument is still honored for runs
-that want it), and both refuse a chain whose rates underflowed to 0, as the
-spectral core does.
+``_superblocks`` draws all three streams and ``_run`` runs them, each from
+an exact stationary sample (stationarity tests need no burn-in; the
+argument is still honored), after refusing a chain whose rates underflowed
+to 0, as the spectral core does.  Where a stream has a lane step (the full
+chain and the kernel walk), ``_run`` runs a trajectory's time windows side
+by side (lanes) with numpy, speculatively, each lane from a guessed state
+first, then from its true start until it meets that guess.  A sweep's
+state (the level, or the configuration as a bitmask) is a function of the
+state before and the draws alone, so chains that meet stay together;
+meeting is checked on the states themselves and needs no monotonicity,
+which the rounded cumulative rows of P^n do not have.  The stream's loop
+(its walk) reruns lanes started wrong and runs every sweep no lane takes:
+the same bytes either way.
 
 The relaxation time targeted by the estimators is 1/(1 - lambda_2) in
 single-site steps, i.e. (1/(1 - lambda_2))/n in the sweep units of the
@@ -72,6 +72,11 @@ LANE_SWEEPS = 128
 SUPERBLOCK_UPDATES = 1 << 20
 MIN_LANES = 96
 
+# Each stream draws chunks of CHUNK_UPDATES // (draws per sweep) sweeps, at
+# least one, uniforms then sites: the chunk size is part of the trajectory
+# format.  The loops walk one chunk at a time.
+CHUNK_UPDATES = 131072
+
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
 
@@ -113,15 +118,14 @@ class RelaxationEstimate:
     floor_limited: bool = False
 
 
-def _record(samples: np.ndarray, ks: list, n: int, t: int,
-            stride: int) -> None:
-    """Store m = 2k - n for every stride-th level of ks, the last of each
-    sweep; t < 0 indexes burn-in sweeps."""
-    levels = ks[stride - 1 + max(-t, 0) * stride::stride]
-    m = samples[max(t, 0):max(t, 0) + len(levels)]
-    m[:] = levels
+def _record(samples: np.ndarray, levels, n: int, t: int) -> int:
+    """Store m = 2k - n for the levels k of consecutive sweeps from sweep t
+    on (t < 0 indexes burn-in sweeps); return the sweep after them."""
+    m = samples[max(t, 0):max(t + len(levels), 0)]
+    m[:] = levels[len(levels) - len(m):]
     m *= 2
     m -= n
+    return t + len(levels)
 
 
 def sweep_kernel_rows(chain: ReducedChain) -> np.ndarray:
@@ -227,42 +231,93 @@ def _lanes(steps, walk, start: int, top: int, lanes: int):
     return levels[:, :lanes].T.ravel(), ends[lanes - 1]
 
 
-def _run(samples: np.ndarray, n: int, t: int, blocks, steps, walk,
-         state: int, top: int, chunk: int) -> None:
-    """Record the levels of a chain run from `state` through the superblocks
-    of draws `blocks`, from sweep t on (t < 0 indexes burn-in sweeps).
-
-    blocks yields (sweeps, draws); steps(draws, states, a, b) and
-    walk(draws, state, a, b) are ``_lanes``'s over those draws.  A
-    superblock runs as lanes while every one before took all of its lanes;
-    the loop, `chunk` sweeps at a time, runs what is left past the last
-    whole lane, a tail of fewer than MIN_LANES lanes, and whatever the lanes
-    do not take."""
-    trying = True
-    for sweeps, draws in blocks:
-        lanes, done = sweeps // LANE_SWEEPS, 0
-        if trying and lanes >= MIN_LANES:
-            run = _lanes(partial(steps, draws), partial(walk, draws), state,
-                         top, lanes)
-            if run is not None:
-                levels, state = run
-                done = len(levels)
-                _record(samples, levels, n, t, 1)
-                t += done
-            trying = done == lanes * LANE_SWEEPS
-        for i in range(done, sweeps, chunk):
-            levels, state = walk(draws, state, i, min(i + chunk, sweeps))
-            _record(samples, levels, n, t, 1)
-            t += len(levels)
+def _superblocks(rng, per_sweep: int, sites: bool, sweeps: int, size: int):
+    """The draws of `sweeps` sweeps of `per_sweep` updates, made as every
+    stream makes them: in chunks of max(1, CHUNK_UPDATES // per_sweep)
+    sweeps, each its uniforms, then, if `sites`, its sites in
+    0..per_sweep-1.  They are regrouped into blocks of `size` updates, then
+    what is left, each as (sweeps, [uniforms] or [uniforms, sites]): views
+    of reused buffers, valid until the next block is asked for."""
+    chunk = max(1, CHUNK_UPDATES // per_sweep) * per_sweep
+    us = np.empty(size + chunk if size % chunk else size)
+    draws = [us, np.empty(len(us), np.uint8)] if sites else [us]
+    held = 0
+    for t in range(0, sweeps * per_sweep, chunk):
+        b = min(chunk, sweeps * per_sweep - t)
+        rng.random(out=us[held:held + b])
+        if sites:
+            draws[1][held:held + b] = rng.integers(0, per_sweep, size=b)
+        held += b
+        while held >= size:
+            yield size // per_sweep, [d[:size] for d in draws]
+            held -= size
+            for d in draws:
+                d[:held] = d[size:size + held]
+    if held:
+        yield held // per_sweep, [d[:held] for d in draws]
 
 
-def _rates_checked(params: ModelParams) -> ReducedChain:
-    """The reduced chain, refused as the spectral core refuses it where a
-    rate underflowed to 0 (its stationary law can then sum to 2)."""
+def _start(params: ModelParams, seed: int, steps: int, burn_in: int):
+    """The reduced chain, a generator from `seed` and a level drawn from the
+    exact stationary law; negative lengths are refused, and so, before any
+    draw, is a chain whose rates underflowed to 0 (pi can then sum to 2)."""
+    if steps < 0 or burn_in < 0:
+        raise ValueError("steps and burn_in must be nonnegative")
     chain = build_reduced_chain(params)
     if not positive_rates(chain):
         raise underflow_error(params.n, params.J, params.H)
-    return chain
+    rng = np.random.default_rng(seed)
+    pi = reduced_stationary(params).probabilities
+    return chain, rng, int(rng.choice(params.n + 1, p=pi))
+
+
+def _run(params: ModelParams, seed: int, steps: int, burn_in: int,
+         stream) -> Trajectory:
+    """The trajectory of `steps` sweeps after `burn_in` sweeps of a stream.
+
+    stream(chain, rng, k) sets it up from ``_start``'s values and returns
+    (per_sweep, sites, state, walk, lane): ``_superblocks``'s draw format,
+    the start state, walk(draws, state, a, b), the loop through sweeps a to
+    b of a block, returning their levels and end state, and None or a lane
+    step and its top state for ``_lanes``, step(states, *draws) on a column
+    and a row of draws per lane.  With a lane step, superblocks of whole
+    lanes (about SUPERBLOCK_UPDATES draws) run as lanes while every one
+    before took all of its lanes, and the walk, a draw chunk at a time,
+    runs the rest; without one it runs each block, one draw chunk."""
+    chain, rng, k = _start(params, seed, steps, burn_in)
+    per_sweep, sites, state, walk, lane = stream(chain, rng, k)
+    chunk = max(1, CHUNK_UPDATES // per_sweep)
+    width = LANE_SWEEPS * per_sweep
+    size = max(1, SUPERBLOCK_UPDATES // width) * width if lane else chunk * per_sweep
+    samples, t, trying = np.empty(steps), -burn_in, lane is not None
+    for sweeps, draws in _superblocks(rng, per_sweep, sites, burn_in + steps, size):
+        lanes, done = sweeps // LANE_SWEEPS, 0
+        if trying and lanes >= MIN_LANES:
+            rows = [d[:lanes * width].reshape(lanes, width) for d in draws]
+            levels, state = _lanes(lambda states, a, b: lane[0](states, *(
+                r[:, a * per_sweep:b * per_sweep] for r in rows)),
+                partial(walk, draws), state, lane[1], lanes) or ((), state)
+            done = len(levels)
+            t = _record(samples, levels, params.n, t)
+            trying = done == lanes * LANE_SWEEPS
+        for i in range(done, sweeps, chunk):
+            levels, state = walk(draws, state, i, min(i + chunk, sweeps))
+            t = _record(samples, levels, params.n, t)
+    return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
+
+
+def _lumped_loop(up: list, updown: list, k: int, us: list) -> list:
+    """The lumped per-site rule: from level k, the level after each uniform
+    u of us, k + 1 if u < up[k], k - 1 if not but u < updown[k], else k."""
+    ks = []
+    append = ks.append
+    for u in us:
+        if u < up[k]:
+            k += 1
+        elif u < updown[k]:
+            k -= 1
+        append(k)
+    return ks
 
 
 def simulate_reduced(params: ModelParams, seed: int, steps: int,
@@ -271,55 +326,38 @@ def simulate_reduced(params: ModelParams, seed: int, steps: int,
 
     The initial level is drawn from the exact stationary law.  For n <=
     N_MAX_SWEEP_KERNEL each sweep, burn-in included, is one draw from the row
-    of P^n at the current level, bisect(row, u) by one uniform; above it each
-    sweep is n single applications of the lumped transition rule, by one
-    uniform each.  Identical arguments give bitwise-identical trajectories.
-    The kernel walk's uniforms are one sequence however the calls that draw
-    them split it: ``_run`` takes them SUPERBLOCK_UPDATES at a time, as
-    lanes of ``_kernel_steps`` where it can and by the bisect loop, 131072
-    at a time, where it cannot.
+    of P^n at the current level, bisect(row, u) by one uniform, run as lanes
+    of ``_kernel_steps`` or by ``_kernel_loop``; above it each sweep is n
+    applications of the lumped transition rule, one uniform each, walked by
+    ``_lumped_loop``.  Identical arguments give bitwise-identical
+    trajectories.
     """
-    if steps < 0 or burn_in < 0:
-        raise ValueError("steps and burn_in must be nonnegative")
     n = params.n
-    chain = _rates_checked(params)
-    rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
-    samples = np.empty(steps)
-    if n <= N_MAX_SWEEP_KERNEL:
+
+    def kernel(chain, rng, k):
         rows = sweep_kernel_rows(chain)
         table = np.pad(rows, ((0, 0), (0, (1 << n.bit_length()) - n)),
                        constant_values=2.0)
         listed = rows.tolist()
 
-        def advance(us, ks, a, b):
-            us = us[:ks.shape[1] * LANE_SWEEPS].reshape(-1, LANE_SWEEPS)
-            return _kernel_steps(ks, us[:, a:b], table)
-
-        def walk(us, k, a, b):
-            ks = _kernel_loop(listed, k, us[a:b].tolist())
+        def walk(draws, k, a, b):
+            ks = _kernel_loop(listed, k, draws[0][a:b].tolist())
             return ks, ks[-1]
 
-        sizes = [min(SUPERBLOCK_UPDATES, steps - t)
-                 for t in range(-burn_in, steps, SUPERBLOCK_UPDATES)]
-        blocks = ((size, rng.random(size)) for size in sizes)
-        _run(samples, n, -burn_in, blocks, advance, walk, k, n, 131072)
-        return Trajectory(params=params, seed=seed, burn_in=burn_in,
-                          samples=samples)
-    up = np.append(chain.up, 0.0)
-    up_t, updown_t = up.tolist(), (up + np.insert(chain.down, 0, 0.0)).tolist()
-    chunk = max(1, 131072 // n)
-    for t in range(-burn_in, steps, chunk):
-        ks = []
-        append = ks.append
-        for u in rng.random(min(chunk, steps - t) * n).tolist():
-            if u < up_t[k]:
-                k += 1
-            elif u < updown_t[k]:
-                k -= 1
-            append(k)
-        _record(samples, ks, n, t, n)
-    return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
+        return 1, False, k, walk, (partial(_kernel_steps, table=table), n)
+
+    def lumped(chain, rng, k):
+        up = np.append(chain.up, 0.0)
+        up_t, updown_t = up.tolist(), (up + np.insert(chain.down, 0, 0.0)).tolist()
+
+        def walk(draws, k, a, b):
+            ks = _lumped_loop(up_t, updown_t, k, draws[0][a * n:b * n].tolist())
+            return ks[n - 1::n], ks[-1]
+
+        return n, False, k, walk, None
+
+    return _run(params, seed, steps, burn_in,
+                kernel if n <= N_MAX_SWEEP_KERNEL else lumped)
 
 
 def _site_loop(spins: list, k: int, p_plus: list, us: list, xs: list) -> list:
@@ -368,77 +406,42 @@ def _lockstep(c: np.ndarray, us: np.ndarray, xs: np.ndarray,
                 yield k
 
 
-def _superblocks(rng, n: int, sweeps: int, size: int):
-    """The draws of `sweeps` sweeps, made as the stream makes them (chunks of
-    131072 // n sweeps, each its uniforms, then its sites), regrouped into
-    blocks of `size` updates, then what is left; each as (sweeps, (uniforms,
-    sites)).  Each block is a view of one reused buffer, valid until the
-    next is asked for."""
-    chunk = max(1, 131072 // n) * n
-    us, xs = np.empty(size + chunk), np.empty(size + chunk, dtype=np.uint8)
-    held = 0
-    for t in range(0, sweeps * n, chunk):
-        b = min(chunk, sweeps * n - t)
-        rng.random(out=us[held:held + b])
-        xs[held:held + b] = rng.integers(0, n, size=b)
-        held += b
-        while held >= size:
-            yield size // n, (us[:size], xs[:size])
-            held -= size
-            us[:held], xs[:held] = us[size:size + held], xs[size:size + held]
-    if held:
-        yield held // n, (us[:held], xs[:held])
-
-
 def simulate_full(params: ModelParams, seed: int, steps: int,
                   burn_in: int = 0) -> Trajectory:
     """Single-site heat-bath simulation of the full configuration chain.
 
     Each step picks a site uniformly and sets its spin to +1 with probability
     logistic(2 (J * (sum of other spins) + H)); n <= N_MAX_SIMULATE_FULL.
-    Each chunk of 131072 // n sweeps draws its uniforms, then its sites, so
-    the chunk size is part of the stream.  ``_run`` takes the draws in
-    superblocks, as lanes of ``_lockstep`` where it can and by the per-site
-    loop, one draw chunk at a time, where it cannot; either way the
-    trajectory is the per-site loop's, bit for bit.  An underflowed chain
-    raises EigensolverError before any draw.
+    The draws are ``_superblocks``'s with sites.  ``_run`` takes them as
+    lanes of ``_lockstep`` where it can and by the per-site loop where it
+    cannot; either way the trajectory is the per-site loop's, bit for bit.
+    An underflowed chain raises EigensolverError before any draw.
     """
-    if steps < 0 or burn_in < 0:
-        raise ValueError("steps and burn_in must be nonnegative")
     n = params.n
     if n > N_MAX_SIMULATE_FULL:
         raise ValueError(f"simulate_full supports n <= {N_MAX_SIMULATE_FULL}, got {n}")
-    _rates_checked(params)
-    rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
-    c = sum(1 << i for i in rng.permutation(n)[:k].tolist())  # spin i is bit i
-    # p(set +1) depends only on m = k - spins[x], the number of up spins
-    # among the other n - 1 sites, whose sum is 2m - n + 1.
-    p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
-              for m in range(n)]
-    table = np.array(p_plus)
-    lanes = max(1, SUPERBLOCK_UPDATES // (n * LANE_SWEEPS))
-    lists = []
 
-    def advance(draws, c, a, b):
-        us, xs = (d[:c.shape[1] * LANE_SWEEPS * n].reshape(-1, LANE_SWEEPS * n)
-                  for d in draws)
-        return _lockstep(c, us[:, a * n:b * n], xs[:, a * n:b * n], table, n)
+    def stream(chain, rng, k):
+        c = sum(1 << i for i in rng.permutation(n)[:k].tolist())  # spin i is bit i
+        # p(set +1) depends only on m = k - spins[x], the number of up spins
+        # among the other n - 1 sites, whose sum is 2m - n + 1.
+        p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
+                  for m in range(n)]
+        lists = []
 
-    def walk(draws, c, a, b):
-        spins = [c >> i & 1 for i in range(n)]
-        # built while the last call's lists live: built after they were
-        # freed, the loop ran about 8% slower, for a 5 MiB lower peak
-        # (fresh processes, 2-core host)
-        lists[:] = (d[a * n:b * n].tolist() for d in draws)
-        ks = _site_loop(spins, c.bit_count(), p_plus, *lists)
-        return ks[n - 1::n], sum(s << i for i, s in enumerate(spins))
+        def walk(draws, c, a, b):
+            spins = [c >> i & 1 for i in range(n)]
+            # built while the last call's lists live: built after they were
+            # freed, the loop ran about 8% slower, for a 5 MiB lower peak
+            # (fresh processes, 2-core host)
+            lists[:] = (d[a * n:b * n].tolist() for d in draws)
+            ks = _site_loop(spins, c.bit_count(), p_plus, *lists)
+            return ks[n - 1::n], sum(s << i for i, s in enumerate(spins))
 
-    samples = np.empty(steps)
-    _run(samples, n, -burn_in,
-         _superblocks(rng, n, burn_in + steps, lanes * LANE_SWEEPS * n),
-         advance, walk, c, (1 << n) - 1, max(1, 131072 // n))
-    return Trajectory(params=params, seed=seed, burn_in=burn_in, samples=samples)
+        step = partial(_lockstep, p_plus=np.array(p_plus), n=n)
+        return n, True, c, walk, (step, (1 << n) - 1)
+
+    return _run(params, seed, steps, burn_in, stream)
 
 
 def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
@@ -453,7 +456,8 @@ def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
 
 
 def _acov_with_floor(x: np.ndarray):
-    """Autocovariance plus its Bartlett noise floor, with sanity guards.
+    """Autocovariance, its Bartlett noise floor with the L0 it sums to, and
+    tau(W) at the windows W = 1, 2, ..., with sanity guards.
 
     The lags start at every one the smallest FFT holding 64 lags gives, and
     grow until they hold the first nonpositive one, L0, and the first
@@ -482,7 +486,7 @@ def _acov_with_floor(x: np.ndarray):
     if acov[1] <= -3 * noise_floor:
         raise EstimationError(
             "autocovariance nonpositive at lag 1: run too short or no dynamics")
-    return acov, L0, noise_floor
+    return acov, L0, noise_floor, taus, W
 
 
 def _exp_fit(x: np.ndarray):
@@ -496,7 +500,7 @@ def _exp_fit(x: np.ndarray):
     the series is statistically white at the sweep scale and the floor value
     is returned.
     """
-    acov, L0, noise_floor = _acov_with_floor(x)
+    acov, L0, noise_floor, _, _ = _acov_with_floor(x)
     above = acov[1:L0] > 3 * noise_floor
     end = int(np.argmin(above)) if not above.all() else len(above)
     lags = np.arange(1, end + 1)
@@ -513,12 +517,8 @@ def _exp_fit(x: np.ndarray):
 
 def _integrated(x: np.ndarray):
     """(tau_int, floor_limited) with the self-consistent window W >= 6 tau(W)."""
-    acov, _, _ = _acov_with_floor(x)
-    rho = acov / acov[0]
-    csum = np.cumsum(rho[1:])
-    taus = 0.5 + csum  # tau(W) for W = 1, 2, ...
-    W_grid = np.arange(1, len(taus) + 1)
-    ok = np.nonzero(W_grid >= 6 * taus)[0]
+    *_, taus, W = _acov_with_floor(x)
+    ok = np.nonzero(W >= 6 * taus)[0]
     if not len(ok):
         raise EstimationError("no self-consistent window: run too short")
     tau = float(taus[ok[0]])
@@ -527,10 +527,8 @@ def _integrated(x: np.ndarray):
     return tau, False
 
 
-_METHODS = {
-    "exponential_fit": _exp_fit,
-    "integrated_autocorrelation": _integrated,
-}
+_METHODS = {"exponential_fit": _exp_fit,
+            "integrated_autocorrelation": _integrated}
 
 
 def estimate_relaxation(traj: Trajectory,

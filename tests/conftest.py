@@ -188,3 +188,29 @@ def reference_simulate_reduced(params, seed, steps, burn_in=0):
             k = bisect(rows[k], u)
             levels.append(k)
     return 2.0 * np.array(levels[burn_in:], dtype=float) - n
+
+
+def reference_simulate_lumped(params, seed, steps, burn_in=0):
+    """The reduced simulator's samples above N_MAX_SWEEP_KERNEL from the
+    plain lumped per-site rule: 131072 // n sweeps of uniforms at a time,
+    one uniform per step, k + 1 if u < up[k], k - 1 if not but u < up[k] +
+    down[k], else k."""
+    from cwglauber.magchain import build_reduced_chain, reduced_stationary
+    n = params.n
+    chain = build_reduced_chain(params)
+    up = np.append(chain.up, 0.0).tolist()
+    down = np.insert(chain.down, 0, 0.0).tolist()
+    rng = np.random.default_rng(seed)
+    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    levels = []
+    chunk = max(1, 131072 // n)
+    for t in range(-burn_in, steps, chunk):
+        us = rng.random(min(chunk, steps - t) * n).tolist()
+        for i, u in enumerate(us, 1):
+            if u < up[k]:
+                k += 1
+            elif u < up[k] + down[k]:
+                k -= 1
+            if i % n == 0:
+                levels.append(k)
+    return 2.0 * np.array(levels[burn_in:], dtype=float) - n

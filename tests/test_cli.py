@@ -541,11 +541,38 @@ class TestSimulateCommand:
         assert "t_rel_hat" in stdout and "spectral" in stdout
 
     def test_solver_failure_exits_3(self, dstemr_fails, tmp_path, capsys):
+        """The spectral reference is solved before the simulation: a solver
+        failure prints nothing to stdout and leaves no trajectory."""
+        out = tmp_path / "t.csv"
         code = run_cli(["simulate", "--n", "6", "--J", "0.1", "--steps",
-                        "10000", "--seed", "3", "--output",
-                        str(tmp_path / "t.csv")])
+                        "10000", "--seed", "3", "--output", str(out)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("solver failure: dstemr")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: dstemr")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("extra,method,digest", [
+        ([], "exponential_fit",
+         "29324f8b9d5d5fa70355c15021fd186d70c69420adaefdc75cbc2ad2def5b192"),
+        ([], "integrated_autocorrelation",
+         "fab42c81af1e062d041b2cdb79845f0c89def32defab0faac72b6b6a623b0939"),
+        (["--full"], "exponential_fit",
+         "77e820d009607b53d9e32f55a78f62a2f0da6307ee4f0dc2998dd2caeede8db0"),
+        (["--full"], "integrated_autocorrelation",
+         "81406398b2bd5e2ab6e1d1b53481c3885120d11c2bbe05451b707179bab70131"),
+    ], ids=["reduced-exp", "reduced-iac", "full-exp", "full-iac"])
+    def test_printed_estimate_is_pinned(self, extra, method, digest, tmp_path,
+                                        capsys):
+        """sha256 of the estimate, spectral and relative-deviation lines
+        (joined by newlines, no trailing one) at n = 10, J = 0.08."""
+        code = run_cli(["simulate", "--n", "10", "--J", "0.08", "--steps",
+                        "20000", "--seed", "5", "--method", method,
+                        "--output", str(tmp_path / "t.csv")] + extra)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("wrote ") and len(lines) == 4
+        text = "\n".join(lines[1:])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("extra", [[], ["--full"]])
     def test_underflowed_chain_exits_3(self, extra, tmp_path, capsys):

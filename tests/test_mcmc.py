@@ -21,7 +21,7 @@ from scipy.stats import binom, chi2
 import cwglauber
 import cwglauber.mcmc as mcmc
 from conftest import (dense_reduced_chain, reference_simulate_full,
-                      reference_simulate_reduced)
+                      reference_simulate_lumped, reference_simulate_reduced)
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
@@ -348,6 +348,40 @@ def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
     assert tries == [8192 // 64]
     np.testing.assert_array_equal(
         traj.samples, reference_simulate_reduced(params, 6, 30_000))
+
+
+@pytest.mark.parametrize("n,J,H,steps,burn_in,seed", [
+    (513, 0.001, -0.05, 400, 300, 40),
+    (1000, 0.0008, 0.1, 300, 200, 41),
+    (1000, 0.003, 0.0, 300, 131, 42),
+    (4000, 0.0002, 0.2, 100, 40, 43)])
+def test_lumped_walk_matches_the_plain_rule(n, J, H, steps, burn_in, seed):
+    """Above N_MAX_SWEEP_KERNEL the walk of the lumped rule gives the plain
+    rule's samples bit for bit.  The burn-ins span a draw chunk boundary
+    (255 sweeps per chunk at n = 513, 131 at 1000, 32 at 4000), or end on
+    one, and every run ends mid-chunk."""
+    assert n > N_MAX_SWEEP_KERNEL
+    params = ModelParams(n=n, J=J, H=H)
+    traj = simulate_reduced(params, seed=seed, steps=steps, burn_in=burn_in)
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_lumped(params, seed, steps, burn_in))
+
+
+def test_lumped_walk_holds_one_draw_chunk():
+    """With no lane step each block of draws is one draw chunk.  At n = 1000
+    the per-site loop that drew each chunk's uniforms afresh peaked at 7.1
+    MiB traced (the chunk's uniforms as a list, 4.2 MiB, and its levels);
+    the reused one-chunk buffer adds 1 MiB.  Blocks sized for lanes (8 lanes
+    of 128 sweeps, 7.8 MiB of uniforms) would peak near 14 MiB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        simulate_reduced(ModelParams(n=1000, J=0.0005, H=0.1), seed=1,
+                         steps=1200, burn_in=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("simulate,loop,seed,steps,reference", [
