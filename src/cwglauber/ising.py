@@ -19,6 +19,7 @@ are refused above ``N_MAX_FULL`` vertices rather than silently degraded.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 # Full-chain builds store the 2^n-state chain sparsely, n + 1 entries per
 # row; 12 (4096 states) is the default cap, raised by `verify --n-max-full`.
@@ -71,13 +72,10 @@ def all_plus_counts(n: int) -> np.ndarray:
 class Distribution:
     """A probability vector built from log-weights.
 
-    Probabilities are exp(log_weights) normalized through log-sum-exp along
-    the last axis (one law per row).  It takes scipy 1.17's logsumexp steps
-    (the max-separated log1p form of Blanchard, Higham & Higham, IMA J.
-    Numer. Anal. 41(4), 2021): scipy's bytes, without its dispatch.  Where
-    eps * |max log-weight| outgrows the log of the count of tied maxima they
-    cannot normalize (n = 8, J = 1e20 reads [1, 0, ..., 0, 1]); callers
-    refuse such chains first.
+    Probabilities are exp(log_weights) normalized by scipy's logsumexp
+    along the last axis (one law per row).  Where eps * |max log-weight|
+    outgrows the log of the count of tied maxima it cannot normalize (n = 8,
+    J = 1e20 reads [1, 0, ..., 0, 1]); callers refuse such chains first.
     """
 
     probabilities: np.ndarray
@@ -85,13 +83,8 @@ class Distribution:
     @classmethod
     def from_log_weights(cls, log_weights) -> "Distribution":
         lw = np.asarray(log_weights, dtype=float)
-        top = lw.max(axis=-1, keepdims=True)
-        at_top = lw == top
-        m = at_top.sum(axis=-1, keepdims=True)
-        rest = np.exp(lw - top)
-        rest[at_top] = 0.0  # the maxima enter through log(m), not the sum
-        lse = np.log1p(rest.sum(axis=-1, keepdims=True) / m) + np.log(m) + top
-        return cls(probabilities=np.exp(lw - lse))
+        return cls(probabilities=np.exp(
+            lw - logsumexp(lw, axis=-1, keepdims=True)))
 
 
 def log_weights_full(params: ModelParams) -> np.ndarray:

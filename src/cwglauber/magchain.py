@@ -91,7 +91,8 @@ def positive_rates(chain: ReducedChain) -> np.ndarray:
 def reduced_stationary(params: ModelParams) -> Distribution:
     """Stationary law pi_k ~ C(n,k) exp(J (2k-n)^2 / 2 + H (2k-n)) of the
     chain, in log space; C(n,k) counts the configurations lumped into k."""
-    n, J, H = params.n, params.J, params.H
+    n, H = params.n, params.H
+    J = params.J * (n > 1)  # no spin pair at n = 1, so J drops out
     k = np.arange(n + 1, dtype=float)
     m = 2 * k - n
     lw = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)

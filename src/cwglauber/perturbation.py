@@ -29,7 +29,8 @@ import numpy as np
 
 from .ising import ModelParams
 from .magchain import derivative_matrix
-from .spectral import relaxation, second_eigenpairs, usability_errors
+from .spectral import (relaxation, second_eigenpairs, shape_measures,
+                       usability_errors)
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
 # FD_DELTA_DEFAULT / n balances central-difference truncation against
@@ -129,10 +130,10 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
     points, failures = [], []
     rows = max(1, BLOCK_ELEMENTS // (n + 1))
     for block in (J_grid[i:i + rows] for i in range(0, len(J_grid), rows)):
-        w, _, _, hf, terms, fd, errors = analyse(
+        w, f, _, hf, terms, fd, errors = analyse(
             ModelParams(n=n, J=np.array(block)[:, None], H=H))
-        with np.errstate(all="ignore"):
-            sign_ok = (terms >= -SIGN_TERM_TOL).all(axis=1).tolist()
+        sign_ok = ((shape_measures(f, terms)["terms"] <= SIGN_TERM_TOL).tolist()
+                   if H == 0.0 else [None] * len(block))
         for J, errs, lambda2, hf_i, fd_i, sign_i in zip(
                 block, errors, w[:, 0].tolist(), hf.tolist(), fd.tolist(), sign_ok):
             error = next(filter(None, errs), None)  # the point's own first
@@ -140,7 +141,7 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
                 failures.append({"J": J, "error": f"{type(error).__name__}: {error}"})
                 continue
             points.append(SweepPoint(J, float(H), n, lambda2, *relaxation(lambda2),
-                                     hf_i, fd_i, sign_i if H == 0.0 else None))
+                                     hf_i, fd_i, sign_i))
     lam = [p.lambda2 for p in points]
     decs = [a - b for a, b in zip(lam, lam[1:]) if a > b]
     max_violation = max(decs) if decs else 0.0

@@ -332,36 +332,40 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
                           second_vector=f[0], pi=pi[0])
 
 
-@np.errstate(invalid="ignore")  # inf - inf in a non-finite f
+@np.errstate(all="ignore")  # a failed row is NaN or inf
+def shape_measures(f, terms=None, *, h: float = 0.0) -> dict:
+    """The one measurement of the second eigenvector's shape, per row of f
+    (levels on the last axis): "increment", the least f_{k+1} - f_k, and at
+    H = 0 the breaches "antisymmetry" max_k |f_k + f_{n-k}|, "sign_split"
+    (the largest f_k at 2k <= n or -f_k at 2k >= n), "middle" |f_{n/2}|
+    (even n) and, given per-level terms, "terms" (the least, negated); a
+    breach is at least 0 and passes where it is <= its tolerance."""
+    f = np.asarray(f, dtype=float)
+    n = f.shape[-1] - 1
+    shape = {"increment": np.diff(f).min(axis=-1)}
+    if h == 0.0:
+        lower = 2 * np.arange(n + 1) <= n
+        shape["antisymmetry"] = np.abs(f + f[..., ::-1]).max(axis=-1)
+        shape["sign_split"] = np.maximum(np.maximum(
+            f[..., lower].max(axis=-1), -f[..., lower[::-1]].min(axis=-1)), 0.0)
+        if n % 2 == 0:
+            shape["middle"] = np.abs(f[..., n // 2])
+        if terms is not None:
+            shape["terms"] = np.maximum(-np.min(terms, axis=-1), 0.0)
+    return shape
+
+
 def eigenvector_structure_report(f, *, h: float = 0.0,
                                  eigen_separation: float = math.nan) -> StructureReport:
-    """Evaluate the structural predicates of a second eigenvector.
-
-    increasing: f_{k+1} >= f_k for all k (within tol = STRUCTURE_TOL);
-    strictly:   every increment is strictly positive;
-    antisymmetric_at_h0: max_k |f_k + f_{n-k}| < tol, H = 0 only;
-    sign_split: f_k <= 0 for k <= n/2 and f_k >= 0 for k >= n/2 (within tol),
-                H = 0 only.
-
-    Pass eigen_separation = lambda_2 - lambda_3 to have near-degenerate
-    points flagged unreliable instead of asserted on (NaN, as at n = 1, is
-    not degenerate); an f with a non-finite entry is flagged unreliable too.
-    """
-    tol = STRUCTURE_TOL
+    """``shape_measures`` of f read against STRUCTURE_TOL, ``strictly`` as a
+    least increment > 0; ``reliable`` is ``usability_errors``' rule on f and
+    eigen_separation = lambda_2 - lambda_3 (NaN, as at n = 1, passes)."""
     f = np.asarray(f, dtype=float)
-    n = len(f) - 1
-    d = np.diff(f)
-    increasing = bool(np.all(d >= -tol))
-    strictly = bool(d.min() > 0) if len(d) else False
-    at_h0 = (h == 0.0)
-    antisymmetric = bool(np.abs(f + f[::-1]).max() < tol) if at_h0 else None
-    if at_h0:
-        k = np.arange(n + 1)
-        sign_split = bool(np.all(f[k <= n / 2] <= tol)
-                          and np.all(f[k >= n / 2] >= -tol))
-    else:
-        sign_split = None
-    reliable = usability_errors([eigen_separation], f[None])[0] is None
-    return StructureReport(increasing=increasing, strictly=strictly,
-                           antisymmetric_at_h0=antisymmetric,
-                           sign_split=sign_split, reliable=reliable)
+    shape, at_h0 = shape_measures(f, h=h), h == 0.0
+    return StructureReport(
+        increasing=bool(-shape["increment"] <= STRUCTURE_TOL),
+        strictly=bool(shape["increment"] > 0),
+        antisymmetric_at_h0=bool(shape["antisymmetry"] <= STRUCTURE_TOL)
+        if at_h0 else None,
+        sign_split=bool(shape["sign_split"] <= STRUCTURE_TOL) if at_h0 else None,
+        reliable=usability_errors([eigen_separation], f[None])[0] is None)

@@ -21,7 +21,7 @@ from .perturbation import (SIGN_TERM_TOL, analyse, difference_quotient,
                            fd_stencil)
 from .spectral import (STRUCTURE_TOL, EigensolverError,
                        full_chain_top_eigenvalues, lifted_residual,
-                       symmetrized_full_chain)
+                       shape_measures, symmetrized_full_chain)
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,13 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         "s_sign_pattern", sign_bad, 0.0))
 
     # --- perturbation identity and eigenvector shape ----------------------
+    shape = shape_measures(f, terms, h=H)
     if usability_error is None:
         if stencil_error is not None:
             raise stencil_error
         out.append(CheckResult.from_violation(
             "hellmann_feynman_vs_fd", abs(hf - fd), max(1e-8, 1e-6 * abs(fd))))
-        mininc = float(np.diff(f).min())
+        mininc = float(shape["increment"])
         out.append(CheckResult(
             name="eigenvector_increasing",
             status="pass" if mininc > 0 else "fail",
@@ -188,19 +189,13 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         for name in ("hellmann_feynman_vs_fd", "eigenvector_increasing"):
             out.append(CheckResult.skipped(name, "lambda2 numerically degenerate"))
     if H == 0.0 and usability_error is None:
-        out.append(CheckResult.from_violation(
-            "eigenvector_antisymmetry", np.abs(f + f[::-1]).max(),
-            STRUCTURE_TOL))
-        split_bad = max(0.0, float(f[2 * k <= n].max()),
-                        float(-(f[2 * k >= n].min())))
-        out.append(CheckResult.from_violation(
-            "eigenvector_sign_split", split_bad, STRUCTURE_TOL))
-        if n % 2 == 0:
-            out.append(CheckResult.from_violation(
-                "eigenvector_middle_zero", abs(f[n // 2]), STRUCTURE_TOL))
-        out.append(CheckResult.from_violation(
-            "sign_structure_terms", max(0.0, -(terms.min())),
-            SIGN_TERM_TOL))
+        for name, measure, tol in (
+                ("eigenvector_antisymmetry", "antisymmetry", STRUCTURE_TOL),
+                ("eigenvector_sign_split", "sign_split", STRUCTURE_TOL),
+                ("eigenvector_middle_zero", "middle", STRUCTURE_TOL),
+                ("sign_structure_terms", "terms", SIGN_TERM_TOL)):
+            if measure in shape:  # "middle" at even n only
+                out.append(CheckResult.from_violation(name, shape[measure], tol))
         weighted = float(np.sum(pi * terms))
         out.append(CheckResult.from_violation(
             "sign_terms_sum_vs_hf", abs(weighted - hf), 1e-12))

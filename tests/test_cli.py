@@ -114,6 +114,22 @@ class TestGapCommand:
         assert "solver failure" in captured.err and "underflow" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "1", "--J", "1e12", "--steps", "10000"],
+    ["verify", "--n", "1", "--J", "3e5"],
+    ["verify", "--n", "1", "--J", "1e300"],
+    ["gap", "--n", "1", "--J", "1e300"]], ids=lambda argv: " ".join(argv))
+def test_single_spin_at_any_coupling(argv, tmp_path, capsys):
+    """One spin has no pair, so J is not in its law; a law that carried it
+    lost eps * J of precision: the start draw refused it, verify's lumping
+    and eigenvector checks failed and gap printed a flag False."""
+    if argv[0] == "simulate":
+        argv = argv + ["--output", str(tmp_path / "t.csv")]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert "False" not in captured.out and captured.err == ""
+
+
 class TestSweepCommand:
     def test_h0_sweep_monotone_and_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -82,6 +82,18 @@ class TestReducedStationary:
         pi = reduced_stationary(ModelParams(n=1, J=5.0, H=0.0))
         np.testing.assert_allclose(pi.probabilities, [0.5, 0.5], atol=1e-15)
 
+    @pytest.mark.parametrize("J", [1.0, 3e5, 1e12, 1e300])
+    def test_single_spin_law_has_no_coupling(self, J):
+        """One spin has no pair: J is not in the law, at any size, for a
+        point or a grid column, and the law is the full chain's exactly."""
+        free = reduced_stationary(ModelParams(n=1, J=0.0, H=0.3)).probabilities
+        pi = reduced_stationary(ModelParams(n=1, J=J, H=0.3)).probabilities
+        grid = reduced_stationary(
+            ModelParams(n=1, J=np.array([[J], [0.0]]), H=0.3)).probabilities
+        full = stationary_full(ModelParams(n=1, J=J, H=0.3)).probabilities
+        assert pi.tobytes() == free.tobytes() == full.tobytes()
+        assert grid.shape == (2, 2) and grid.tobytes() == np.tile(pi, 2).tobytes()
+
     @pytest.mark.parametrize("n,J,H", [(6, 0.4, 0.1), (8, 0.2, 0.0), (10, 0.5, 0.3)])
     def test_lumps_full_gibbs_measure(self, n, J, H):
         params = ModelParams(n=n, J=J, H=H)

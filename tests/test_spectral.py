@@ -14,12 +14,12 @@ from conftest import (dense_reduced_chain, failing_dstemr_rows, patch_dstemr,
                       reduced_eigh, tridiagonal_eigh)
 from cwglauber.ising import Distribution, ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
-from cwglauber.spectral import (EigensolverError,
+from cwglauber.spectral import (STRUCTURE_TOL, EigensolverError,
                                 eigenvector_structure_report,
                                 full_chain_top_eigenvalues,
                                 lifted_residual, second_eigenpair,
-                                second_eigenpairs, symmetrized_full_chain,
-                                top_eigenpairs)
+                                second_eigenpairs, shape_measures,
+                                symmetrized_full_chain, top_eigenpairs)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
 
@@ -568,6 +568,11 @@ class TestStructureReport:
             eigen_separation=1e-3)
         assert not rep.reliable and not rep.increasing
 
+    def test_breach_at_the_tolerance_passes(self):
+        """A breach equal to STRUCTURE_TOL passes, as in verify."""
+        rep = eigenvector_structure_report(np.array([-1e-9, 0.0, 2e-9]))
+        assert rep.antisymmetric_at_h0 and rep.sign_split
+
     @pytest.mark.filterwarnings("error")
     def test_underflowed_increments_flag_unreliable(self):
         """Here the increments of f underflow to 0 where pi has its mass,
@@ -579,6 +584,38 @@ class TestStructureReport:
         rep = eigenvector_structure_report(res.second_vector, h=params.H,
                                            eigen_separation=res.separation)
         assert not rep.reliable
+
+
+class TestShapeMeasures:
+    def test_hand_values(self):
+        shape = shape_measures(np.array([-2.0, -0.5, 0.25, 1.0, 1.5]),
+                               np.array([0.0, -3e-12, 1.0, 2.0, 0.0]))
+        assert shape == {"increment": 0.5, "antisymmetry": 0.5,
+                         "sign_split": 0.25, "middle": 0.25, "terms": 3e-12}
+
+    def test_field_keeps_only_the_increment(self):
+        shape = shape_measures(np.array([-1.0, 0.5, 2.0]), np.zeros(3), h=0.2)
+        assert shape == {"increment": 1.5}
+
+    def test_rows_are_independent(self):
+        """A block's values are each row's own: a non-finite row (here with
+        inf + -inf in its antisymmetry sum) fails every verdict, changes no
+        other row's value and raises no warning, which would fail the test."""
+        grid = ModelParams(n=8, J=np.array([[0.0], [0.05], [0.1], [0.3]]))
+        f = second_eigenpairs(grid)[1]
+        terms = f * np.linspace(-1.0, 1.0, 9)
+        bad_f, bad_terms = f.copy(), terms.copy()
+        bad_f[1] = [-np.inf, 0, 0, 0, np.nan, 0, 0, 0, np.inf]
+        bad_terms[1] = np.nan
+        block, bad = shape_measures(f, terms), shape_measures(bad_f, bad_terms)
+        for i in range(len(f)):
+            row = shape_measures(f[i], terms[i])
+            for key, value in row.items():
+                assert value.tobytes() == block[key][i].tobytes()
+                if i != 1:
+                    assert value.tobytes() == bad[key][i].tobytes()
+                else:
+                    assert not bad[key][i] <= STRUCTURE_TOL
 
 
 @pytest.mark.parametrize("n,J,H", [(3, 0.4, 0.2), (6, 0.1, 0.0), (8, 0.0, 0.5)])

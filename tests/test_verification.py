@@ -10,6 +10,8 @@ import scipy.sparse
 import cwglauber.verification as verification
 from cwglauber.ising import ModelParams, full_transition_matrix
 from cwglauber.magchain import lump_vector
+from cwglauber.perturbation import sweep_monotonicity
+from cwglauber.spectral import eigenvector_structure_report, second_eigenpair
 from cwglauber.verification import run_verification
 
 
@@ -84,6 +86,33 @@ def test_check_list_is_pinned(n, J, H):
                  tol if tol is None else pytest.approx(tol, rel=1e-6))
                 for name, status, tol in CHECK_LISTS[(n, J, H)]]
     assert got == expected
+
+
+# gap's flags under the name of the verify check that reads the same value
+_FLAG_CHECKS = {"strictly": "eigenvector_increasing",
+                "antisymmetric_at_h0": "eigenvector_antisymmetry",
+                "sign_split": "eigenvector_sign_split"}
+_VERDICT = {"pass": True, "fail": False, "skip": None}
+
+
+@pytest.mark.parametrize("H", [0.0, 0.3])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gap_sweep_and_verify_agree_on_the_shape(n, H):
+    """gap's shape flags and a sweep point's sign_ok read as verify's
+    pass/fail of the same checks (None where verify skips)."""
+    grid = [0.0, 0.1, 0.5]
+    points = sweep_monotonicity(n, H, grid).points
+    assert [p.J for p in points] == grid
+    for J, point in zip(grid, points):
+        params = ModelParams(n=n, J=J, H=H)
+        res = second_eigenpair(params)
+        flags = vars(eigenvector_structure_report(
+            res.second_vector, h=H, eigen_separation=res.separation))
+        status = {r.name: _VERDICT[r.status] for r in run_verification(params)}
+        assert flags["reliable"]
+        assert {flag: flags[flag] for flag in _FLAG_CHECKS} == {
+            flag: status[name] for flag, name in _FLAG_CHECKS.items()}
+        assert point.sign_terms_ok is status["sign_structure_terms"]
 
 
 def test_builds_the_full_chain_once(monkeypatch):
