@@ -8,11 +8,10 @@ eigenvalue-perturbation identity and by finite differences, and cross-checks
 spectral relaxation times against seeded Monte Carlo dynamics.
 """
 
-from .ising import (Distribution, ModelParams, N_MAX_FULL,
-                    full_transition_matrix, stationary_full)
-from .magchain import (DerivativeMatrix, ReducedChain, build_reduced_chain,
-                       derivative_matrix, lump_vector, reduced_stationary,
-                       s_values)
+from .ising import (ModelParams, N_MAX_FULL, full_transition_matrix,
+                    law_from_log_weights, stationary_full)
+from .magchain import (Tridiagonal, build_reduced_chain, derivative_matrix,
+                       lump_vector, reduced_stationary, s_values)
 from .mcmc import (RelaxationEstimate, Trajectory, estimate_relaxation,
                    simulate_full, simulate_reduced)
 from .perturbation import (SweepPoint, SweepReport, analyse,
@@ -24,10 +23,10 @@ from .spectral import (EigensolverError, SpectralResult, StructureReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Distribution", "ModelParams", "N_MAX_FULL", "full_transition_matrix",
-    "stationary_full",
-    "DerivativeMatrix", "ReducedChain", "build_reduced_chain",
-    "derivative_matrix", "lump_vector", "reduced_stationary", "s_values",
+    "ModelParams", "N_MAX_FULL", "full_transition_matrix",
+    "law_from_log_weights", "stationary_full",
+    "Tridiagonal", "build_reduced_chain", "derivative_matrix", "lump_vector",
+    "reduced_stationary", "s_values",
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",
     "simulate_full", "simulate_reduced",
     "SweepPoint", "SweepReport", "analyse", "sweep_monotonicity",

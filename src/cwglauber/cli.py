@@ -112,6 +112,13 @@ def cmd_gap(parser, args) -> int:
     return EXIT_OK
 
 
+def _float_text(x: float) -> str:
+    """x as :g text where that reads back as x, else as its shortest
+    round-trip repr, so a recorded command reruns with the same floats."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 def cmd_sweep(parser, args) -> int:
     if not (math.isfinite(args.J_min) and math.isfinite(args.J_max)):
         parser.error("--J-min and --J-max must be finite")
@@ -131,9 +138,11 @@ def cmd_sweep(parser, args) -> int:
     if _unwritable(path):
         return EXIT_USAGE
     report = sweep_monotonicity(args.n, args.H, grid)
-    command = (f"cwglauber sweep --n {args.n} --H {args.H:g} "
-               f"--J-min {args.J_min:g} --J-max {args.J_max:g} "
-               f"--J-steps {args.J_steps}")
+    command = (f"cwglauber sweep --n {args.n} --H {_float_text(args.H)} "
+               f"--J-min {_float_text(args.J_min)} "
+               f"--J-max {_float_text(args.J_max)} --J-steps {args.J_steps}")
+    if args.temperature_view:
+        command += f" --temperature-view --c {_float_text(args.c)}"
     c = args.c if args.temperature_view else None
     text = (sweep_to_json(report, command=command) if args.format == "json"
             else sweep_to_csv(report, command=command, temperature_constant=c))

@@ -68,23 +68,13 @@ def all_plus_counts(n: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """A probability vector built from log-weights.
-
-    Probabilities are exp(log_weights) normalized by scipy's logsumexp
-    along the last axis (one law per row).  Where eps * |max log-weight|
-    outgrows the log of the count of tied maxima it cannot normalize (n = 8,
-    J = 1e20 reads [1, 0, ..., 0, 1]); callers refuse such chains first.
-    """
-
-    probabilities: np.ndarray
-
-    @classmethod
-    def from_log_weights(cls, log_weights) -> "Distribution":
-        lw = np.asarray(log_weights, dtype=float)
-        return cls(probabilities=np.exp(
-            lw - logsumexp(lw, axis=-1, keepdims=True)))
+def law_from_log_weights(log_weights) -> np.ndarray:
+    """Probabilities exp(log_weights) normalized by scipy's logsumexp along
+    the last axis (one law per row).  Where eps * |max log-weight| outgrows
+    the log of the count of tied maxima it cannot normalize (n = 8, J = 1e20
+    reads [1, 0, ..., 0, 1]); callers refuse such chains first."""
+    lw = np.asarray(log_weights, dtype=float)
+    return np.exp(lw - logsumexp(lw, axis=-1, keepdims=True))
 
 
 def log_weights_full(params: ModelParams) -> np.ndarray:
@@ -146,10 +136,10 @@ def full_transition_matrix(params: ModelParams, n_max_full: int = N_MAX_FULL):
     return P
 
 
-def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> Distribution:
+def stationary_full(params: ModelParams, n_max_full: int = N_MAX_FULL) -> np.ndarray:
     """Gibbs measure on the full 2^n state space."""
     if params.n > n_max_full:
         raise ValueError(
             f"stationary distribution for n={params.n} refused: exceeds "
             f"n_max_full={n_max_full}")
-    return Distribution.from_log_weights(log_weights_full(params))
+    return law_from_log_weights(log_weights_full(params))

@@ -11,12 +11,13 @@ with the boundary convention P(0 -> -1) = P(n -> n+1) = 0.  It shares its
 second-largest eigenvalue with the full chain, which is what makes it the
 workhorse of every spectral computation here.
 
-The derivative of the chain in J is also tridiagonal, with d_down[k] =
-s_{k+1} = ((k+1)(n-2k-1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).  The s-based
-upper diagonal d_up[k] = s_{n-k} holds only at H = 0 (under k -> n-k the
-cosh argument flips its J part, not its -2H part), so ``derivative_matrix``
-differentiates the entries in closed form: right for all H, and bitwise the
-s-based form at H = 0.  Chain, law and derivative also take a column of J.
+The derivative of the chain in J is the same kind of tridiagonal, with
+down[k] = s_{k+1} = ((k+1)(n-2k-1)/n) / (1 + cosh[(n-2k-1)2J - 2H]).  The
+s-based upper diagonal up[k] = s_{n-k} holds only at H = 0 (under k -> n-k
+the cosh argument flips its J part, not its -2H part), so
+``derivative_matrix`` differentiates the entries in closed form: right for
+all H, and bitwise the s-based form at H = 0.  Chain, law and derivative
+also take a column of J.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .ising import Distribution, ModelParams, all_plus_counts, logistic
+from .ising import ModelParams, all_plus_counts, law_from_log_weights, logistic
 
 
 def inv_one_plus_cosh(x):
@@ -34,11 +35,12 @@ def inv_one_plus_cosh(x):
 
 
 @dataclass(frozen=True)
-class ReducedChain:
-    """Tridiagonal transition data on magnetization levels 0..n (per row for
-    a grid): up[k] = P(k -> k+1) for k = 0..n-1; down[k] = P(k+1 -> k) at
-    slot k; diag has length n+1.  Up/down entries are positive for finite
-    parameters unless they underflow to 0 (``positive_rates``).
+class Tridiagonal:
+    """A matrix on magnetization levels 0..n (per row for a grid): up[k] is
+    entry (k, k+1) and down[k] entry (k+1, k) for k = 0..n-1; diag has
+    length n+1.  For the chain, up[k] = P(k -> k+1) and down[k] =
+    P(k+1 -> k), positive unless they underflow to 0 (``positive_rates``);
+    for its J-derivative, the entries' d/dJ, with rows summing to 0.
     """
 
     n: int
@@ -46,21 +48,11 @@ class ReducedChain:
     down: np.ndarray
     diag: np.ndarray
 
-
-@dataclass(frozen=True)
-class DerivativeMatrix:
-    """Entrywise d/dJ of the reduced chain (per row for a grid); rows sum to 0."""
-
-    n: int
-    d_up: np.ndarray
-    d_down: np.ndarray
-    d_diag: np.ndarray
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        out = self.d_diag * f
-        out[..., :-1] += self.d_up * f[..., 1:]
-        out[..., 1:] += self.d_down * f[..., :-1]
+        out = self.diag * f
+        out[..., :-1] += self.up * f[..., 1:]
+        out[..., 1:] += self.down * f[..., :-1]
         return out
 
 
@@ -70,7 +62,7 @@ def add_shifted(a, b):
     return np.concatenate([a, zero], axis=-1) + np.concatenate([zero, b], axis=-1)
 
 
-def build_reduced_chain(params: ModelParams) -> ReducedChain:
+def build_reduced_chain(params: ModelParams) -> Tridiagonal:
     """Magnetization chain entries from the closed-form heat-bath rates."""
     n, J, H = params.n, params.J, params.H
     k = np.arange(n, dtype=float)
@@ -79,16 +71,16 @@ def build_reduced_chain(params: ModelParams) -> ReducedChain:
     up, down = ((n - k) / n) * rates[..., :n], ((k + 1) / n) * rates[..., n:]
     # 1 - (a + b) rather than 1 - a - b: IEEE addition commutes, so the
     # H -> -H mirror symmetry of the diagonal is exact to the last bit.
-    return ReducedChain(n=n, up=up, down=down, diag=1.0 - add_shifted(up, down))
+    return Tridiagonal(n=n, up=up, down=down, diag=1.0 - add_shifted(up, down))
 
 
-def positive_rates(chain: ReducedChain) -> np.ndarray:
+def positive_rates(chain: Tridiagonal) -> np.ndarray:
     """True (per row) where no up or down rate underflowed to 0, so that the
     chain is irreducible and its eigenvector and stationary law defined."""
     return chain.up.all(axis=-1) & chain.down.all(axis=-1)
 
 
-def reduced_stationary(params: ModelParams) -> Distribution:
+def reduced_stationary(params: ModelParams) -> np.ndarray:
     """Stationary law pi_k ~ C(n,k) exp(J (2k-n)^2 / 2 + H (2k-n)) of the
     chain, in log space; C(n,k) counts the configurations lumped into k."""
     n, H = params.n, params.H
@@ -97,7 +89,7 @@ def reduced_stationary(params: ModelParams) -> Distribution:
     m = 2 * k - n
     lw = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
           + J * m * m / 2.0 + H * m)
-    return Distribution.from_log_weights(lw)
+    return law_from_log_weights(lw)
 
 
 def s_values(params: ModelParams) -> np.ndarray:
@@ -106,20 +98,19 @@ def s_values(params: ModelParams) -> np.ndarray:
     s_0 = 0 for all parameters, and the sign of s_k equals the sign of
     n-2k+1: nonnegative for k <= (n+1)/2 and nonpositive for k >= (n+1)/2.
     """
-    return np.append(0.0, derivative_matrix(params).d_down)
+    return np.append(0.0, derivative_matrix(params).down)
 
 
-def derivative_matrix(params: ModelParams) -> DerivativeMatrix:
-    """Tridiagonal d/dJ of the reduced chain in closed form: d_down[k] =
-    s_{k+1}, d_up[k] = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]), and
-    a diagonal that makes every row sum to zero to rounding."""
+def derivative_matrix(params: ModelParams) -> Tridiagonal:
+    """Tridiagonal d/dJ of the reduced chain in closed form: down[k] =
+    s_{k+1}, up[k] = ((n-k)(2k-n+1)/n) / (1 + cosh[(n-2k-1)2J - 2H]), and a
+    diagonal that makes every row sum to zero to rounding."""
     n, J, H = params.n, params.J, params.H
     k = np.arange(n, dtype=float)
     c = inv_one_plus_cosh((n - 2 * k - 1) * 2 * J - 2 * H)
-    d_up = ((n - k) * (2 * k - n + 1) / n) * c
-    d_down = ((k + 1) * (n - 2 * k - 1) / n) * c
-    return DerivativeMatrix(n=n, d_up=d_up, d_down=d_down,
-                            d_diag=-add_shifted(d_up, d_down))
+    up = ((n - k) * (2 * k - n + 1) / n) * c
+    down = ((k + 1) * (n - 2 * k - 1) / n) * c
+    return Tridiagonal(n=n, up=up, down=down, diag=-add_shifted(up, down))
 
 
 def lump_vector(f_levels, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .ising import ModelParams, logistic
-from .magchain import (ReducedChain, build_reduced_chain, positive_rates,
+from .magchain import (Tridiagonal, build_reduced_chain, positive_rates,
                        reduced_stationary)
 from .spectral import underflow_error
 
@@ -128,7 +128,7 @@ def _record(samples: np.ndarray, levels, n: int, t: int) -> int:
     return t + len(levels)
 
 
-def sweep_kernel_rows(chain: ReducedChain) -> np.ndarray:
+def sweep_kernel_rows(chain: Tridiagonal) -> np.ndarray:
     """Cumulative rows of P^n without their last entry, so that the count of
     a row's entries <= u, bisect(row, u), is a level in 0..n.
 
@@ -267,7 +267,7 @@ def _start(params: ModelParams, seed: int, steps: int, burn_in: int):
     if not positive_rates(chain):
         raise underflow_error(params.n, params.J, params.H)
     rng = np.random.default_rng(seed)
-    pi = reduced_stationary(params).probabilities
+    pi = reduced_stationary(params)
     return chain, rng, int(rng.choice(params.n + 1, p=pi))
 
 

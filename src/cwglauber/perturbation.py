@@ -153,17 +153,18 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
 def temperature_view(report: SweepReport, c: float = 1.0):
     """Map a sweep to temperature coordinates: (T, t_rel) with T = c/J.
 
-    Sorted by T ascending (which exactly reverses the ascending-J order).
-    J = 0 points are rejected: infinite temperature is excluded from this
-    view.  Whenever the report was monotone in J, the returned t_rel sequence
-    is nonincreasing in T.
+    Ordered by J descending, so T ascending, and the exact reversal of the
+    ascending-J order also where adjacent couplings round to one T.  J = 0
+    points are rejected: infinite temperature is excluded from this view.
+    Where lambda_2 never decreases in J, the returned t_rel sequence is
+    nonincreasing in T; a decrement within MONOTONE_TOL, which
+    ``monotone_in_J`` forgives, still shows in t_rel.
     """
     if c <= 0:
         raise ValueError(f"temperature constant c must be positive, got {c!r}")
     if any(p.J == 0.0 for p in report.points):
         raise ValueError("temperature view rejects J = 0 points "
                          "(infinite temperature); filter them out first")
-    pairs = [(c / p.J, p.t_rel) for p in report.points]
-    pairs.sort(key=lambda tp: tp[0])
-    return pairs
+    points = sorted(report.points, key=lambda p: p.J, reverse=True)
+    return [(c / p.J, p.t_rel) for p in points]
 

@@ -304,7 +304,7 @@ def second_eigenpairs(grid: ModelParams, *stencil):
         g = np.copysign(np.exp(log_g - log_g.max(axis=1, keepdims=True)), u)
         f = np.zeros((k, grid.n + 1))
         np.cumsum(g, axis=1, out=f[:, 1:])
-        pi = reduced_stationary(grid).probabilities
+        pi = reduced_stationary(grid)
         # a (1 x m) @ (m x 1) matmul per row is BLAS ddot, as pi @ f is
         f -= (pi[:, None] @ f[..., None])[:, 0]
         # <f,f>_pi is 0 if the increments underflowed where pi has its mass

@@ -57,7 +57,7 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
 
     # --- full chain, read one flipped bit at a time ----------------------
     P = full_transition_matrix(params, n_max_full=n_max_full)
-    p = stationary_full(params, n_max_full=n_max_full).probabilities
+    p = stationary_full(params, n_max_full=n_max_full)
     lw = log_weights_full(params)
     levels = all_plus_counts(n)  # also the popcount of every index
     idx = np.arange(P.shape[0])
@@ -156,14 +156,14 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
 
     # --- derivative structure ---------------------------------------------
     dm = derivative_matrix(params)
-    rs = add_shifted(dm.d_up, dm.d_down) + dm.d_diag
+    rs = add_shifted(dm.up, dm.down) + dm.diag
     out.append(CheckResult.from_violation(
         "derivative_row_sums", np.abs(rs).max(), 1e-14))
 
     c = build_reduced_chain(ModelParams(
         n=n, J=np.array([J, *fd_stencil(J, 1e-6)])[:, None], H=H))
     fd_entries = difference_quotient(J, 1e-6, *np.hstack([c.up, c.down]))
-    worst_fd = np.abs(fd_entries - np.concatenate([dm.d_up, dm.d_down])).max()
+    worst_fd = np.abs(fd_entries - np.concatenate([dm.up, dm.down])).max()
     out.append(CheckResult.from_violation(
         "derivative_vs_fd_entries", worst_fd, 1e-8))
     s = s_values(params)

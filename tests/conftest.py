@@ -49,7 +49,7 @@ def reduced_eigh(chain):
 
 def detailed_balance_violation(P, pi):
     """max_ij |pi_i P_ij - pi_j P_ji| of a dense matrix P."""
-    flux = P * pi.probabilities[:, None]
+    flux = P * pi[:, None]
     return np.abs(flux - flux.T).max()
 
 
@@ -147,7 +147,7 @@ def reference_simulate_full(params, seed, steps, burn_in=0):
     from cwglauber.magchain import reduced_stationary
     n = params.n
     rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    k = int(rng.choice(n + 1, p=reduced_stationary(params)))
     spins = np.bincount(rng.permutation(n)[:k], minlength=n).tolist()
     p_plus = [logistic(2.0 * (params.J * (2 * m - n + 1) + params.H))
               for m in range(n)]
@@ -181,7 +181,7 @@ def reference_simulate_reduced(params, seed, steps, burn_in=0):
     n = params.n
     rows = sweep_kernel_rows(build_reduced_chain(params)).tolist()
     rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    k = int(rng.choice(n + 1, p=reduced_stationary(params)))
     levels = []
     for t in range(-burn_in, steps, 131072):
         for u in rng.random(min(131072, steps - t)).tolist():
@@ -201,7 +201,7 @@ def reference_simulate_lumped(params, seed, steps, burn_in=0):
     up = np.append(chain.up, 0.0).tolist()
     down = np.insert(chain.down, 0, 0.0).tolist()
     rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=reduced_stationary(params).probabilities))
+    k = int(rng.choice(n + 1, p=reduced_stationary(params)))
     levels = []
     chunk = max(1, 131072 // n)
     for t in range(-burn_in, steps, chunk):

@@ -73,8 +73,8 @@ def full_grid():
                         symmetrized_full_chain(P))[1]),
                     "lambda2_red": second_eigenpair(params).lambda2,
                     "db_full": detailed_balance_violation(P.toarray(), pi),
-                    "db_red": float(np.abs(pi_red.probabilities[:-1] * chain.up
-                                           - pi_red.probabilities[1:] * chain.down).max()),
+                    "db_red": float(np.abs(pi_red[:-1] * chain.up
+                                           - pi_red[1:] * chain.down).max()),
                     "rowsum_full": float(np.abs(P.sum(axis=1) - 1.0).max()),
                     "rowsum_red": float(np.abs(red_rows - 1.0).max()),
                 }

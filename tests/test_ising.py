@@ -5,9 +5,9 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import detailed_balance_violation
-from cwglauber.ising import (Distribution, ModelParams, all_plus_counts,
-                             full_transition_matrix, log_weights_full,
-                             logistic, stationary_full)
+from cwglauber.ising import (ModelParams, all_plus_counts,
+                             full_transition_matrix, law_from_log_weights,
+                             log_weights_full, logistic, stationary_full)
 
 
 def pair_sum_log_weight(J, H, spins):
@@ -147,19 +147,19 @@ class TestFullTransitionMatrix:
 class TestStationaryAndDetailedBalance:
     def test_uniform_at_zero_energy(self):
         pi = stationary_full(ModelParams(n=2, J=0.0, H=0.0))
-        np.testing.assert_allclose(pi.probabilities, 0.25, atol=1e-15)
+        np.testing.assert_allclose(pi, 0.25, atol=1e-15)
 
     def test_two_state_field(self):
         H = 0.8
         pi = stationary_full(ModelParams(n=1, J=0.0, H=H))
         z = np.exp(-H) + np.exp(H)
-        np.testing.assert_allclose(pi.probabilities,
+        np.testing.assert_allclose(pi,
                                    [np.exp(-H) / z, np.exp(H) / z], atol=1e-15)
 
     def test_left_eigenvector_residual(self):
         params = ModelParams(n=4, J=0.3, H=0.1)
         P = full_transition_matrix(params)
-        p = stationary_full(params).probabilities
+        p = stationary_full(params)
         assert np.abs(p @ P - p).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -172,7 +172,7 @@ class TestStationaryAndDetailedBalance:
 
     def test_symmetric_chain_uniform_pi_is_exact(self):
         P = np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.2], [0.2, 0.2, 0.6]])
-        pi = Distribution.from_log_weights(np.zeros(3))
+        pi = law_from_log_weights(np.zeros(3))
         assert detailed_balance_violation(P, pi) == 0.0
 
     def test_detects_injected_asymmetry(self):
@@ -187,8 +187,8 @@ class TestDistribution:
     @pytest.mark.parametrize("n,J,H", [(6, 0.4, 0.2), (10, 0.05, -0.3)])
     def test_normalization_and_positivity(self, n, J, H):
         pi = stationary_full(ModelParams(n=n, J=J, H=H))
-        assert abs(pi.probabilities.sum() - 1.0) < 1e-12
-        assert pi.probabilities.min() > 0.0
+        assert abs(pi.sum() - 1.0) < 1e-12
+        assert pi.min() > 0.0
 
     def test_plus_counts(self):
         counts = all_plus_counts(3)
@@ -199,19 +199,20 @@ class TestDistribution:
     @pytest.mark.parametrize("spread", [0.0, 1e-3, 1.0, 700.0, 1e4])
     @pytest.mark.parametrize("ties", [1, 2, 4])
     def test_bitwise_scipy_logsumexp(self, size, spread, ties):
-        """The inline log-sum-exp repeats scipy's steps, so the bytes are
-        scipy's; pairwise summation makes sizes past 8 and 128 distinct."""
+        """The law's axis=-1, keepdims=True call to scipy's logsumexp gives
+        the bytes of the 1-D call; pairwise summation makes sizes past 8 and
+        128 distinct."""
         rng = np.random.default_rng(size * 1000 + ties)
         lw = rng.uniform(-spread, 0.0, size) + rng.normal(0.0, 50.0)
         lw[rng.choice(size, min(ties, size), replace=False)] = lw.max() + 0.25
         for weights in (lw, np.round(lw)):
             expected = np.exp(weights - logsumexp(weights))
-            got = Distribution.from_log_weights(weights).probabilities
+            got = law_from_log_weights(weights)
             assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_stationary_full_bitwise_scipy(self, n):
         for J, H in [(0.0, 0.0), (0.3, 0.0), (0.1, -0.4), (2.0, 0.7)]:
             lw = log_weights_full(ModelParams(n=n, J=J, H=H))
-            got = stationary_full(ModelParams(n=n, J=J, H=H)).probabilities
+            got = stationary_full(ModelParams(n=n, J=J, H=H))
             assert got.tobytes() == np.exp(lw - logsumexp(lw)).tobytes()

@@ -7,9 +7,9 @@ import pytest
 from scipy.stats import binom
 
 from cwglauber.ising import ModelParams, all_plus_counts, stationary_full
-from cwglauber.magchain import (build_reduced_chain, derivative_matrix,
-                                inv_one_plus_cosh, lump_vector,
-                                reduced_stationary, s_values)
+from cwglauber.magchain import (Tridiagonal, build_reduced_chain,
+                                derivative_matrix, inv_one_plus_cosh,
+                                lump_vector, reduced_stationary, s_values)
 from cwglauber.ising import full_transition_matrix
 from cwglauber.spectral import second_eigenpair
 
@@ -76,21 +76,21 @@ class TestBuildReducedChain:
 class TestReducedStationary:
     def test_binomial_at_zero_coupling(self):
         pi = reduced_stationary(ModelParams(n=2, J=0.0, H=0.0))
-        np.testing.assert_allclose(pi.probabilities, [0.25, 0.5, 0.25], atol=1e-15)
+        np.testing.assert_allclose(pi, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_single_spin_symmetric(self):
         pi = reduced_stationary(ModelParams(n=1, J=5.0, H=0.0))
-        np.testing.assert_allclose(pi.probabilities, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-15)
 
     @pytest.mark.parametrize("J", [1.0, 3e5, 1e12, 1e300])
     def test_single_spin_law_has_no_coupling(self, J):
         """One spin has no pair: J is not in the law, at any size, for a
         point or a grid column, and the law is the full chain's exactly."""
-        free = reduced_stationary(ModelParams(n=1, J=0.0, H=0.3)).probabilities
-        pi = reduced_stationary(ModelParams(n=1, J=J, H=0.3)).probabilities
+        free = reduced_stationary(ModelParams(n=1, J=0.0, H=0.3))
+        pi = reduced_stationary(ModelParams(n=1, J=J, H=0.3))
         grid = reduced_stationary(
-            ModelParams(n=1, J=np.array([[J], [0.0]]), H=0.3)).probabilities
-        full = stationary_full(ModelParams(n=1, J=J, H=0.3)).probabilities
+            ModelParams(n=1, J=np.array([[J], [0.0]]), H=0.3))
+        full = stationary_full(ModelParams(n=1, J=J, H=0.3))
         assert pi.tobytes() == free.tobytes() == full.tobytes()
         assert grid.shape == (2, 2) and grid.tobytes() == np.tile(pi, 2).tobytes()
 
@@ -98,16 +98,16 @@ class TestReducedStationary:
     def test_lumps_full_gibbs_measure(self, n, J, H):
         params = ModelParams(n=n, J=J, H=H)
         lumped = np.bincount(all_plus_counts(n),
-                             weights=stationary_full(params).probabilities,
+                             weights=stationary_full(params),
                              minlength=n + 1)
-        np.testing.assert_allclose(reduced_stationary(params).probabilities,
+        np.testing.assert_allclose(reduced_stationary(params),
                                    lumped, atol=1e-12)
 
     @pytest.mark.parametrize("n,J,H", GRID)
     def test_detailed_balance(self, n, J, H):
         params = ModelParams(n=n, J=J, H=H)
         chain = build_reduced_chain(params)
-        p = reduced_stationary(params).probabilities
+        p = reduced_stationary(params)
         assert np.abs(p[:-1] * chain.up - p[1:] * chain.down).max() < 1e-12
 
 
@@ -140,28 +140,27 @@ class TestSValues:
 class TestDerivativeMatrix:
     @pytest.mark.parametrize("n,J", [(2, 0.0), (4, 0.3), (7, 0.6), (10, 0.1)])
     def test_modes_agree_bitwise_at_h0(self, n, J):
-        """The paper's s-form, d_up[k] = s_{n-k} and d_down[k] = s_{k+1}
-        with rows summing to zero, is the analytic derivative at H = 0."""
+        """The paper's s-form, up[k] = s_{n-k} and down[k] = s_{k+1} with
+        rows summing to zero, is the analytic derivative at H = 0."""
         params = ModelParams(n=n, J=J, H=0.0)
         a = derivative_matrix(params)
         s = s_values(params)
-        d_up, d_down = s[::-1][:n], s[1:]
-        d_diag = -(np.concatenate([d_up, [0.0]])
-                   + np.concatenate([[0.0], d_down]))
-        np.testing.assert_array_equal(a.d_up, d_up)
-        np.testing.assert_array_equal(a.d_down, d_down)
-        np.testing.assert_array_equal(a.d_diag, d_diag)
+        up, down = s[::-1][:n], s[1:]
+        diag = -(np.concatenate([up, [0.0]]) + np.concatenate([[0.0], down]))
+        np.testing.assert_array_equal(a.up, up)
+        np.testing.assert_array_equal(a.down, down)
+        np.testing.assert_array_equal(a.diag, diag)
 
     def test_down_entry_is_s_value(self):
         params = ModelParams(n=3, J=0.0, H=0.0)
         dm = derivative_matrix(params)
-        assert dm.d_down[0] == s_values(params)[1] == pytest.approx(1 / 3, rel=1e-15)
+        assert dm.down[0] == s_values(params)[1] == pytest.approx(1 / 3, rel=1e-15)
 
     @pytest.mark.parametrize("n,J,H", GRID)
     def test_row_sums_zero(self, n, J, H):
         dm = derivative_matrix(ModelParams(n=n, J=J, H=H))
-        rs = (np.concatenate([dm.d_up, [0.0]])
-              + np.concatenate([[0.0], dm.d_down]) + dm.d_diag)
+        rs = (np.concatenate([dm.up, [0.0]])
+              + np.concatenate([[0.0], dm.down]) + dm.diag)
         assert np.abs(rs).max() < 1e-14
 
     @pytest.mark.parametrize("n,J,H", [(4, 0.2, 0.0), (6, 0.5, 0.3),
@@ -180,8 +179,19 @@ class TestDerivativeMatrix:
         else:
             fd = (-3 * entries(J) + 4 * entries(J + d) - entries(J + 2 * d)) / (2 * d)
         dm = derivative_matrix(ModelParams(n=n, J=J, H=H))
-        analytic = np.concatenate([dm.d_up, dm.d_down, dm.d_diag])
+        analytic = np.concatenate([dm.up, dm.down, dm.diag])
         assert np.abs(fd - analytic).max() < 1e-8
+
+    @pytest.mark.parametrize("n,J,H", GRID)
+    def test_one_type_with_chain(self, n, J, H):
+        """Chain and derivative are one type, whose apply is the product
+        with the dense tridiagonal matrix it holds."""
+        params = ModelParams(n=n, J=J, H=H)
+        f = np.cos(np.arange(n + 1.0))
+        for m in (build_reduced_chain(params), derivative_matrix(params)):
+            assert type(m) is Tridiagonal
+            dense = np.diag(m.diag) + np.diag(m.up, 1) + np.diag(m.down, -1)
+            np.testing.assert_allclose(m.apply(f), dense @ f, rtol=0, atol=1e-15)
 
     def test_s_form_wrong_off_h0(self):
         """Negative control: the s-based upper diagonal fails the
@@ -219,5 +229,5 @@ def test_binom_pmf_agrees_with_free_stationary():
     """scipy's binomial is an independent route to the J=0 stationary law."""
     n = 9
     pi = reduced_stationary(ModelParams(n=n, J=0.0, H=0.0))
-    np.testing.assert_allclose(pi.probabilities, binom.pmf(np.arange(n + 1), n, 0.5),
+    np.testing.assert_allclose(pi, binom.pmf(np.arange(n + 1), n, 0.5),
                                atol=1e-13)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.linalg import matrix_power
+from scipy.signal import lfilter
 from scipy.stats import binom, chi2
 
 import cwglauber
@@ -30,6 +31,16 @@ from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
                             simulate_reduced, sweep_kernel_rows)
 from cwglauber.reports import trajectory_to_csv
 from cwglauber.spectral import EigensolverError, second_eigenpair
+
+
+def ar1(phi, size, rng):
+    """An AR(1) series x_t = phi x_{t-1} + a_t with standard normal a_t."""
+    return lfilter([1.0], [1.0, -phi], rng.standard_normal(size))
+
+
+def series(samples):
+    return Trajectory(params=ModelParams(n=1, J=0.0), seed=0, burn_in=0,
+                      samples=samples)
 
 
 def sigma_inflation(params):
@@ -74,7 +85,7 @@ class TestSimulateReduced:
         traj = simulate_reduced(p, seed=3, steps=T)
         k = ((traj.samples + p.n) / 2).astype(int)
         freq = np.bincount(k, minlength=p.n + 1) / T
-        expect = reduced_stationary(p).probabilities
+        expect = reduced_stationary(p)
         sigma = np.sqrt(expect * (1 - expect) / T) * sigma_inflation(p)
         assert np.all(np.abs(freq - expect) <= 4 * sigma)
 
@@ -161,7 +172,7 @@ class TestSimulateFull:
         kr = ((simulate_reduced(p, seed=22, steps=T).samples + n) / 2).astype(int)
         ff = np.bincount(kf, minlength=n + 1) / T
         fr = np.bincount(kr, minlength=n + 1) / T
-        expect = reduced_stationary(p).probabilities
+        expect = reduced_stationary(p)
         sigma = np.sqrt(2 * expect * (1 - expect) / T) * sigma_inflation(p)
         assert np.all(np.abs(ff - fr) <= 4 * sigma)
 
@@ -576,6 +587,54 @@ class TestEstimateRelaxation:
                           samples=alternating)
         with pytest.raises(EstimationError, match="lag 1"):
             estimate_relaxation(traj)
+
+    def test_exp_fit_without_decay(self):
+        """The MA(2) series a_t + 0.3 a_{t-1} + a_{t-2} has acov(2) > acov(1)
+        > 0, so the log-autocovariance rises and the fit finds no decay."""
+        a = np.random.default_rng(0).standard_normal(20_002)
+        x = a[2:] + 0.3 * a[1:-1] + a[:-2]
+        with pytest.raises(EstimationError, match="found no decay"):
+            estimate_relaxation(series(x), method="exponential_fit")
+
+    def test_integrated_without_window(self):
+        """The sample autocovariances of a finite series sum to -acov(0)/2
+        over lags 1..N-1, so tau(N-1) = 0 and the last window qualifies: only
+        a non-finite sample leaves no self-consistent window."""
+        x = ar1(0.5, 20_000, np.random.default_rng(1))
+        x[5] = np.nan
+        with pytest.raises(EstimationError, match="no self-consistent window"):
+            estimate_relaxation(series(x), method="integrated_autocorrelation")
+
+    @pytest.mark.parametrize("method", ["exponential_fit",
+                                        "integrated_autocorrelation"])
+    def test_batch_that_raises_is_skipped(self, method):
+        """A constant batch raises (zero variance) and leaves the stderr to
+        the other 15 batches."""
+        rng = np.random.default_rng(2)
+        batches = [ar1(0.5, 1000, rng) for _ in range(16)]
+        batches[3][:] = 0.0
+        fit = mcmc._METHODS[method]
+        with pytest.raises(EstimationError, match="zero-variance"):
+            fit(batches[3])
+        values = [fit(b)[0] for i, b in enumerate(batches) if i != 3]
+        est = estimate_relaxation(series(np.concatenate(batches)), method)
+        assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(15))
+        assert not est.floor_limited
+
+    @pytest.mark.parametrize("method", ["exponential_fit",
+                                        "integrated_autocorrelation"])
+    def test_estimate_within_noise_of_the_floor(self, method):
+        """14 fast batches and 2 faint slow ones: the whole-series fit sits
+        above the floor but within 3 batch stderrs of it, so it is flagged
+        floor-limited while keeping its value."""
+        rng = np.random.default_rng(1)
+        x = np.concatenate([ar1(0.2, 1000, rng) for _ in range(14)]
+                           + [0.1 * ar1(0.9, 1000, rng) for _ in range(2)])
+        t_rel_hat, floor_limited = mcmc._METHODS[method](x)
+        assert not floor_limited and t_rel_hat > mcmc.T_REL_FLOOR
+        est = estimate_relaxation(series(x), method)
+        assert est.floor_limited and est.t_rel_hat == t_rel_hat
+        assert est.t_rel_hat - mcmc.T_REL_FLOOR <= 3 * est.stderr
 
     def test_unknown_method(self):
         traj = Trajectory(params=ModelParams(n=2, J=0.1), seed=0, burn_in=0,

@@ -46,7 +46,6 @@ class TestHellmannFeynman:
         with pytest.raises(DegenerateGapError):
             analyse_point(ModelParams(n=3, J=0.1, H=0.0), raising=2)
 
-    @pytest.mark.filterwarnings("error")
     def test_refuses_non_finite_vector(self):
         from cwglauber.spectral import EigensolverError
         with pytest.raises(EigensolverError, match="not finite"):
@@ -96,7 +95,7 @@ class TestSignStructure:
     def test_weighted_sum_is_hf(self, n, J):
         params = ModelParams(n=n, J=J, H=0.0)
         point = analyse_point(params, raising=2)
-        pi = reduced_stationary(params).probabilities
+        pi = reduced_stationary(params)
         assert abs(np.sum(pi * point.terms) - point.hf) < 1e-12
 
 
@@ -203,6 +202,19 @@ class TestTemperatureView:
         assert [t for t, _ in view] == [1.0 / p.J for p in reversed(report.points)]
         assert [t_rel for _, t_rel in view] == \
             [p.t_rel for p in reversed(report.points)]
+
+    @pytest.mark.parametrize("n,J", [(4, 0.20365417389843476), (8, 0.23)])
+    def test_exact_reversal_at_tied_temperatures(self, n, J):
+        """Of four couplings one float apart, some round to one T = 1/J and
+        differ in t_rel; the view is still the exact reversal of the points."""
+        grid = [J]
+        for _ in range(3):
+            grid.append(float(np.nextafter(grid[-1], 1.0)))
+        report = sweep_monotonicity(n, 0.0, grid)
+        assert report.monotone_in_J and len({1.0 / j for j in grid}) < 4
+        assert len({p.t_rel for p in report.points}) > 1
+        view = temperature_view(report)
+        assert view == [(1.0 / p.J, p.t_rel) for p in reversed(report.points)]
 
     def test_t_rel_nonincreasing_when_monotone(self):
         report = self._report()

