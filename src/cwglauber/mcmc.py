@@ -28,7 +28,9 @@ recorded series.  Two estimators are provided: a least-squares fit to the
 log-autocovariance over lags with signal above the noise floor, and the
 integrated autocorrelation time with the self-consistent window rule
 W >= 6 tau(W).  Standard errors come from recomputing the estimate on 16
-contiguous batches.
+contiguous batches.  Both read the autocovariance block by block, out to
+the lags they use, so their memory is set by those lags, not by the run's
+length; a series with a non-finite sample is refused.
 """
 
 import math
@@ -79,6 +81,21 @@ CHUNK_UPDATES = 131072
 
 MIN_SAMPLES = 10_000
 BATCH_COUNT = 16
+
+# ``autocovariance`` transforms blocks of at least MIN_BLOCK samples,
+# GROUP_SAMPLES samples at a time, and the estimators' first lag window is
+# one such block; a series whose first W >= 6 tau(W) lies past it pays one
+# more pass over the samples per doubling.  estimate_relaxation on 10^6
+# samples, medians of 15 shuffled rounds (2-core host), traced peak:
+#   MIN_BLOCK                         2^11    2^12    2^13    2^14
+#   simulate n=10 J=0.08 (tau 2.9)    37.0    42.6    45.0    54.4 ms
+#   simulate n=10 J=0.15 (tau 17)     37.4    42.9    46.1    53.3 ms
+#   AR(1), phi = 0.999 (tau 1000)    110.4    77.5    47.5    53.6 ms
+#   peak                               4.4     4.4     4.3     4.6 MiB
+# In 40 paired rounds 2^12 beat 2^13 on the first series 35 times (by 7% in
+# the median); 2^13 pays only where tau nears 1000 sweeps.
+MIN_BLOCK = 4096
+GROUP_SAMPLES = 1 << 17
 
 # tau_int of a sequence i.i.d. at the sweep scale; estimates cannot resolve
 # dynamics below this.
@@ -446,30 +463,55 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
 
 def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
     """Autocovariance gamma(l) = (1/N) sum_t (x_t - xbar)(x_{t+l} - xbar)
-    for l = 0..lags-1, lags <= N, by one FFT zero-padded past N+lags-1."""
+    for l = 0..lags-1, lags <= N, block by block.
+
+    Blocks hold B samples of x - xbar, the least power of two >= max(lags,
+    min(N, MIN_BLOCK)), each zero-padded to 2B and transformed once, about
+    GROUP_SAMPLES samples at a time, so memory is set by B, not by N.  Every
+    pair at a lag below B lies within one block or spans two neighbours: the
+    sum of the blocks' power spectra |F_b|^2 and of their cross spectra with
+    the next block, conj(F_b) F_{b+1} times (-1)^j at frequency j (block
+    b + 1 sits B later, half the transform), transforms back to N gamma(l)
+    for every l < B with no circular wrap."""
     x = np.asarray(x, dtype=float)
-    x = x - x.mean()
     N = len(x)
-    m = 1 << (N + lags - 1).bit_length()
-    f = np.fft.rfft(x, m)
-    return np.fft.irfft(f * np.conj(f), m)[:lags] / N
+    xbar = x.mean()
+    B = 1 << (max(lags, min(N, MIN_BLOCK)) - 1).bit_length()
+    step = max(1, GROUP_SAMPLES // B) * B
+    power, cross = np.zeros(B + 1), np.zeros(B + 1, complex)
+    last = np.zeros(B + 1, complex)
+    for a in range(0, N, step):
+        size = min(step, N - a)
+        y = np.zeros(-(-size // B) * B)
+        np.subtract(x[a:a + size], xbar, out=y[:size])
+        F = np.fft.rfft(y.reshape(-1, B), 2 * B)
+        del y  # F and one group of temporaries at a time
+        power += np.sum(F.real ** 2, axis=0) + np.sum(F.imag ** 2, axis=0)
+        cross += last.conj() * F[0]  # the previous group's last block
+        c = F[:-1].conj()
+        c *= F[1:]
+        cross += c.sum(axis=0)
+        last = F[-1].copy()
+        del F, c
+    cross[1::2] *= -1
+    return np.fft.irfft(power + cross, 2 * B)[:lags] / N
 
 
 def _acov_with_floor(x: np.ndarray):
     """Autocovariance, its Bartlett noise floor with the L0 it sums to, and
     tau(W) at the windows W = 1, 2, ..., with sanity guards.
 
-    The lags start at every one the smallest FFT holding 64 lags gives, and
-    grow until they hold the first nonpositive one, L0, and the first
-    W >= 6 tau(W), or else are all N (L0 = N // 2 if no lag is nonpositive):
-    every lag either estimator reads.
+    The lags start at every one a minimum block holds, min(MIN_BLOCK, N),
+    and double until they hold the first nonpositive one, L0, and the first
+    W >= 6 tau(W), or else are all N (L0 = N // 2 if no lag is
+    nonpositive): every lag either estimator reads.
     A lag-1 autocovariance significantly below zero (beyond -3 floors) means
     genuinely anticorrelated data that no relaxation-time reading fits; a
     lag-1 value merely within noise of zero is the white-noise regime and is
     left for the estimators to flag as floor-limited.
     """
     N = len(x)
-    lags = min((1 << (N + 63).bit_length()) - N, N)
+    lags = min(MIN_BLOCK, N)
     while True:
         acov = autocovariance(x, lags)
         if acov[0] <= 0:
@@ -479,8 +521,7 @@ def _acov_with_floor(x: np.ndarray):
         W = np.arange(1, len(acov))
         if lags == N or (len(neg) and np.any(W >= 6 * taus)):
             break
-        # at least double, by all the lags the next FFT's padding holds
-        lags = min((1 << (N + 2 * lags - 1).bit_length()) - N, N)
+        lags = min(2 * lags, N)
     L0 = int(neg[0]) + 1 if len(neg) else N // 2
     noise_floor = math.sqrt((acov[0] ** 2 + 2 * np.sum(acov[1:L0] ** 2)) / N)
     if acov[1] <= -3 * noise_floor:
@@ -497,8 +538,8 @@ def _exp_fit(x: np.ndarray):
     threshold (tail lags that pop back over it are noise bumps, and their
     leverage would tilt the slope).  The fit is weighted by inverse variance
     of the log values, i.e. by signal-to-floor ratio.  When no lag qualifies
-    the series is statistically white at the sweep scale and the floor value
-    is returned.
+    the series is statistically white at the sweep scale, and the floor value
+    is returned, flagged, as it is for a fit below the floor.
     """
     acov, L0, noise_floor, _, _ = _acov_with_floor(x)
     above = acov[1:L0] > 3 * noise_floor
@@ -512,16 +553,18 @@ def _exp_fit(x: np.ndarray):
     (_, inv_tau), *_ = np.linalg.lstsq(A * w[:, None], y * w, rcond=None)
     if inv_tau <= 0:
         raise EstimationError("log-autocovariance fit found no decay")
-    return float(1.0 / inv_tau), False
+    t_rel = float(1.0 / inv_tau)
+    if t_rel < T_REL_FLOOR:
+        return T_REL_FLOOR, True
+    return t_rel, False
 
 
 def _integrated(x: np.ndarray):
     """(tau_int, floor_limited) with the self-consistent window W >= 6 tau(W)."""
     *_, taus, W = _acov_with_floor(x)
-    ok = np.nonzero(W >= 6 * taus)[0]
-    if not len(ok):
-        raise EstimationError("no self-consistent window: run too short")
-    tau = float(taus[ok[0]])
+    # the window always holds one: the sample autocovariances sum to
+    # -gamma(0)/2 over lags 1..N-1, so tau(N - 1) = 0
+    tau = float(taus[np.argmax(W >= 6 * taus)])
     if tau < T_REL_FLOOR:
         return T_REL_FLOOR, True
     return tau, False
@@ -535,7 +578,7 @@ def estimate_relaxation(traj: Trajectory,
                         method: str = "exponential_fit") -> RelaxationEstimate:
     """Estimate the relaxation time (in sweeps) from a magnetization series.
 
-    Requires at least 10^4 samples.  The standard error is the batch-means
+    Requires at least 10^4 samples, all finite.  The standard error is the batch-means
     one: the estimator is recomputed on 16 contiguous batches and the SEM of
     the batch values reported.  An estimate within noise of the white-noise
     floor (0.5 sweeps) is flagged floor_limited.
@@ -547,6 +590,9 @@ def estimate_relaxation(traj: Trajectory,
     if len(x) < MIN_SAMPLES:
         raise EstimationError(
             f"need >= {MIN_SAMPLES} samples for estimation, got {len(x)}")
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x)))
+        raise EstimationError(f"non-finite sample at index {bad}")
     fit = _METHODS[method]
     t_rel_hat, floor_limited = fit(x)
     L = len(x) // BATCH_COUNT
@@ -564,6 +610,5 @@ def estimate_relaxation(traj: Trajectory,
         stderr = 0.0 if floor_limited else math.nan
     if not floor_limited and (t_rel_hat - T_REL_FLOOR) <= 3 * stderr:
         floor_limited = True
-    return RelaxationEstimate(t_rel_hat=max(t_rel_hat, T_REL_FLOOR),
-                              stderr=stderr, method=method,
+    return RelaxationEstimate(t_rel_hat=t_rel_hat, stderr=stderr, method=method,
                               floor_limited=floor_limited)

@@ -136,17 +136,27 @@ def sweep_from_json(text: str) -> SweepReport:
         raise ValueError(f"malformed cwglauber sweep JSON: {exc!r}") from None
 
 
+# Samples trajectory_to_csv looks up at a time: its temporaries beside the
+# text it returns are an index array and a list of strings of this length.
+CSV_CHUNK = 65536
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
     p = traj.params
     header = (f"# cwglauber trajectory v2 n={p.n} J={_fmt(p.J)} H={_fmt(p.H)} "
               f"seed={traj.seed} sweeps={traj.sweeps} burn_in={traj.burn_in}")
-    # m = 2k - n takes at most n + 1 values: format each once, look them up
-    m = traj.samples.astype(np.int64)
+    # m = 2k - n takes at most n + 1 values: format each once, look them up,
+    # CSV_CHUNK samples at a time
+    m = traj.samples
     lo = int(m.min(initial=0))
-    m -= lo
-    table = np.array([f"{v}\n" for v in range(lo, lo + int(m.max(initial=0)) + 1)],
+    table = np.array([f"{v}\n" for v in range(lo, int(m.max(initial=0)) + 1)],
                      dtype=object)
-    return header + "\nm\n" + "".join(table[m].tolist())
+    parts = [header, "\nm\n"]
+    for a in range(0, len(m), CSV_CHUNK):
+        index = m[a:a + CSV_CHUNK].astype(np.intp)
+        index -= lo
+        parts.append("".join(table[index].tolist()))
+    return "".join(parts)
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -162,6 +172,6 @@ def trajectory_from_csv(text: str) -> Trajectory:
                              H=float(meta["H"]))
         return Trajectory(params=params, seed=int(meta["seed"]),
                           burn_in=int(meta["burn_in"]),
-                          samples=np.array([float(v) for v in lines[2:]]))
+                          samples=np.array(lines[2:], dtype=float))
     except KeyError as exc:
         raise ValueError(f"trajectory header lacks {exc}") from None

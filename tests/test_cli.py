@@ -904,6 +904,17 @@ class TestSerializationRoundTrips:
         assert (traj.seed, traj.burn_in, traj.sweeps) == (5, 2, 6)
         np.testing.assert_array_equal(traj.samples, [-2, -4, -2, 2, 0, 4])
 
+    def test_trajectory_values_parse_as_one_array(self):
+        """Blank lines are skipped; a value line that is not a number is
+        refused, wherever it sits."""
+        head = "# cwglauber trajectory v2 n=4 J=0.2 H=0 seed=5 sweeps=3 burn_in=2\nm\n"
+        traj = trajectory_from_csv(head + "2\n\n -4 \n0\n\n")
+        np.testing.assert_array_equal(traj.samples, [2, -4, 0])
+        assert traj.samples.dtype == np.float64
+        for body in ("2\nx\n0\n", "2\n-4\n0 0\n", "m\n2\n"):
+            with pytest.raises(ValueError):
+                trajectory_from_csv(head + body)
+
     def test_rejects_foreign_files(self):
         csv = sweep_to_csv(sweep_monotonicity(3, 0.0, [0.0, 0.1]))
         header = next(ln for ln in csv.splitlines() if ln.startswith("n,"))

@@ -10,6 +10,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect
 from pathlib import Path
 
@@ -599,11 +600,26 @@ class TestEstimateRelaxation:
     def test_integrated_without_window(self):
         """The sample autocovariances of a finite series sum to -acov(0)/2
         over lags 1..N-1, so tau(N-1) = 0 and the last window qualifies: only
-        a non-finite sample leaves no self-consistent window."""
+        a non-finite sample could leave none.  Such a series is refused up
+        front, naming its first bad index, under either method."""
         x = ar1(0.5, 20_000, np.random.default_rng(1))
-        x[5] = np.nan
-        with pytest.raises(EstimationError, match="no self-consistent window"):
-            estimate_relaxation(series(x), method="integrated_autocorrelation")
+        x[[5, 70]] = np.nan, np.inf
+        for method in mcmc._METHODS:
+            with pytest.raises(EstimationError,
+                               match="non-finite sample at index 5$"):
+                estimate_relaxation(series(x), method=method)
+        x[5] = 0.0
+        with pytest.raises(EstimationError, match="index 70$"):
+            estimate_relaxation(series(x))
+
+    def test_fit_below_the_floor_is_floor_limited(self):
+        """An AR(1) series with phi = 0.1 relaxes in 1/ln(10) = 0.43 sweeps:
+        its fit lands below the floor, so it reads as the floor, flagged,
+        as white noise does."""
+        x = ar1(0.1, 80_000, np.random.default_rng(0))
+        assert mcmc._exp_fit(x) == (mcmc.T_REL_FLOOR, True)
+        est = estimate_relaxation(series(x), method="exponential_fit")
+        assert est.floor_limited and est.t_rel_hat == mcmc.T_REL_FLOOR
 
     @pytest.mark.parametrize("method", ["exponential_fit",
                                         "integrated_autocorrelation"])
@@ -662,14 +678,27 @@ class TestEstimateRelaxation:
         assert est.method == "exponential_fit"
 
 
+# (N, lags) for autocovariance against the lagged sums, with B = MIN_BLOCK:
+# N below one block and not a multiple of B; lags either side of B (B - 1
+# and B share the block size, B + 1 doubles it) and 3B; and N = 3 groups
+# and a few samples, so that each group's last spectrum carries into the next.
+_B = mcmc.MIN_BLOCK
+_GROUPS = 3 * mcmc.GROUP_SAMPLES + 17
+ACOV_CASES = ([(N, lags) for N in (625, 4000)
+               for lags in (1, 2, 20, 64, 65, 300, 600)]
+              + [(N, lags) for N in (_B, 3 * _B + 5)
+                 for lags in (_B - 1, _B, _B + 1, 3 * _B) if lags <= N]
+              + [(_GROUPS, lags) for lags in (2, _B - 1, _B + 1)])
+
+
 class TestAutocovariance:
-    @pytest.mark.parametrize("N", [625, 4000])
-    @pytest.mark.parametrize("lags", [1, 2, 20, 64, 65, 300, 600])
+    @pytest.mark.parametrize("N,lags", ACOV_CASES,
+                             ids=[f"{lags}-{N}" for N, lags in ACOV_CASES])
     def test_matches_the_lagged_sums(self, N, lags):
         rng = np.random.default_rng(N + lags)
         x = np.cumsum(rng.standard_normal(N)) + 3.0
         y = x - x.mean()
-        direct = np.array([np.sum(y[:N - l] * y[l:]) for l in range(lags)]) / N
+        direct = np.array([y[:N - l] @ y[l:] for l in range(lags)]) / N
         got = autocovariance(x, lags)
         assert got.shape == (lags,)
         assert np.abs(got - direct).max() <= 1e-13 * direct[0]
@@ -687,14 +716,15 @@ class TestAutocovariance:
             return x
 
         rng = np.random.default_rng(17)
-        N = (1 << 16) - 64  # the first window is 64 lags
+        N = 1 << 16
         ma = rng.standard_normal(N + 2)
-        # gamma(2) < 0 from the MA part; the slow part puts W near 129
-        mixed = ma[2:] - 0.9 * ma[:-2] + 0.12 * ar1(0.99, N)
+        # gamma(2) < 0 from the MA part; the slow part puts W past the
+        # first window, one block of MIN_BLOCK lags
+        mixed = ma[2:] - 0.9 * ma[:-2] + 0.018 * ar1(0.9998, N)
         acov = autocovariance(mixed, N)
         taus = 0.5 + np.cumsum(acov[1:] / acov[0])
         assert acov[2] < 0
-        W = np.arange(1, 64)
+        W = np.arange(1, mcmc.MIN_BLOCK)
         assert not np.any(W >= 6 * taus[:len(W)])
         series = [mixed, rng.standard_normal(50_000),
                   np.cumsum(rng.standard_normal(30_000)), ar1(0.995, N),
@@ -723,7 +753,7 @@ class TestAutocovariance:
 
         monkeypatch.setattr(mcmc, "autocovariance", counted)
         windowed = outcomes()
-        assert windows[:2] == [(N, 64), (N, N)]  # the mixed series grew
+        assert windows[:2] == [(N, 4096), (N, 8192)]  # the mixed series grew
         monkeypatch.setattr(mcmc, "autocovariance",
                             lambda x, lags: autocovariance(x, len(x)))
         for a, b in zip(windowed, outcomes()):
@@ -733,6 +763,37 @@ class TestAutocovariance:
             assert a.floor_limited == b.floor_limited
             assert a.t_rel_hat == pytest.approx(b.t_rel_hat, rel=1e-12)
             assert a.stderr == pytest.approx(b.stderr, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    return simulate_reduced(ModelParams(n=10, J=0.08), seed=7, steps=10**6)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["exponential_fit",
+                                    "integrated_autocorrelation"])
+def test_estimate_in_bounded_memory(long_run, method):
+    """On a 10^6-sweep run the estimate's transient memory is set by its lag
+    blocks, not by the run: below 8 MiB (the samples take 7.6)."""
+    est, used = traced_peak(estimate_relaxation, long_run, method)
+    assert not est.floor_limited
+    assert used < 8 << 20
+
+
+def test_trajectory_write_in_bounded_memory(long_run):
+    """The writer formats a chunk at a time: it peaks below three times the
+    text it returns."""
+    text, used = traced_peak(trajectory_to_csv, long_run)
+    assert used < 3 * len(text)
 
 
 def test_supercritical_slowdown_demonstrated_by_dynamics():
