@@ -23,7 +23,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .ising import ModelParams, N_MAX_FULL
 from .mcmc import (EstimationError, MIN_SAMPLES, N_MAX_SIMULATE_FULL,
                    estimate_relaxation, simulate_full, simulate_reduced)
-from .perturbation import sweep_monotonicity, temperature_view
+from .perturbation import monotone_verdict, sweep_monotonicity
 from .reports import COLUMNS, sweep_to_csv, sweep_to_json, trajectory_to_csv
 from .spectral import (EigensolverError, eigenvector_structure_report,
                        second_eigenpair)
@@ -151,13 +150,10 @@ def cmd_sweep(parser, args) -> int:
     print(f"points: {len(report.points)} computed, {len(report.failures)} failed")
     print(f"monotone: {'true' if report.monotone_in_J else 'false'}")
     print(f"max_violation: {report.max_violation:.17g}")
-    if args.temperature_view:
-        positive = [p for p in report.points if p.J > 0]
-        if positive:
-            view = temperature_view(replace(report, points=positive), c=args.c)
-            nonincreasing = all(b[1] <= a[1] for a, b in zip(view, view[1:]))
-            print(f"temperature view (c={args.c:g}): t_rel nonincreasing in T: "
-                  f"{'true' if nonincreasing else 'false'}")
+    positive = [p for p in report.points if p.J > 0]
+    if args.temperature_view and positive:
+        print(f"temperature view (c={args.c:g}): t_rel nonincreasing in T: "
+              f"{json.dumps(monotone_verdict(positive)[0])}")
     if report.failures:
         for fail in report.failures:
             print(f"  failed at J={fail['J']:g}: {fail['error']}", file=sys.stderr)
@@ -219,9 +215,9 @@ def cmd_simulate(parser, args) -> int:
           + (" [floor-limited: no resolvable dynamics]" if est.floor_limited else ""))
     print(f"spectral: t_rel = {spectral_sweeps:.6g} sweeps "
           f"({res.t_rel:.6g} single-site steps)")
-    if math.isfinite(spectral_sweeps) and spectral_sweeps > 0:
-        rel = abs(est.t_rel_hat - spectral_sweeps) / spectral_sweeps
-        print(f"relative deviation from spectral value: {rel:.2%}")
+    rel = (f"{abs(est.t_rel_hat - spectral_sweeps) / spectral_sweeps:.2%}"
+           if math.isfinite(spectral_sweeps) else "not computed (lambda_2 rounds to 1)")
+    print(f"relative deviation from spectral value: {rel}")
     return EXIT_OK
 
 

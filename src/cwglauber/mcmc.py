@@ -13,14 +13,14 @@ an exact stationary sample (stationarity tests need no burn-in; the
 argument is still honored), after refusing a chain whose rates underflowed
 to 0, as the spectral core does.  Where a stream has a lane step (the full
 chain and the kernel walk), ``_run`` runs a trajectory's time windows side
-by side (lanes) with numpy, speculatively, each lane from a guessed state
-first, then from its true start until it meets that guess.  A sweep's
-state (the level, or the configuration as a bitmask) is a function of the
-state before and the draws alone, so chains that meet stay together;
-meeting is checked on the states themselves and needs no monotonicity,
-which the rounded cumulative rows of P^n do not have.  The stream's loop
-(its walk) reruns lanes started wrong and runs every sweep no lane takes:
-the same bytes either way.
+by side (lanes) with numpy, speculatively, each lane from its superblock's
+start state first, then from its true start until it meets that guess.  A
+sweep's state (the level, or the configuration as a bitmask) is a function
+of the state before and the draws alone, so chains that meet stay
+together; meeting is checked on the states themselves and needs no
+monotonicity, which the rounded cumulative rows of P^n do not have.  The
+stream's loop (its walk) reruns lanes started wrong and runs every sweep
+no lane takes: the same bytes either way.
 
 The relaxation time targeted by the estimators is 1/(1 - lambda_2) in
 single-site steps, i.e. (1/(1 - lambda_2))/n in the sweep units of the
@@ -173,8 +173,8 @@ def _kernel_loop(rows: list, k: int, us: list) -> list:
 
 
 def _kernel_steps(k: np.ndarray, us: np.ndarray, table: np.ndarray):
-    """Advance the levels k in place: lane (column) b takes the uniforms
-    us[b] in order, all lanes one sweep per numpy step; yield k after each.
+    """Advance the levels k in place: lane b takes the uniforms us[b] in
+    order, all lanes one sweep per numpy step; yield k after each.
     table holds the cumulative rows padded by 2.0 to 2^w > n entries.  A
     step counts the entries <= u of row k by a branchless binary search:
     bisect's level, as the rows are nondecreasing."""
@@ -193,49 +193,37 @@ def _kernel_steps(k: np.ndarray, us: np.ndarray, table: np.ndarray):
             yield k
 
 
-def _lanes(steps, walk, start: int, top: int, lanes: int):
+def _lanes(steps, walk, start: int, largest: int, lanes: int):
     """The levels after each sweep of `lanes` lanes of LANE_SWEEPS sweeps,
     run one after another from state `start`, and the end state, for as
-    many leading lanes as are right; None if pass 1 gives up.
+    many leading lanes as are right.
 
-    steps(states, a, b) advances the states (one column per lane) in place
-    through sweeps a to b of every lane, yielding the levels after each;
-    walk(state, a, b) runs one chain through sweeps a to b of the lanes'
-    draws by the loop and returns its levels and end state.  Two chains fed
-    the same draws that share a state at some sweep agree from there on.
-    Pass 1 runs each lane from `top`, with a chain from state 0 beside it
-    until they have met in every lane or for the first eighth; it gives up
-    there if fewer than a quarter of the lanes' two chains have met (at J*n
-    well above 1 they keep to their wells).  For J >= 0 the heat-bath
-    update is monotone, so the chain from the top meets the true one no
-    later than the one from 0 does.  Pass 2 runs each lane's true chain,
-    from the previous lane's pass-1 end (the first from `start`), until
-    every lane's state is pass 1's at the same sweep or the lanes end.  A
-    lane after one that never met started from a wrong state: walk reruns
-    the whole lane from the true one, until the reruns (LANE_SWEEPS sweeps
-    each) have taken more than a quarter of the lanes' sweeps."""
-    probe = LANE_SWEEPS // 8
-    states = np.array([[top], [0]]).repeat(lanes, axis=1)
+    steps(states, a, b) advances the states (one per lane) in place through
+    sweeps a to b of every lane, yielding the levels after each; walk(state,
+    a, b) runs one chain through sweeps a to b of the lanes' draws by the
+    loop and returns its levels and end state.  No state exceeds `largest`.
+    Two chains fed the same draws that share a state at some sweep agree
+    from there on.  Pass 1 runs every lane from `start`, a guess that is
+    right for the first.  Pass 2 runs each lane's true chain, from the
+    previous lane's pass-1 end (the first from `start`), until every lane's
+    state is pass 1's at the same sweep or the lanes end.  A lane after one
+    that never met started from a wrong state: walk reruns the whole lane
+    from the true one, until the reruns (LANE_SWEEPS sweeps each) have taken
+    more than a quarter of the lanes' sweeps."""
+    states = np.full(lanes, start)
     # pass 1's states, and the levels, in the fewest bytes that hold them:
     # at int64, `simulate --full --n 3` ran about 10% slower than in uint8
-    path = np.empty((LANE_SWEEPS, lanes), np.min_scalar_type(top))
+    path = np.empty((LANE_SWEEPS, lanes), np.min_scalar_type(largest))
     levels = np.empty_like(path)
-    for j, k in enumerate(steps(states, 0, probe)):
-        path[j], levels[j] = states[0], k[0]
-        if (states[0] == states[1]).all():
-            break
-    if 4 * np.count_nonzero(states[0] == states[1]) < lanes:
-        return None
-    states = states[:1]
-    for j, k in enumerate(steps(states, j + 1, LANE_SWEEPS), j + 1):
-        path[j], levels[j] = states[0], k[0]
-    starts = np.append(start, path[-1, :-1])
-    states[0] = starts
     for j, k in enumerate(steps(states, 0, LANE_SWEEPS)):
-        if (states[0] == path[j]).all():
+        path[j], levels[j] = states, k
+    starts = np.append(start, path[-1, :-1])
+    states[:] = starts
+    for j, k in enumerate(steps(states, 0, LANE_SWEEPS)):
+        if (states == path[j]).all():
             return levels.T.ravel(), int(path[-1, -1])
-        levels[j] = k[0]
-    starts, ends = starts.tolist(), states[0].tolist()
+        levels[j] = k
+    starts, ends = starts.tolist(), states.tolist()
     budget = lanes * LANE_SWEEPS // 4
     for b in range(1, lanes):
         if starts[b] != ends[b - 1]:
@@ -243,9 +231,8 @@ def _lanes(steps, walk, start: int, top: int, lanes: int):
                                          (b + 1) * LANE_SWEEPS)
             budget -= LANE_SWEEPS
             if budget < 0:
-                lanes = b + 1
-                break
-    return levels[:, :lanes].T.ravel(), ends[lanes - 1]
+                return levels[:, :b + 1].T.ravel(), ends[b]
+    return levels.T.ravel(), ends[-1]
 
 
 def _superblocks(rng, per_sweep: int, sites: bool, sweeps: int, size: int):
@@ -296,8 +283,8 @@ def _run(params: ModelParams, seed: int, steps: int, burn_in: int,
     (per_sweep, sites, state, walk, lane): ``_superblocks``'s draw format,
     the start state, walk(draws, state, a, b), the loop through sweeps a to
     b of a block, returning their levels and end state, and None or a lane
-    step and its top state for ``_lanes``, step(states, *draws) on a column
-    and a row of draws per lane.  With a lane step, superblocks of whole
+    step and the largest state for ``_lanes``, step(states, *draws) on a
+    state and a row of draws per lane.  With a lane step, superblocks of whole
     lanes (about SUPERBLOCK_UPDATES draws) run as lanes while every one
     before took all of its lanes, and the walk, a draw chunk at a time,
     runs the rest; without one it runs each block, one draw chunk."""
@@ -313,7 +300,7 @@ def _run(params: ModelParams, seed: int, steps: int, burn_in: int,
             rows = [d[:lanes * width].reshape(lanes, width) for d in draws]
             levels, state = _lanes(lambda states, a, b: lane[0](states, *(
                 r[:, a * per_sweep:b * per_sweep] for r in rows)),
-                partial(walk, draws), state, lane[1], lanes) or ((), state)
+                partial(walk, draws), state, lane[1], lanes)
             done = len(levels)
             t = _record(samples, levels, params.n, t)
             trying = done == lanes * LANE_SWEEPS
@@ -397,8 +384,8 @@ def _site_loop(spins: list, k: int, p_plus: list, us: list, xs: list) -> list:
 
 def _lockstep(c: np.ndarray, us: np.ndarray, xs: np.ndarray,
               p_plus: np.ndarray, n: int):
-    """Advance the bitmask configurations c in place: lane (column) b takes
-    the updates us[b], xs[b] in order, all lanes one step per numpy step.
+    """Advance the bitmask configurations c in place: lane b takes the
+    updates us[b], xs[b] in order, all lanes one step per numpy step.
     Yield the levels after each sweep of n steps, counted from c once on
     entry and kept up to date.  The draws are transposed a few sweeps at a
     time, so a pass stopped early leaves the rest untouched; the work arrays

@@ -142,12 +142,16 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
                 continue
             points.append(SweepPoint(J, float(H), n, lambda2, *relaxation(lambda2),
                                      hf_i, fd_i, sign_i))
+    return SweepReport(points, *monotone_verdict(points), failures=failures)
+
+
+def monotone_verdict(points):
+    """(monotone, max_violation): the worst decrement of lambda_2 between
+    neighbours of points in ascending J (0.0 when none), and whether it is
+    within MONOTONE_TOL; t_rel in T = c/J is judged by it too."""
     lam = [p.lambda2 for p in points]
-    decs = [a - b for a, b in zip(lam, lam[1:]) if a > b]
-    max_violation = max(decs) if decs else 0.0
-    monotone = max_violation <= MONOTONE_TOL
-    return SweepReport(points=points, monotone_in_J=monotone,
-                       max_violation=max_violation, failures=failures)
+    worst = max([a - b for a, b in zip(lam, lam[1:]) if a > b], default=0.0)
+    return worst <= MONOTONE_TOL, worst
 
 
 def temperature_view(report: SweepReport, c: float = 1.0):
@@ -158,7 +162,7 @@ def temperature_view(report: SweepReport, c: float = 1.0):
     points are rejected: infinite temperature is excluded from this view.
     Where lambda_2 never decreases in J, the returned t_rel sequence is
     nonincreasing in T; a decrement within MONOTONE_TOL, which
-    ``monotone_in_J`` forgives, still shows in t_rel.
+    ``monotone_verdict`` forgives, still shows in t_rel.
     """
     if c <= 0:
         raise ValueError(f"temperature constant c must be positive, got {c!r}")

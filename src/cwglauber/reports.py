@@ -18,6 +18,8 @@ layout is unchanged, so the reader takes v1 and v2 alike.
 
 import json
 import math
+import re
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 
@@ -159,19 +161,29 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "".join(parts)
 
 
+# The header comment and the column name, each after any blank lines.
+_HEAD = re.compile(r"\s*^(# cwglauber trajectory.*)$\s*^m\r?$", re.M)
+_TWO_VALUES = re.compile(r"\S[^\S\n]+\S")
+
+
 def trajectory_from_csv(text: str) -> Trajectory:
-    """Parse ``trajectory_to_csv``'s output; ValueError on anything else."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# cwglauber trajectory"):
-        raise ValueError("not a cwglauber trajectory CSV")
-    if lines[1:2] != ["m"]:
-        raise ValueError("expected magnetization column header 'm'")
-    meta = dict(tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
+    """Parse ``trajectory_to_csv``'s output; ValueError on anything else.
+    The values are parsed as one array, with no string per line."""
+    head = _HEAD.match(text)
+    if not head or _TWO_VALUES.search(text, head.end()):
+        raise ValueError("not a cwglauber trajectory CSV of one value per line")
+    meta = dict(tok.split("=", 1) for tok in head[1].split() if "=" in tok)
+    body = text[head.end():]
     try:
+        with warnings.catch_warnings():  # NumPy 1.x warns and truncates
+            warnings.simplefilter("error", DeprecationWarning)
+            # np.fromstring reads a blank text as [-1.]
+            samples = np.empty(0) if body.isspace() else np.fromstring(body, sep="\n")
         params = ModelParams(n=int(meta["n"]), J=float(meta["J"]),
                              H=float(meta["H"]))
         return Trajectory(params=params, seed=int(meta["seed"]),
-                          burn_in=int(meta["burn_in"]),
-                          samples=np.array(lines[2:], dtype=float))
+                          burn_in=int(meta["burn_in"]), samples=samples)
     except KeyError as exc:
         raise ValueError(f"trajectory header lacks {exc}") from None
+    except DeprecationWarning as exc:
+        raise ValueError(str(exc)) from None

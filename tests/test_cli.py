@@ -25,7 +25,7 @@ from conftest import failing_dstemr_rows, patch_dstemr
 from cwglauber.cli import build_parser, main
 from cwglauber.mcmc import EstimationError, simulate_reduced
 from cwglauber.ising import ModelParams
-from cwglauber.perturbation import sweep_monotonicity
+from cwglauber.perturbation import MONOTONE_TOL, sweep_monotonicity
 from cwglauber.reports import (sweep_from_csv, sweep_from_json, sweep_to_csv,
                                sweep_to_json, trajectory_from_csv,
                                trajectory_to_csv)
@@ -167,6 +167,20 @@ class TestSweepCommand:
                         "--temperature-view", "--output", str(tmp_path / "s.csv")])
         assert code == 0
         out = capsys.readouterr().out
+        assert "monotone: true" in out
+        assert "t_rel nonincreasing in T: true" in out
+
+    def test_temperature_verdict_forgives_what_the_J_verdict_does(
+            self, tmp_path, capsys):
+        """lambda_2 drops by an ulp (1.1e-16) between two of these
+        couplings: within MONOTONE_TOL, so both verdicts read monotone."""
+        code = run_cli(["sweep", "--n", "8", "--J-min", "0.23",
+                        "--J-max", "0.2300000000000001", "--J-steps", "4",
+                        "--temperature-view", "--output", str(tmp_path / "s.csv")])
+        assert code == 0
+        out = capsys.readouterr().out
+        violation = float(out.split("max_violation: ")[1].split()[0])
+        assert 0 < violation <= MONOTONE_TOL
         assert "monotone: true" in out
         assert "t_rel nonincreasing in T: true" in out
 
@@ -673,6 +687,17 @@ class TestSimulateCommand:
         text = "\n".join(lines[1:])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_deviation_line_where_the_gap_rounds_to_0(self, tmp_path, capsys):
+        """At n = 100, J*n = 3 lambda_2 rounds to 1 and t_rel prints inf;
+        the deviation line says it is not computed, and the run exits 0."""
+        code = run_cli(["simulate", "--n", "100", "--J", "0.03", "--steps",
+                        "10000", "--seed", "1", "--output", str(tmp_path / "t.csv")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "spectral: t_rel = inf sweeps (inf single-site steps)"
+        assert lines[3:] == ["relative deviation from spectral value: "
+                             "not computed (lambda_2 rounds to 1)"]
+
     @pytest.mark.parametrize("extra", [[], ["--full"]])
     def test_underflowed_chain_exits_3(self, extra, tmp_path, capsys):
         # pi reads [1, 0, ..., 0, 1] here; the chain is refused before a draw
@@ -914,6 +939,20 @@ class TestSerializationRoundTrips:
         for body in ("2\nx\n0\n", "2\n-4\n0 0\n", "m\n2\n"):
             with pytest.raises(ValueError):
                 trajectory_from_csv(head + body)
+        assert trajectory_from_csv(head + "\n \n").samples.size == 0
+
+    def test_values_numpy_1_truncates_are_refused(self, monkeypatch):
+        """NumPy 1.x (the declared floor is 1.26.4) reads the values up to
+        the first it cannot parse and warns; the reader refuses them."""
+        def fromstring(text, sep):
+            warnings.warn("string or file could not be read to its end due "
+                          "to unmatched data", DeprecationWarning)
+            return np.array([2.0])
+
+        monkeypatch.setattr(np, "fromstring", fromstring)
+        head = "# cwglauber trajectory v2 n=4 J=0.2 H=0 seed=5 sweeps=3 burn_in=2\nm\n"
+        with pytest.raises(ValueError, match="could not be read"):
+            trajectory_from_csv(head + "2\nx\n0\n")
 
     def test_rejects_foreign_files(self):
         csv = sweep_to_csv(sweep_monotonicity(3, 0.0, [0.0, 0.1]))

@@ -30,7 +30,7 @@ from cwglauber.mcmc import (N_MAX_SWEEP_KERNEL, EstimationError,
                             RelaxationEstimate, Trajectory, autocovariance,
                             estimate_relaxation, simulate_full,
                             simulate_reduced, sweep_kernel_rows)
-from cwglauber.reports import trajectory_to_csv
+from cwglauber.reports import trajectory_from_csv, trajectory_to_csv
 from cwglauber.spectral import EigensolverError, second_eigenpair
 
 
@@ -277,18 +277,36 @@ def test_lanes_run_without_numpy_2_popcount(monkeypatch):
         traj.samples, reference_simulate_full(params, 5, 3 * 768))
 
 
-def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
-    """At n = 10, J = 0.3 the top and bottom chains stay apart: the first
-    superblock's lanes give up and the loop runs the whole trajectory,
-    with no second try."""
-    looped = count_loop_draws(monkeypatch, "_site_loop")
-    tries = []
+def count_lanes(monkeypatch, looped):
+    """Wrap mcmc._lanes; the returned list holds, per call, the lanes asked
+    for, the lanes returned and the loop draws (of ``looped``) within."""
+    calls = []
     lanes = mcmc._lanes
-    monkeypatch.setattr(mcmc, "_lanes",
-                        lambda *a: tries.append(a[-1]) or lanes(*a))
-    simulate_full(ModelParams(n=10, J=0.3), seed=6, steps=150_000)
-    assert looped[0] == 10 * 150_000
-    assert tries == [mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)]
+
+    def counting(*a):
+        before = looped[0]
+        run = lanes(*a)
+        calls.append((a[-1], len(run[0]) // mcmc.LANE_SWEEPS,
+                      looped[0] - before))
+        return run
+
+    monkeypatch.setattr(mcmc, "_lanes", counting)
+    return calls
+
+
+def test_loop_takes_over_after_a_superblock_that_does_not_meet(monkeypatch):
+    """At n = 10, J = 0.3 the chain keeps to a well for many sweeps. Pass 1
+    starts every lane in the first superblock's well, so once the true
+    chain has crossed to the other one every lane is rerun, and the reruns'
+    budget runs out: the first superblock keeps only its leading lanes and
+    the loop runs the rest of the run, with no second try."""
+    looped = count_loop_draws(monkeypatch, "_site_loop")
+    calls = count_lanes(monkeypatch, looped)
+    simulate_full(ModelParams(n=10, J=0.3), seed=7, steps=150_000)
+    [(asked, kept, reran)] = calls
+    assert asked == mcmc.SUPERBLOCK_UPDATES // (10 * mcmc.LANE_SWEEPS)
+    assert kept < asked
+    assert looped[0] - reran == 10 * (150_000 - kept * mcmc.LANE_SWEEPS)
 
 
 @pytest.mark.parametrize("i", range(len(KERNEL_GRID)),
@@ -342,24 +360,37 @@ def test_kernel_lanes_carry_a_subcritical_run(monkeypatch):
         traj.samples, reference_simulate_reduced(params, 5, 200_000))
 
 
+@pytest.mark.parametrize("seed", [2, 3])
+def test_kernel_lanes_carry_a_run_in_the_lower_well(seed, monkeypatch):
+    """At n = 100, J*n = 2 a run that starts in the lower well (m = -98)
+    stays there; pass 1 starts every lane in it, so the lanes meet and carry
+    all but the last part-lane."""
+    looped = count_loop_draws(monkeypatch, "_kernel_loop")
+    params = ModelParams(n=100, J=0.02)
+    traj = simulate_reduced(params, seed=seed, steps=20_000)
+    assert traj.samples[0] == -98 and traj.samples.max() < 0
+    assert looped[0] <= 0.1 * 20_000
+    np.testing.assert_array_equal(
+        traj.samples, reference_simulate_reduced(params, seed, 20_000))
+
+
 def test_kernel_walk_gives_up_after_a_superblock_that_does_not_meet(
         monkeypatch):
-    """At n = 10, J = 0.3 the walks from levels 0 and n keep to their wells:
-    the first superblock's lanes give up and the loop runs the whole run,
-    with no second try."""
+    """At n = 10, J = 0.3 the walk keeps to a well for many sweeps: once it
+    has crossed from the one pass 1 starts every lane in, the first
+    superblock's reruns run out of budget, it keeps only its leading lanes
+    and the loop runs the rest of the run, with no second try."""
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)
     looped = count_loop_draws(monkeypatch, "_kernel_loop")
-    tries = []
-    lanes = mcmc._lanes
-    monkeypatch.setattr(mcmc, "_lanes",
-                        lambda *a: tries.append(a[-1]) or lanes(*a))
+    calls = count_lanes(monkeypatch, looped)
     params = ModelParams(n=10, J=0.3)
-    traj = simulate_reduced(params, seed=6, steps=30_000)
-    assert looped[0] == 30_000
-    assert tries == [8192 // 64]
+    traj = simulate_reduced(params, seed=5, steps=30_000)
+    [(asked, kept, reran)] = calls
+    assert asked == 8192 // 64 and kept < asked
+    assert looped[0] - reran == 30_000 - kept * 64
     np.testing.assert_array_equal(
-        traj.samples, reference_simulate_reduced(params, 6, 30_000))
+        traj.samples, reference_simulate_reduced(params, 5, 30_000))
 
 
 @pytest.mark.parametrize("n,J,H,steps,burn_in,seed", [
@@ -399,7 +430,7 @@ def test_lumped_walk_holds_one_draw_chunk():
 @pytest.mark.parametrize("simulate,loop,seed,steps,reference", [
     (simulate_reduced, "_kernel_loop", 1, 3 * 8192,
      reference_simulate_reduced),
-    (simulate_full, "_site_loop", 8, 4 * 2048, reference_simulate_full)],
+    (simulate_full, "_site_loop", 13, 4 * 2048, reference_simulate_full)],
     ids=["reduced", "full"])
 def test_lanes_after_one_that_never_met_are_rerun(simulate, loop, seed, steps,
                                                   reference, monkeypatch):
@@ -410,16 +441,7 @@ def test_lanes_after_one_that_never_met_are_rerun(simulate, loop, seed, steps,
     for name, value in SMALL_LANES.items():
         monkeypatch.setattr(mcmc, name, value)
     looped = count_loop_draws(monkeypatch, loop)
-    calls = []  # (lanes asked for, lanes returned, loop draws within)
-    lanes = mcmc._lanes
-
-    def counting(*a):
-        before = looped[0]
-        run = lanes(*a)
-        calls.append((a[-1], run and len(run[0]) // 64, looped[0] - before))
-        return run
-
-    monkeypatch.setattr(mcmc, "_lanes", counting)
+    calls = count_lanes(monkeypatch, looped)
     params = ModelParams(n=4, J=0.5)
     traj = simulate(params, seed=seed, steps=steps)
     assert calls and all(asked == kept for asked, kept, _ in calls)
@@ -445,8 +467,8 @@ def test_reruns_stop_after_a_quarter_of_the_sweeps():
             yield ks
 
     def steps(ks, a, b):
-        passes.append((a, b))  # pass 1 asks twice, then pass 2 once
-        if len(passes) <= 2:
+        passes.append((a, b))  # pass 1 asks once, then pass 2 once
+        if len(passes) == 1:
             return stuck(ks, a, b)
         return mcmc._kernel_steps(ks, us[:, a:b], table)
 
@@ -473,7 +495,7 @@ def test_reruns_stop_after_a_quarter_of_the_sweeps():
 # two full cases, recorded from the per-site loop (the last from
 # conftest.reference_simulate_full), span two superblocks of lanes, a partial
 # one and a tail of less than a lane; in the last, lanes after one that never
-# met are rerun in the second and third.
+# met are rerun in the third.
 PINNED_STREAMS = [
     ("reduced", 1, 0.0, 0.0, 131500, 0, 11,
      "3825bbefbd02c27a69b19399a22f5d2153e94c800411d5d5f2ee6dbeaac35b07"),
@@ -794,6 +816,15 @@ def test_trajectory_write_in_bounded_memory(long_run):
     text it returns."""
     text, used = traced_peak(trajectory_to_csv, long_run)
     assert used < 3 * len(text)
+
+
+def test_trajectory_read_in_bounded_memory(long_run):
+    """The reader parses the values as one array, with no string per line:
+    it peaks below 12 MiB, mostly the 7.6 MiB of samples it returns."""
+    text = trajectory_to_csv(long_run)
+    back, used = traced_peak(trajectory_from_csv, text)
+    np.testing.assert_array_equal(back.samples, long_run.samples)
+    assert used <= 12 << 20, used
 
 
 def test_supercritical_slowdown_demonstrated_by_dynamics():
