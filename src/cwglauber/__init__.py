@@ -14,8 +14,7 @@ from .magchain import (Tridiagonal, build_reduced_chain, derivative_matrix,
                        lump_vector, reduced_stationary, s_values)
 from .mcmc import (RelaxationEstimate, Trajectory, estimate_relaxation,
                    simulate_full, simulate_reduced)
-from .perturbation import (SweepPoint, SweepReport, analyse,
-                           sweep_monotonicity, temperature_view)
+from .perturbation import SweepPoint, SweepReport, analyse, sweep_monotonicity
 from .spectral import (EigensolverError, SpectralResult, StructureReport,
                        eigenvector_structure_report, full_chain_top_eigenvalues,
                        second_eigenpair, symmetrized_full_chain)
@@ -30,7 +29,6 @@ __all__ = [
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",
     "simulate_full", "simulate_reduced",
     "SweepPoint", "SweepReport", "analyse", "sweep_monotonicity",
-    "temperature_view",
     "EigensolverError", "SpectralResult", "StructureReport",
     "eigenvector_structure_report", "full_chain_top_eigenvalues",
     "second_eigenpair", "symmetrized_full_chain",

@@ -140,9 +140,9 @@ def cmd_sweep(parser, args) -> int:
     command = (f"cwglauber sweep --n {args.n} --H {_float_text(args.H)} "
                f"--J-min {_float_text(args.J_min)} "
                f"--J-max {_float_text(args.J_max)} --J-steps {args.J_steps}")
-    if args.temperature_view:
+    if args.T_view:
         command += f" --temperature-view --c {_float_text(args.c)}"
-    c = args.c if args.temperature_view else None
+    c = args.c if args.T_view else None
     text = (sweep_to_json(report, command=command) if args.format == "json"
             else sweep_to_csv(report, command=command, temperature_constant=c))
     if not _write(path, text):
@@ -151,7 +151,7 @@ def cmd_sweep(parser, args) -> int:
     print(f"monotone: {'true' if report.monotone_in_J else 'false'}")
     print(f"max_violation: {report.max_violation:.17g}")
     positive = [p for p in report.points if p.J > 0]
-    if args.temperature_view and positive:
+    if args.T_view and positive:
         print(f"temperature view (c={args.c:g}): t_rel nonincreasing in T: "
               f"{json.dumps(monotone_verdict(positive)[0])}")
     if report.failures:
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--J-steps", type=int, required=True, dest="J_steps")
     p_sweep.add_argument("--output", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--temperature-view", action="store_true")
+    p_sweep.add_argument("--temperature-view", action="store_true",
+                         dest="T_view")
     p_sweep.add_argument("--c", type=float, default=1.0,
                          help="temperature convention constant, T = c/J")
 

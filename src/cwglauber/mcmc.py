@@ -249,8 +249,9 @@ def _superblocks(rng, per_sweep: int, sites: bool, sweeps: int, size: int):
     for t in range(0, sweeps * per_sweep, chunk):
         b = min(chunk, sweeps * per_sweep - t)
         rng.random(out=us[held:held + b])
-        if sites:
-            draws[1][held:held + b] = rng.integers(0, per_sweep, size=b)
+        if sites:  # uint32: the int64 default's values, drawn faster
+            draws[1][held:held + b] = rng.integers(0, per_sweep, size=b,
+                                                   dtype=np.uint32)
         held += b
         while held >= size:
             yield size // per_sweep, [d[:size] for d in draws]

@@ -18,8 +18,8 @@ each individually nonnegative for the increasing eigenvector, which is the
 mechanism behind the monotonicity of the spectral gap in the coupling.
 
 A central finite difference of lambda_2 serves as the independent oracle for
-the identity; sweeps over a J grid assemble everything into a report that
-also carries the temperature view t_rel(T) with T = c/J.
+the identity; sweeps over a J grid assemble everything into a report whose
+monotonicity verdict also judges t_rel in the temperature T = c/J.
 """
 
 import math
@@ -152,23 +152,4 @@ def monotone_verdict(points):
     lam = [p.lambda2 for p in points]
     worst = max([a - b for a, b in zip(lam, lam[1:]) if a > b], default=0.0)
     return worst <= MONOTONE_TOL, worst
-
-
-def temperature_view(report: SweepReport, c: float = 1.0):
-    """Map a sweep to temperature coordinates: (T, t_rel) with T = c/J.
-
-    Ordered by J descending, so T ascending, and the exact reversal of the
-    ascending-J order also where adjacent couplings round to one T.  J = 0
-    points are rejected: infinite temperature is excluded from this view.
-    Where lambda_2 never decreases in J, the returned t_rel sequence is
-    nonincreasing in T; a decrement within MONOTONE_TOL, which
-    ``monotone_verdict`` forgives, still shows in t_rel.
-    """
-    if c <= 0:
-        raise ValueError(f"temperature constant c must be positive, got {c!r}")
-    if any(p.J == 0.0 for p in report.points):
-        raise ValueError("temperature view rejects J = 0 points "
-                         "(infinite temperature); filter them out first")
-    points = sorted(report.points, key=lambda p: p.J, reverse=True)
-    return [(c / p.J, p.t_rel) for p in points]
 

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, artifact formats and round-trips."""
 
+import errno
 import hashlib
 import json
 import math
@@ -156,6 +157,11 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         header = next(ln for ln in lines if ln.startswith("n,"))
         assert header.endswith(",T")
+        # T = c/J, infinite at J = 0, in the sweep's ascending-J order
+        rows = lines[lines.index(header) + 1:]
+        J = [float(r.split(",")[header.split(",").index("J")]) for r in rows]
+        assert [r.rsplit(",", 1)[1] for r in rows] == \
+            ["inf"] + [format(1.0 / j, ".17g") for j in J[1:]]
         # header line still parses (extra column ignored)
         assert sweep_from_csv(out.read_text()).monotone_in_J
 
@@ -531,6 +537,43 @@ def test_unwritable_output_is_refused_before_the_work(
     assert captured.err.startswith(f"cannot write {tmp_path}")
     assert captured.err.endswith(f": {reason}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_unwritable_output_without_permission_exits_2(exists, tmp_path,
+                                                      monkeypatch, capsys):
+    """A path its parent or itself forbids writing is refused with EACCES's
+    line before the work (os.access is faked: root may write anywhere)."""
+    path = tmp_path / "x.csv"
+    if exists:
+        path.write_text("kept\n")
+    no_work(monkeypatch)
+    monkeypatch.setattr(os, "access", lambda *args: False)
+    assert run_cli(_SWEEP + ["--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: Permission denied\n"
+
+
+@pytest.mark.parametrize("argv", [
+    _SWEEP + ["--output", "{path}"],
+    ["simulate", "--n", "4", "--J", "0.1", "--steps", "10000", "--full",
+     "--output", "{path}"]], ids=["sweep", "simulate"])
+def test_write_failing_after_the_work_exits_2(argv, tmp_path, monkeypatch,
+                                              capsys):
+    """A write that fails once the work is done (a full disk, say) is
+    reported on one stderr line, with no traceback, and exits 2."""
+    path = tmp_path / "out"
+
+    def full_disk(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert run_cli([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: No space left on device\n"
+    assert not path.exists()
 
 
 _TO_PATH = [

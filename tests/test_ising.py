@@ -127,6 +127,9 @@ class TestFullTransitionMatrix:
         with pytest.raises(ValueError, match="n_max_full"):
             full_transition_matrix(ModelParams(n=5, J=0.1), n_max_full=4)
         full_transition_matrix(ModelParams(n=5, J=0.1), n_max_full=5)
+        with pytest.raises(ValueError, match="n=5 refused: exceeds n_max_full=4"):
+            stationary_full(ModelParams(n=5, J=0.1), n_max_full=4)
+        assert len(stationary_full(ModelParams(n=5, J=0.1), n_max_full=5)) == 32
 
     @pytest.mark.parametrize("n,J,H", [(3, 0.5, 0.2), (6, 0.4, 0.1),
                                        (8, 0.2, 0.0)])

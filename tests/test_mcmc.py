@@ -556,6 +556,20 @@ def test_trajectory_stream_is_pinned(sim, n, J, H, steps, burn_in, seed,
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("per_sweep", [3, 10, 24])
+def test_uint32_sites_are_the_default_dtype_sites(per_sweep):
+    """Below 2^32, int64 and uint32 bounded draws take one buffered 32-bit
+    path: the same sites, and the generator left in the same state, so the
+    site dtype is not part of the stream."""
+    wide, narrow = np.random.default_rng(7), np.random.default_rng(7)
+    for size in (131072, 1, 4999, 131072):
+        sites = wide.integers(0, per_sweep, size=size)
+        assert sites.dtype == np.int64
+        np.testing.assert_array_equal(
+            narrow.integers(0, per_sweep, size=size, dtype=np.uint32), sites)
+        assert narrow.bit_generator.state == wide.bit_generator.state
+
+
 def test_sweep_kernel_bytes_do_not_depend_on_blas_threads():
     """Unpadded, OpenBLAS products of sizes such as 101 and 513 differ in
     their last bits between one thread and two; the kernel must not."""

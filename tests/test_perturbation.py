@@ -1,4 +1,4 @@
-"""Perturbation identity, sign structure, sweeps and the temperature view."""
+"""Perturbation identity, sign structure and sweeps."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
 import cwglauber.perturbation as perturbation
 import cwglauber.spectral as spectral
-from cwglauber.perturbation import (SweepPoint, sweep_monotonicity,
-                                    temperature_view)
+from cwglauber.perturbation import SweepPoint, sweep_monotonicity
 from cwglauber.spectral import DegenerateGapError, relaxation
 from cwglauber.verification import run_verification
 from test_acceptance import supercritical_slowdown_table
@@ -192,60 +191,49 @@ class TestOneSolvePerPoint:
         assert calls == grid
 
 
-class TestTemperatureView:
-    def _report(self, n=8, lo=0.05, hi=0.5, steps=10, H=0.0):
-        return sweep_monotonicity(n, H, np.linspace(lo, hi, steps))
-
-    def test_sorting_reverses_j_order(self):
-        report = self._report()
-        view = temperature_view(report, c=1.0)
-        assert [t for t, _ in view] == [1.0 / p.J for p in reversed(report.points)]
-        assert [t_rel for _, t_rel in view] == \
-            [p.t_rel for p in reversed(report.points)]
-
-    @pytest.mark.parametrize("n,J", [(4, 0.20365417389843476), (8, 0.23)])
-    def test_exact_reversal_at_tied_temperatures(self, n, J):
-        """Of four couplings one float apart, some round to one T = 1/J and
-        differ in t_rel; the view is still the exact reversal of the points."""
-        grid = [J]
-        for _ in range(3):
-            grid.append(float(np.nextafter(grid[-1], 1.0)))
-        report = sweep_monotonicity(n, 0.0, grid)
-        assert report.monotone_in_J and len({1.0 / j for j in grid}) < 4
-        assert len({p.t_rel for p in report.points}) > 1
-        view = temperature_view(report)
-        assert view == [(1.0 / p.J, p.t_rel) for p in reversed(report.points)]
-
-    def test_t_rel_nonincreasing_when_monotone(self):
-        report = self._report()
-        assert report.monotone_in_J
-        view = temperature_view(report, c=1.0)
-        assert all(b[1] <= a[1] for a, b in zip(view, view[1:]))
-
-    def test_constant_is_a_pure_rescaling(self):
-        report = self._report(steps=6)
-        v1 = temperature_view(report, c=1.0)
-        v2 = temperature_view(report, c=2.0)
-        assert [t_rel for _, t_rel in v1] == [t_rel for _, t_rel in v2]
-        np.testing.assert_allclose([2 * t for t, _ in v1], [t for t, _ in v2],
-                                   rtol=1e-15)
-
-    def test_rejects_zero_coupling_points(self):
-        report = sweep_monotonicity(4, 0.0, [0.0, 0.1, 0.2])
-        with pytest.raises(ValueError, match="infinite temperature"):
-            temperature_view(report)
-
-    def test_rejects_bad_constant(self):
-        with pytest.raises(ValueError, match="positive"):
-            temperature_view(self._report(steps=3), c=0.0)
-
-
 def test_slowdown_table_shape():
     rows, ratios = supercritical_slowdown_table(ns=(4, 8, 12))
     assert len(rows) == 3 and len(ratios) == 2
     assert all(r > 1 for r in ratios)  # slowdown: t_rel grows with n
     # at fixed J*n above critical, growth is exponential-like, not flat
     assert rows[2][3] > 4 * rows[0][3]
+
+
+def test_slowdown_ratios_fall_toward_the_barrier_factor():
+    """Acceptance criterion 9 asks the step-4 ratios at J*n = 1.6 to rise;
+    they fall, strictly, and stay above e^{4 dF}, where dF = beta m*^2 / 2
+    - I(m*) is the Curie-Weiss free-energy barrier per spin at beta = 1.6,
+    m* = tanh(beta m*) and I(m) = ((1+m)/2) ln(1+m) + ((1-m)/2) ln(1-m)."""
+    beta, m = 1.6, 1.0
+    for _ in range(200):
+        m = np.tanh(beta * m)
+    barrier = (beta * m * m / 2 - ((1 + m) / 2) * np.log1p(m)
+               - ((1 - m) / 2) * np.log1p(-m))
+    assert m == pytest.approx(0.890643, abs=5e-7)
+    assert barrier == pytest.approx(0.153516, abs=5e-7)
+    _, ratios = supercritical_slowdown_table(ns=range(4, 41, 4),
+                                             coupling_times_n=beta)
+    np.testing.assert_allclose(ratios[:7], [5.013, 3.071, 2.555, 2.330, 2.210,
+                                            2.138, 2.092], atol=5e-4)
+    assert all(b < a for a, b in zip(ratios, ratios[1:]))
+    assert np.exp(4 * barrier) == pytest.approx(1.8479, abs=5e-5)
+    assert min(ratios) > np.exp(4 * barrier)
+
+
+@pytest.mark.parametrize("H", [0.0, 0.5, -2.0])
+@pytest.mark.parametrize("n", [2, 3, 12, 40, 100])
+def test_free_chain_is_exact_at_small_n(n, H):
+    """At J = 0 the spins are independent: at every H, lambda_j = 1 - j/n,
+    f is linear in the level, and d lambda_2/dJ = (1 - 1/n) / cosh^2 H."""
+    point = analyse_point(ModelParams(n=n, J=0.0, H=H))
+    res = spectral.second_eigenpair(ModelParams(n=n, J=0.0, H=H))
+    assert abs(n * res.gap - 1.0) <= 1e-14
+    assert abs(res.lambda3 - (1.0 - 2.0 / n)) <= 1e-14
+    steps = np.diff(res.second_vector)
+    np.testing.assert_allclose(steps, steps[0], rtol=1e-12)
+    exact = (1.0 - 1.0 / n) / np.cosh(H) ** 2
+    assert point.hf == pytest.approx(exact, rel=1e-11)
+    assert point.fd == pytest.approx(exact, rel=1e-7)
 
 
 def _reference_sweep(n, H, grid):
