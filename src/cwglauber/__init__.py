@@ -15,9 +15,9 @@ from .magchain import (Tridiagonal, build_reduced_chain, derivative_matrix,
 from .mcmc import (RelaxationEstimate, Trajectory, estimate_relaxation,
                    simulate_full, simulate_reduced)
 from .perturbation import SweepPoint, SweepReport, analyse, sweep_monotonicity
-from .spectral import (EigensolverError, SpectralResult, StructureReport,
-                       eigenvector_structure_report, full_chain_top_eigenvalues,
-                       second_eigenpair, symmetrized_full_chain)
+from .spectral import (EigensolverError, SpectralResult,
+                       full_chain_top_eigenvalues, second_eigenpair,
+                       symmetrized_full_chain)
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "RelaxationEstimate", "Trajectory", "estimate_relaxation",
     "simulate_full", "simulate_reduced",
     "SweepPoint", "SweepReport", "analyse", "sweep_monotonicity",
-    "EigensolverError", "SpectralResult", "StructureReport",
-    "eigenvector_structure_report", "full_chain_top_eigenvalues",
+    "EigensolverError", "SpectralResult", "full_chain_top_eigenvalues",
     "second_eigenpair", "symmetrized_full_chain",
 ]

@@ -32,8 +32,8 @@ from .mcmc import (EstimationError, MIN_SAMPLES, N_MAX_SIMULATE_FULL,
                    estimate_relaxation, simulate_full, simulate_reduced)
 from .perturbation import monotone_verdict, sweep_monotonicity
 from .reports import COLUMNS, sweep_to_csv, sweep_to_json, trajectory_to_csv
-from .spectral import (EigensolverError, eigenvector_structure_report,
-                       second_eigenpair)
+from .spectral import (EigensolverError, second_eigenpair, shape_checks,
+                       usability_errors)
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -93,8 +93,12 @@ def _params_or_exit(parser, n, J, H) -> ModelParams:
 def cmd_gap(parser, args) -> int:
     params = _params_or_exit(parser, args.n, args.J, args.H)
     res = second_eigenpair(params)
-    structure = vars(eigenvector_structure_report(
-        res.second_vector, h=params.H, eigen_separation=res.separation))
+    error = usability_errors([res.separation], res.second_vector[None])[0]
+    # verify's verdict on each shape check gap has; None where verify skips
+    structure = {name: None if check is None or error else bool(check[2])
+                 for name, check in shape_checks(res.second_vector,
+                                                 h=params.H).items()}
+    structure["reliable"] = error is None
     # the sweep columns this point has, under their SweepPoint names
     known = {**vars(params), **vars(res)}
     point = {field: known[field] for _, field, *_ in COLUMNS if field in known}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ising import ModelParams
 from .magchain import derivative_matrix
-from .spectral import (relaxation, second_eigenpairs, shape_measures,
+from .spectral import (relaxation, second_eigenpairs, shape_checks,
                        usability_errors)
 
 # lambda_2 varies with J on the scale 1/n, so a default step of
@@ -40,8 +40,6 @@ FD_DELTA_DEFAULT = 1e-5
 # Decrements of lambda_2 along a sweep below this are rounding, not
 # violations (eigensolver residual sits well under it).
 MONOTONE_TOL = 1e-10
-
-SIGN_TERM_TOL = 1e-12
 
 # A sweep solves BLOCK_ELEMENTS // (n + 1) points at a time, three rows each
 # (the point and its fd_stencil couplings), split between spectral.WORKERS
@@ -132,8 +130,8 @@ def sweep_monotonicity(n: int, H: float, J_grid) -> SweepReport:
     for block in (J_grid[i:i + rows] for i in range(0, len(J_grid), rows)):
         w, f, _, hf, terms, fd, errors = analyse(
             ModelParams(n=n, J=np.array(block)[:, None], H=H))
-        sign_ok = ((shape_measures(f, terms)["terms"] <= SIGN_TERM_TOL).tolist()
-                   if H == 0.0 else [None] * len(block))
+        check = shape_checks(f, terms, h=H)["sign_structure_terms"]
+        sign_ok = check[2].tolist() if check else [None] * len(block)
         for J, errs, lambda2, hf_i, fd_i, sign_i in zip(
                 block, errors, w[:, 0].tolist(), hf.tolist(), fd.tolist(), sign_ok):
             error = next(filter(None, errs), None)  # the point's own first

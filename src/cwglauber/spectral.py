@@ -42,8 +42,10 @@ from .magchain import build_reduced_chain, positive_rates, reduced_stationary
 # flagged unreliable and perturbation formulas refuse to evaluate.
 DEGENERATE_GAP = 1e-12
 
-# Coordinatewise tolerance for eigenvector-structure predicates.
+# Tolerances of the shape checks' breaches: coordinatewise for f, and for
+# its per-level sign terms.
 STRUCTURE_TOL = 1e-9
+SIGN_TERM_TOL = 1e-12
 
 
 class EigensolverError(RuntimeError):
@@ -88,24 +90,6 @@ class SpectralResult:
     def separation(self) -> float:
         """lambda_2 - lambda_3."""
         return self.lambda2 - self.lambda3
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Predicates of the second eigenvector's shape.
-
-    antisymmetric_at_h0 and sign_split are only meaningful at H = 0 and are
-    None otherwise.  ``reliable`` is False when lambda_2 - lambda_3 fell below
-    the degeneracy threshold or the eigenvector has a non-finite entry, in
-    which case the other flags should not be trusted rather than read as
-    refuting the theory.
-    """
-
-    increasing: bool
-    strictly: bool
-    antisymmetric_at_h0: bool | None
-    sign_split: bool | None
-    reliable: bool
 
 
 def symmetrized_full_chain(P):
@@ -333,39 +317,33 @@ def second_eigenpair(params: ModelParams) -> SpectralResult:
 
 
 @np.errstate(all="ignore")  # a failed row is NaN or inf
-def shape_measures(f, terms=None, *, h: float = 0.0) -> dict:
-    """The one measurement of the second eigenvector's shape, per row of f
-    (levels on the last axis): "increment", the least f_{k+1} - f_k, and at
-    H = 0 the breaches "antisymmetry" max_k |f_k + f_{n-k}|, "sign_split"
-    (the largest f_k at 2k <= n or -f_k at 2k >= n), "middle" |f_{n/2}|
-    (even n) and, given per-level terms, "terms" (the least, negated); a
-    breach is at least 0 and passes where it is <= its tolerance."""
+def shape_checks(f, terms=None, *, h: float) -> dict:
+    """The one table of the second eigenvector's shape checks, per row of f
+    (levels on the last axis), as name -> (value, tol, passed):
+    "eigenvector_increasing", the least f_{k+1} - f_k, passing where it is
+    > 0, and the breaches "eigenvector_antisymmetry" max_k |f_k + f_{n-k}|,
+    "eigenvector_sign_split" (the largest f_k at 2k <= n or -f_k at
+    2k >= n), "eigenvector_middle_zero" |f_{n/2}| (even n) and, given
+    per-level terms, "sign_structure_terms" (the least, negated), each at
+    least 0 and passing where it is <= tol.  The breaches are checked at
+    H = 0 only and map to None at h != 0; a row ``usability_errors`` bars
+    is for the caller to skip."""
     f = np.asarray(f, dtype=float)
     n = f.shape[-1] - 1
-    shape = {"increment": np.diff(f).min(axis=-1)}
-    if h == 0.0:
-        lower = 2 * np.arange(n + 1) <= n
-        shape["antisymmetry"] = np.abs(f + f[..., ::-1]).max(axis=-1)
-        shape["sign_split"] = np.maximum(np.maximum(
-            f[..., lower].max(axis=-1), -f[..., lower[::-1]].min(axis=-1)), 0.0)
-        if n % 2 == 0:
-            shape["middle"] = np.abs(f[..., n // 2])
-        if terms is not None:
-            shape["terms"] = np.maximum(-np.min(terms, axis=-1), 0.0)
-    return shape
-
-
-def eigenvector_structure_report(f, *, h: float = 0.0,
-                                 eigen_separation: float = math.nan) -> StructureReport:
-    """``shape_measures`` of f read against STRUCTURE_TOL, ``strictly`` as a
-    least increment > 0; ``reliable`` is ``usability_errors``' rule on f and
-    eigen_separation = lambda_2 - lambda_3 (NaN, as at n = 1, passes)."""
-    f = np.asarray(f, dtype=float)
-    shape, at_h0 = shape_measures(f, h=h), h == 0.0
-    return StructureReport(
-        increasing=bool(-shape["increment"] <= STRUCTURE_TOL),
-        strictly=bool(shape["increment"] > 0),
-        antisymmetric_at_h0=bool(shape["antisymmetry"] <= STRUCTURE_TOL)
-        if at_h0 else None,
-        sign_split=bool(shape["sign_split"] <= STRUCTURE_TOL) if at_h0 else None,
-        reliable=usability_errors([eigen_separation], f[None])[0] is None)
+    lower = 2 * np.arange(n + 1) <= n
+    breaches = {
+        "eigenvector_antisymmetry": (np.abs(f + f[..., ::-1]).max(axis=-1),
+                                     STRUCTURE_TOL),
+        "eigenvector_sign_split": (np.maximum(np.maximum(
+            f[..., lower].max(axis=-1), -f[..., lower[::-1]].min(axis=-1)),
+            0.0), STRUCTURE_TOL)}
+    if n % 2 == 0:
+        breaches["eigenvector_middle_zero"] = (np.abs(f[..., n // 2]),
+                                               STRUCTURE_TOL)
+    if terms is not None:
+        breaches["sign_structure_terms"] = (
+            np.maximum(-np.min(terms, axis=-1), 0.0), SIGN_TERM_TOL)
+    least = np.diff(f).min(axis=-1)
+    return {"eigenvector_increasing": (least, 0.0, least > 0),
+            **{name: (value, tol, value <= tol) if h == 0.0 else None
+               for name, (value, tol) in breaches.items()}}

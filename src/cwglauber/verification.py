@@ -17,11 +17,9 @@ from .ising import (ModelParams, N_MAX_FULL, all_plus_counts,
                     full_transition_matrix, log_weights_full, stationary_full)
 from .magchain import (add_shifted, build_reduced_chain, derivative_matrix,
                        lump_vector, s_values)
-from .perturbation import (SIGN_TERM_TOL, analyse, difference_quotient,
-                           fd_stencil)
-from .spectral import (STRUCTURE_TOL, EigensolverError,
-                       full_chain_top_eigenvalues, lifted_residual,
-                       shape_measures, symmetrized_full_chain)
+from .perturbation import analyse, difference_quotient, fd_stencil
+from .spectral import (EigensolverError, full_chain_top_eigenvalues,
+                       lifted_residual, shape_checks, symmetrized_full_chain)
 
 
 @dataclass(frozen=True)
@@ -147,10 +145,11 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
     # f is pi-normalized, so |lf| reaches ~1e9 where pi is tiny; the rounding
     # floor of P @ lf (n+1 terms per row) then exceeds 1e-10
     lf_floor = 4 * (n + 1) * np.finfo(float).eps * float(np.abs(lf).max())
-    out.append(CheckResult.from_violation(
-        "lumped_eigenvector", np.abs(P @ lf - lambda2 * lf).max(),
-        max(1e-10, lf_floor)))
-    norm = float(np.sum(pi * f ** 2))
+    with np.errstate(all="ignore"):  # an unusable f is NaN or inf
+        out.append(CheckResult.from_violation(
+            "lumped_eigenvector", np.abs(P @ lf - lambda2 * lf).max(),
+            max(1e-10, lf_floor)))
+        norm = float(np.sum(pi * f ** 2))
     out.append(CheckResult.from_violation(
         "eigenvector_normalization", abs(norm - 1.0), 1e-10))
 
@@ -174,33 +173,27 @@ def run_verification(params: ModelParams, n_max_full: int = N_MAX_FULL) -> list:
         "s_sign_pattern", sign_bad, 0.0))
 
     # --- perturbation identity and eigenvector shape ----------------------
-    shape = shape_measures(f, terms, h=H)
-    if usability_error is None:
-        if stencil_error is not None:
-            raise stencil_error
+    # an f that may not be read skips every check on it, with its reason
+    reason = "" if usability_error is None else str(usability_error)
+    if reason:
+        out.append(CheckResult.skipped("hellmann_feynman_vs_fd", reason))
+    elif stencil_error is not None:
+        raise stencil_error
+    else:
         out.append(CheckResult.from_violation(
             "hellmann_feynman_vs_fd", abs(hf - fd), max(1e-8, 1e-6 * abs(fd))))
-        mininc = float(shape["increment"])
+    for name, check in shape_checks(f, terms, h=H).items():
+        skip = "H != 0" if check is None else reason
+        if skip:
+            out.append(CheckResult.skipped(name, skip))
+            continue
+        value, tol, passed = check
         out.append(CheckResult(
-            name="eigenvector_increasing",
-            status="pass" if mininc > 0 else "fail",
-            value=mininc, tol=0.0, note="min f_{k+1}-f_k (must be > 0)"))
-    else:
-        for name in ("hellmann_feynman_vs_fd", "eigenvector_increasing"):
-            out.append(CheckResult.skipped(name, "lambda2 numerically degenerate"))
-    if H == 0.0 and usability_error is None:
-        for name, measure, tol in (
-                ("eigenvector_antisymmetry", "antisymmetry", STRUCTURE_TOL),
-                ("eigenvector_sign_split", "sign_split", STRUCTURE_TOL),
-                ("eigenvector_middle_zero", "middle", STRUCTURE_TOL),
-                ("sign_structure_terms", "terms", SIGN_TERM_TOL)):
-            if measure in shape:  # "middle" at even n only
-                out.append(CheckResult.from_violation(name, shape[measure], tol))
+            name, "pass" if passed else "fail", float(value), tol,
+            "min f_{k+1}-f_k (must be > 0)"
+            if name == "eigenvector_increasing" else ""))
+    if H == 0.0 and not reason:
         weighted = float(np.sum(pi * terms))
         out.append(CheckResult.from_violation(
             "sign_terms_sum_vs_hf", abs(weighted - hf), 1e-12))
-    elif H != 0.0:
-        for name in ("eigenvector_antisymmetry", "eigenvector_sign_split",
-                     "sign_structure_terms"):
-            out.append(CheckResult.skipped(name, "H != 0"))
     return out

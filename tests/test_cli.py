@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -46,7 +47,7 @@ class TestGapCommand:
                         "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gap"] == pytest.approx(0.125, abs=1e-10)
-        assert doc["structure"]["increasing"] is True
+        assert doc["structure"]["eigenvector_increasing"] is True
 
     def test_single_spin(self, capsys):
         assert run_cli(["gap", "--n", "1", "--J", "5", "--H", "0",
@@ -68,15 +69,16 @@ class TestGapCommand:
         assert run_cli(["gap", "--n", "300", "--J", "0.001",
                         "--format", "json"]) == 0
         flags = json.loads(capsys.readouterr().out)["structure"]
-        assert all(flags[name] is True for name in (
-            "increasing", "strictly", "antisymmetric_at_h0", "sign_split",
-            "reliable"))
+        assert flags == dict.fromkeys((
+            "eigenvector_increasing", "eigenvector_antisymmetry",
+            "eigenvector_sign_split", "eigenvector_middle_zero", "reliable"),
+            True)
 
     def test_non_finite_vector_prints_unreliable(self, capsys):
         assert run_cli(["gap", "--n", "1000", "--J", "0.00186",
                         "--H", "-0.5"]) == 0
         captured = capsys.readouterr()
-        assert "increasing=False" in captured.out
+        assert "eigenvector_increasing=None" in captured.out
         assert "reliable=False" in captured.out and captured.err == ""
 
     def test_solver_failure_exits_3(self, dstemr_fails, capsys):
@@ -431,6 +433,18 @@ class TestVerifyCommand:
 
     def test_oversized_n_exits_2(self):
         assert run_cli(["verify", "--n", "14", "--J", "0.1"]) == 2
+
+    def test_non_finite_vector_writes_no_warning(self):
+        """Where f is not finite, the checks that read it still FAIL with
+        value=nan and the command exits 1, with nothing on stderr."""
+        src = str(Path(cwglauber.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "cwglauber.cli", "verify", "--n", "8",
+             "--J", "7.275", "--H", "-50"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert (done.returncode, done.stderr) == (1, "")
+        for name in ("lumped_eigenvector", "eigenvector_normalization"):
+            assert re.search(rf"^{name} +FAIL +value=nan ", done.stdout, re.M)
 
     def test_solver_failure_exits_3(self, dstemr_fails, capsys):
         assert run_cli(["verify", "--n", "4", "--J", "0.1"]) == 3
@@ -854,38 +868,39 @@ def test_sweep_output_is_pinned(n, H, J_max, steps, csv_digest, json_digest,
 
 
 # sha256 of `gap` text and JSON output at (n, J, H), recorded before the
-# column table generated them.
+# column table generated them; re-pinned when the structure flags became the
+# shape checks' names, a change confined to the structure line or object.
 PINNED_GAPS = [
     ("1", "5", "0",
-     "69a5fce3fe55454617b06a570fe12dda29717c89b8c19f91270c27328c887e1e",
-     "81c69da04772b2dae14bea2d9aa1f4c7a910afb62e07b21733ee0784c7372606"),
+     "9d89e9c6937ad82636d00a73216814eb083cfd7978f5433820acd13e557cda8d",
+     "fd5607d04250a60aa12727f5c8f47f7b6c9701bfcbc9cae0bfc117289912b493"),
     ("2", "0.3", "0.1",
-     "ccd70b8a0ab60dbe24ff4cd402813b314c294871c071b7b8b8b75a989b4074b3",
-     "e85218aa04a238ddb743bdf2b03e94ffe802c7739fb0b6027fedbd31d61d81c1"),
+     "7f0ee3f41afbae74ccc6390edcace2dc898feed43952512bf40a55617fac4d31",
+     "ddbc42f210ff67e1ef248e6627d80317d43caf2ce73b1a6019c16bed27ade4b0"),
     ("4", "0.2", "0",
-     "afb1ce0dd20c5e1754bd36f3ba3cda66363962a513be0a44c44e0c8598f7361c",
-     "a1ce6b7946f94174d0a714c5ed8252e823fd8315ff3871c9e55148b18fb7672f"),
+     "0854923bbb7596a48bc53a8928c775cc8a64261f6cc28d7cad9393af6175cd78",
+     "e8216eca59d1d6913881b7d8ae6f5627d5bd982988fe62f43dd78cbec721e92a"),
     ("8", "0", "0",
-     "4ef8985051ec66d9b51eeee4f8fdd1823c731505d1a1d1dba09f4c6d75d25066",
-     "ff186d78a16e7ecaa549aeee52275bfab3104b776cd7002f5d7c716b4748aedf"),
+     "a141a542822ac70bf37928a1fcd8e4aecdafd10a786edbf9c978083fa0f236f4",
+     "7b2e2c8feded5914aee3676f91a2776214eec591d372e4525a8b1e79b0f4a3d0"),
     ("12", "0.1", "0.2",
-     "334b82ac9c94aaaf184717d4be65c2155a5a40a3bdd26bbab9a4eff0407bf471",
-     "49f42ce382966534b26509b2f652c39a3acbf977358b0b8f8c73af5104152c28"),
+     "01a5752591072a158975c17d92ad6a22f1ccd965859ac1e0785ff9315cd56f97",
+     "7d3fada52200b42389399da20dadf38a59d6e90a974edeb35d9d12768c8c9602"),
     ("12", "0.6", "-0.3",
-     "9d2d657e901b748ff5acd4693a41bc6838ff9c7385804d2f2790250349be6649",
-     "1e38e90a4d3505018078e387adf10584f73aad83edfbace767c6f1e1a74a6886"),
+     "7b87c216392528cb2f7981e25b7a1c9c434cf9d7ef96e268b5fcff9e7b514cf7",
+     "ccbca432c6f8270e7794b68abc625ee8d3263a7e26b3248f2849a1bac7346707"),
     ("40", "0.03", "0",
-     "528064bb75cf301e38e4f31cf469bb70ea8246c0a3adfdf9193dcd89fb3593f0",
-     "2097c3e70c04ff3600aad5daaa6e3f4909d908a01d8f0ef8b0450966f00bd82c"),
+     "31fd775f78a5145f98390276ed1216d91709db81030fe9d8efb1d653be8711dc",
+     "04c93e6fa8627bf7932457d518d21a30e8974df0a291c0154de008f2a0c5629c"),
     ("100", "0.016", "0.05",
-     "3a7b8e5b256f39eced7af89bd67fe9e118faa80196a6ff0e860b44764a768b10",
-     "bc1e65a7eb0642f14edd5fea0166c1ad03918aa5f39717acb2e8fcac1c33641f"),
+     "2c18830c8dd5c0a5412ad59d06d7ab1a0c5385e471434bb87fd341f3c6724fc6",
+     "759416cc641039d14e5e1e97eaeb10d1b3b9c1dacf4f4ed0136de2bee8005352"),
     ("300", "0.001", "0",
-     "0f072fa50de2d012e1908508791159f61a3c7ce22960a02a8979a67621a70008",
-     "d1a81c66ba4fe7f5a10066681fbd163063fee5b6bd4f15c2d901cd0a05e82de0"),
+     "02d98d21ffd1ad7474c673f8fe67a2f7b79fb8665872021660d9b69b23b0276f",
+     "806a282300a47a6cf10c0d8bdc3d7cdba3122a987f84e918d317529bdc8ed0fa"),
     ("1000", "0.00186", "-0.5",
-     "c0c914f01435fbc13f23513cdfbde2aca06fc11e5be3d265485277b2b9917844",
-     "5944b172098afdfa80abb360403b862092875322db75137c7d153e7935807c76"),
+     "cf4aaa97bdde57794a46d1a3a0f444b859e44f149736992f3cb31447185ba3ca",
+     "6f10b9f691279c7ffb169de044828889d5baa645ef57e50f4b4b54653ffe2b08"),
 ]
 
 
@@ -901,7 +916,8 @@ def test_gap_output_is_pinned(n, J, H, text_digest, json_digest, capsys):
 
 # sha256 of `verify` stdout and the exit code at (n, J, H), every printed
 # check value included; (6, 0.05, 0) and (8, 0, 1.3) are points where ARPACK
-# restarts its Lanczos basis.
+# restarts its Lanczos basis.  The three at H != 0 with even n were re-pinned
+# for their added `eigenvector_middle_zero SKIP (H != 0)` line.
 PINNED_VERIFIES = [
     ("1", "0.3", "0", 0,
      "da9b63de5254c0f5f5335fc09b9ffcd7b437ee6a1f5d11db4f74c65d5cfc0a56"),
@@ -912,15 +928,15 @@ PINNED_VERIFIES = [
     ("6", "0.05", "0", 0,
      "5c78687defec2d9b3f1503daa1f1ab4bf5db26c751ed91036a53a53adf4c8304"),
     ("8", "0", "1.3", 0,
-     "387ee1c32963c4a84dfb01db765de680001f8baa98b755e1b2a514c562660454"),
+     "1460a9d35476ff6134a9c92215ebaf3e610500b9b622e9f97caa278e6c7ce0b6"),
     ("8", "0.2", "0", 0,
      "bcf42a66db0fa2d4d9c756fa38add742c1efd35ab66e88b7a0ddf6d60a8ec2e6"),
     ("10", "0.55", "0.1", 0,
-     "08a2c9cd8810c1456e6741717707249efdba290244abc9b05e5761ba1f1a247f"),
+     "47633caebb16f65de792ab5d3164580565965a54f6e0932809ce3268468b51c9"),
     ("12", "0.1", "0", 0,
      "6db93b1feb4c31dc9e01e41fdb5ac748fd6ef69887f7b7a4cfbe02554a4be1cf"),
     ("12", "0.05", "0.2", 0,
-     "8cf0fca756b611f34872ff63b322eeee4cd1cd8d01a3ee101780b71ca3d7d503"),
+     "122de54d234467e63980591da50932be9e3a6ffa60e07fe02b0103fcadb4419b"),
     ("12", "2", "0", 1,
      "8a2631015aaa4e7d3989d81e5e77b064834aac1cdf87641ffec49c5d06e09879"),
 ]
@@ -932,6 +948,25 @@ def test_verify_output_is_pinned(n, J, H, code, digest, capsys):
     assert run_cli(["verify", "--n", n, "--J", J, "--H", H]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every `cwglauber ...` line of README's "Command line" block, its
+    continuation lines joined and its comment dropped, runs in a scratch
+    directory: exit 0, or 0 or 1 for verify."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip()
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line]
+    assert len(commands) >= 6 and all(c[0] == "cwglauber" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CWGLAUBER_OUTPUT_DIR", raising=False)
+    for argv in commands:
+        code = run_cli(argv[1:])
+        assert code in ((0, 1) if argv[1] == "verify" else (0,)), argv
+    capsys.readouterr()
 
 
 class TestSerializationRoundTrips:

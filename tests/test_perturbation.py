@@ -246,7 +246,7 @@ def _reference_sweep(n, H, grid):
             failures.append({"J": J, "error": f"{type(exc).__name__}: {exc}"})
             continue
         gap, t_rel = relaxation(point.lambda2)
-        sign_ok = (bool(np.all(point.terms >= -perturbation.SIGN_TERM_TOL))
+        sign_ok = (bool(np.all(point.terms >= -spectral.SIGN_TERM_TOL))
                    if H == 0.0 else None)
         points.append(SweepPoint(J=J, H=float(H), n=n, lambda2=point.lambda2,
                                  gap=gap, t_rel=t_rel,

@@ -14,12 +14,13 @@ from conftest import (dense_reduced_chain, failing_dstemr_rows, patch_dstemr,
                       reduced_eigh, tridiagonal_eigh)
 from cwglauber.ising import ModelParams
 from cwglauber.magchain import build_reduced_chain, reduced_stationary
-from cwglauber.spectral import (STRUCTURE_TOL, EigensolverError,
-                                eigenvector_structure_report,
+from cwglauber.spectral import (SIGN_TERM_TOL, STRUCTURE_TOL,
+                                DegenerateGapError, EigensolverError,
                                 full_chain_top_eigenvalues,
                                 lifted_residual, second_eigenpair,
-                                second_eigenpairs, shape_measures,
-                                symmetrized_full_chain, top_eigenpairs)
+                                second_eigenpairs, shape_checks,
+                                symmetrized_full_chain, top_eigenpairs,
+                                usability_errors)
 from cwglauber.ising import full_transition_matrix, stationary_full
 
 
@@ -501,8 +502,9 @@ class TestIncrementVector:
 
         patch_dstemr(monkeypatch, flawed)
         res = second_eigenpair(params)
-        rep = eigenvector_structure_report(res.second_vector, h=0.0)
-        assert not rep.increasing and not rep.strictly
+        value, _, passed = shape_checks(res.second_vector,
+                                        h=0.0)["eigenvector_increasing"]
+        assert not passed and value < -STRUCTURE_TOL
 
     @pytest.mark.parametrize("H", [0.0, 0.7])
     def test_single_spin_vector(self, H):
@@ -525,13 +527,24 @@ class TestIncrementVector:
         assert np.abs(f + f[::-1]).max() < 1e-9
 
 
-class TestStructureReport:
+def _verdicts(f, terms=None, h=0.0):
+    """``shape_checks``' pass or fail per name, None where not checked."""
+    return {name: None if check is None else bool(check[2])
+            for name, check in shape_checks(f, terms, h=h).items()}
+
+
+def _usable(res):
+    """Whether ``usability_errors`` lets the point's f be read."""
+    return usability_errors([res.separation], res.second_vector[None])[0] is None
+
+
+class TestShapeMeasures:
     def test_all_flags_at_h0(self):
         res = second_eigenpair(ModelParams(n=7, J=0.15, H=0.0))
-        rep = eigenvector_structure_report(res.second_vector, h=0.0,
-                                           eigen_separation=res.separation)
-        assert rep.increasing and rep.strictly
-        assert rep.antisymmetric_at_h0 and rep.sign_split and rep.reliable
+        assert _verdicts(res.second_vector) == dict.fromkeys(
+            ["eigenvector_increasing", "eigenvector_antisymmetry",
+             "eigenvector_sign_split"], True)
+        assert _usable(res)
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_even_middle_coordinate_vanishes(self, n):
@@ -544,60 +557,61 @@ class TestStructureReport:
 
     def test_h_nonzero_skips_symmetry_flags(self):
         res = second_eigenpair(ModelParams(n=6, J=0.2, H=0.3))
-        rep = eigenvector_structure_report(res.second_vector, h=0.3)
-        assert rep.antisymmetric_at_h0 is None and rep.sign_split is None
-        assert rep.increasing
+        assert _verdicts(res.second_vector, np.zeros(7), h=0.3) == {
+            "eigenvector_increasing": True, "eigenvector_antisymmetry": None,
+            "eigenvector_sign_split": None, "eigenvector_middle_zero": None,
+            "sign_structure_terms": None}
 
     def test_degenerate_separation_flags_unreliable(self):
-        rep = eigenvector_structure_report(np.array([-1.0, 0.0, 1.0]),
-                                           eigen_separation=1e-13)
-        assert not rep.reliable
-        rep = eigenvector_structure_report(np.array([-1.0, 0.0, 1.0]),
-                                           eigen_separation=1e-3)
-        assert rep.reliable
+        f = np.array([[-1.0, 0.0, 1.0]])
+        assert isinstance(usability_errors([1e-13], f)[0], DegenerateGapError)
+        assert usability_errors([1e-3], f) == [None]
+        assert usability_errors([math.nan], f) == [None]  # n = 1 has no lambda_3
 
     def test_non_increasing_vector_detected(self):
-        rep = eigenvector_structure_report(np.array([0.0, 1.0, 0.5]))
-        assert not rep.increasing and not rep.strictly
+        assert shape_checks(np.array([0.0, 1.0, 0.5]),
+                            h=0.0)["eigenvector_increasing"] == (-0.5, 0.0, False)
 
     @pytest.mark.parametrize("h", [0.0, 0.2])
     def test_non_finite_vector_flags_unreliable(self, h):
-        rep = eigenvector_structure_report(
-            np.array([-np.inf, np.nan, 0.0, np.inf]), h=h,
-            eigen_separation=1e-3)
-        assert not rep.reliable and not rep.increasing
+        f = np.array([-np.inf, np.nan, 0.0, np.inf])
+        assert isinstance(usability_errors([1e-3], f[None])[0], EigensolverError)
+        assert not any(_verdicts(f, h=h).values())
 
     def test_breach_at_the_tolerance_passes(self):
-        """A breach equal to STRUCTURE_TOL passes, as in verify."""
-        rep = eigenvector_structure_report(np.array([-1e-9, 0.0, 2e-9]))
-        assert rep.antisymmetric_at_h0 and rep.sign_split
+        """A breach equal to its tolerance passes, as it does in verify."""
+        assert all(_verdicts(np.array([-1e-9, 0.0, 2e-9]),
+                             np.array([0.0, -1e-12, 1.0])).values())
 
     def test_underflowed_increments_flag_unreliable(self):
         """Here the increments of f underflow to 0 where pi has its mass,
-        so <f,f>_pi is 0 and f is not finite: the point's flags cannot be
+        so <f,f>_pi is 0 and f is not finite: the point's checks cannot be
         read, and must not read as a refutation."""
-        params = ModelParams(n=1000, J=0.00186, H=-0.5)
-        res = second_eigenpair(params)
+        res = second_eigenpair(ModelParams(n=1000, J=0.00186, H=-0.5))
         assert not np.isfinite(res.second_vector).all()
-        rep = eigenvector_structure_report(res.second_vector, h=params.H,
-                                           eigen_separation=res.separation)
-        assert not rep.reliable
+        assert not _usable(res)
 
-
-class TestShapeMeasures:
     def test_hand_values(self):
-        shape = shape_measures(np.array([-2.0, -0.5, 0.25, 1.0, 1.5]),
-                               np.array([0.0, -3e-12, 1.0, 2.0, 0.0]))
-        assert shape == {"increment": 0.5, "antisymmetry": 0.5,
-                         "sign_split": 0.25, "middle": 0.25, "terms": 3e-12}
+        table = shape_checks(np.array([-2.0, -0.5, 0.25, 1.0, 1.5]),
+                             np.array([0.0, -3e-12, 1.0, 2.0, 0.0]), h=0.0)
+        assert list(table.items()) == [
+            ("eigenvector_increasing", (0.5, 0.0, True)),
+            ("eigenvector_antisymmetry", (0.5, STRUCTURE_TOL, False)),
+            ("eigenvector_sign_split", (0.25, STRUCTURE_TOL, False)),
+            ("eigenvector_middle_zero", (0.25, STRUCTURE_TOL, False)),
+            ("sign_structure_terms", (3e-12, SIGN_TERM_TOL, False))]
 
     def test_field_keeps_only_the_increment(self):
-        shape = shape_measures(np.array([-1.0, 0.5, 2.0]), np.zeros(3), h=0.2)
-        assert shape == {"increment": 1.5}
+        table = shape_checks(np.array([-1.0, 0.5, 2.0]), np.zeros(3), h=0.2)
+        assert table == {"eigenvector_increasing": (1.5, 0.0, True),
+                         "eigenvector_antisymmetry": None,
+                         "eigenvector_sign_split": None,
+                         "eigenvector_middle_zero": None,
+                         "sign_structure_terms": None}
 
     def test_rows_are_independent(self):
         """A block's values are each row's own: a non-finite row (here with
-        inf + -inf in its antisymmetry sum) fails every verdict, changes no
+        inf + -inf in its antisymmetry sum) fails every check, changes no
         other row's value and raises no warning, which would fail the test."""
         grid = ModelParams(n=8, J=np.array([[0.0], [0.05], [0.1], [0.3]]))
         f = second_eigenpairs(grid)[1]
@@ -605,15 +619,17 @@ class TestShapeMeasures:
         bad_f, bad_terms = f.copy(), terms.copy()
         bad_f[1] = [-np.inf, 0, 0, 0, np.nan, 0, 0, 0, np.inf]
         bad_terms[1] = np.nan
-        block, bad = shape_measures(f, terms), shape_measures(bad_f, bad_terms)
+        block = shape_checks(f, terms, h=0.0)
+        bad = shape_checks(bad_f, bad_terms, h=0.0)
         for i in range(len(f)):
-            row = shape_measures(f[i], terms[i])
-            for key, value in row.items():
-                assert value.tobytes() == block[key][i].tobytes()
+            for name, (value, _, passed) in shape_checks(
+                    f[i], terms[i], h=0.0).items():
+                assert value.tobytes() == block[name][0][i].tobytes()
+                assert passed == block[name][2][i]
                 if i != 1:
-                    assert value.tobytes() == bad[key][i].tobytes()
+                    assert value.tobytes() == bad[name][0][i].tobytes()
                 else:
-                    assert not bad[key][i] <= STRUCTURE_TOL
+                    assert not bad[name][2][i]
 
 
 @pytest.mark.parametrize("n,J,H", [(3, 0.4, 0.2), (6, 0.1, 0.0), (8, 0.0, 0.5)])

@@ -1,17 +1,20 @@
 """The property suite behind `cwglauber verify`."""
 
+import json
+import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse
 
 import cwglauber.verification as verification
+from cwglauber.cli import main
 from cwglauber.ising import ModelParams, full_transition_matrix
 from cwglauber.magchain import lump_vector
 from cwglauber.perturbation import sweep_monotonicity
-from cwglauber.spectral import eigenvector_structure_report, second_eigenpair
 from cwglauber.verification import run_verification
 
 
@@ -88,31 +91,56 @@ def test_check_list_is_pinned(n, J, H):
     assert got == expected
 
 
-# gap's flags under the name of the verify check that reads the same value
-_FLAG_CHECKS = {"strictly": "eigenvector_increasing",
-                "antisymmetric_at_h0": "eigenvector_antisymmetry",
-                "sign_split": "eigenvector_sign_split"}
-_VERDICT = {"pass": True, "fail": False, "skip": None}
+# the shape checks, in verify's order; the middle one at even n only
+_SHAPE_CHECKS = ["eigenvector_increasing", "eigenvector_antisymmetry",
+                 "eigenvector_sign_split", "eigenvector_middle_zero",
+                 "sign_structure_terms"]
+_VERDICT = {"PASS": True, "FAIL": False, "SKIP": None}
+
+
+def _shape_verdicts(n, J, H, capsys):
+    """verify's printed verdict on each shape check at (n, J, H), after
+    checking that it prints every one and that gap's structure holds the
+    same verdicts, then gap's ``reliable``."""
+    point = ["--n", str(n), "--J", repr(J), "--H", repr(H)]
+    assert main(["verify", *point]) in (0, 1)
+    printed = dict(re.findall(r"^(\w+) +(PASS|FAIL|SKIP)\b",
+                              capsys.readouterr().out, re.M))
+    names = [name for name in _SHAPE_CHECKS
+             if n % 2 == 0 or name != "eigenvector_middle_zero"]
+    assert [name for name in printed if name in _SHAPE_CHECKS] == names
+    verdicts = {name: _VERDICT[printed[name]] for name in names}
+    assert main(["gap", *point, "--format", "json"]) == 0
+    structure = json.loads(capsys.readouterr().out)["structure"]
+    reliable = structure.pop("reliable")
+    assert list(structure.items()) == [
+        item for item in verdicts.items() if item[0] != "sign_structure_terms"]
+    return verdicts, reliable
 
 
 @pytest.mark.parametrize("H", [0.0, 0.3])
 @pytest.mark.parametrize("n", range(1, 13))
-def test_gap_sweep_and_verify_agree_on_the_shape(n, H):
-    """gap's shape flags and a sweep point's sign_ok read as verify's
-    pass/fail of the same checks (None where verify skips)."""
+def test_gap_sweep_and_verify_agree_on_the_shape(n, H, capsys):
+    """verify prints every shape check; gap's structure holds its verdicts
+    (true for PASS, false for FAIL, null for SKIP) and a sweep point's
+    sign_ok its sign_structure_terms verdict."""
     grid = [0.0, 0.1, 0.5]
     points = sweep_monotonicity(n, H, grid).points
     assert [p.J for p in points] == grid
     for J, point in zip(grid, points):
-        params = ModelParams(n=n, J=J, H=H)
-        res = second_eigenpair(params)
-        flags = vars(eigenvector_structure_report(
-            res.second_vector, h=H, eigen_separation=res.separation))
-        status = {r.name: _VERDICT[r.status] for r in run_verification(params)}
-        assert flags["reliable"]
-        assert {flag: flags[flag] for flag in _FLAG_CHECKS} == {
-            flag: status[name] for flag, name in _FLAG_CHECKS.items()}
-        assert point.sign_terms_ok is status["sign_structure_terms"]
+        verdicts, reliable = _shape_verdicts(n, J, H, capsys)
+        assert reliable
+        assert point.sign_terms_ok is verdicts["sign_structure_terms"]
+
+
+@pytest.mark.parametrize("n,J,H", [(12, 0.0, 40.0), (8, 7.275, -50.0)])
+def test_gap_and_verify_agree_where_f_is_in_doubt(n, J, H, capsys):
+    """At (12, 0, 40) the increments of f read 0 in rounding, and at
+    (8, 7.275, -50) f is not finite: gap and verify still give one verdict
+    per check, and the unreadable f is skipped by both."""
+    verdicts, reliable = _shape_verdicts(n, J, H, capsys)
+    if not reliable:
+        assert set(verdicts.values()) == {None}
 
 
 def test_builds_the_full_chain_once(monkeypatch):
@@ -218,15 +246,37 @@ def _failing_stencil(monkeypatch):
 
 
 def test_unusable_point_skips_both_derivative_checks(monkeypatch):
-    """At a degenerate lambda_2 the derivative checks skip with the note,
-    and a failed stencil there is not raised: FD is read only where HF is."""
+    """At a degenerate lambda_2 the derivative and shape checks skip with
+    the usability error's message, and a failed stencil there is not
+    raised: FD is read only where HF is."""
     _degenerate_lambda3(monkeypatch)
     _failing_stencil(monkeypatch)
     results = {r.name: r for r in run_verification(ModelParams(n=6, J=0.2))}
+    for name in ("hellmann_feynman_vs_fd", *_SHAPE_CHECKS):
+        assert results[name].status == "skip"
+        assert results[name].note.startswith(
+            "lambda2 - lambda3 = 1.000e-13 < 1e-12: eigenvalue not")
+    assert "sign_terms_sum_vs_hf" not in results
+
+
+def test_non_finite_vector_skips_with_its_reason():
+    """At (8, 7.275, -50) lambda_2 - lambda_3 is 0.0061 and f is not
+    finite: the checks on f skip naming that, the H = 0 checks name the
+    field, and the checks that read f without the rule fail with NaN; no
+    numpy warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {r.name: r for r in run_verification(
+            ModelParams(n=8, J=7.275, H=-50.0))}
     for name in ("hellmann_feynman_vs_fd", "eigenvector_increasing"):
         assert (results[name].status, results[name].note) == (
-            "skip", "lambda2 numerically degenerate")
-    assert "sign_structure_terms" not in results
+            "skip", "second eigenvector is not finite: its increments "
+            "underflowed where pi has its mass")
+    for name in _SHAPE_CHECKS[1:]:
+        assert (results[name].status, results[name].note) == ("skip", "H != 0")
+    for name in ("lumped_eigenvector", "eigenvector_normalization"):
+        assert results[name].status == "fail"
+        assert np.isnan(results[name].value)
 
 
 def test_stencil_failure_at_a_usable_point_is_raised(monkeypatch):
