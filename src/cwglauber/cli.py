@@ -31,7 +31,8 @@ from .ising import ModelParams, N_MAX_FULL
 from .mcmc import (EstimationError, MIN_SAMPLES, N_MAX_SIMULATE_FULL,
                    estimate_relaxation, simulate_full, simulate_reduced)
 from .perturbation import monotone_verdict, sweep_monotonicity
-from .reports import COLUMNS, sweep_to_csv, sweep_to_json, trajectory_to_csv
+from .reports import (COLUMNS, sweep_to_csv, sweep_to_json, to_json,
+                      trajectory_to_csv)
 from .spectral import (EigensolverError, second_eigenpair, shape_checks,
                        usability_errors)
 from .verification import run_verification
@@ -103,7 +104,7 @@ def cmd_gap(parser, args) -> int:
     known = {**vars(params), **vars(res)}
     point = {field: known[field] for _, field, *_ in COLUMNS if field in known}
     if args.format == "json":
-        print(json.dumps({**point, "structure": structure}, indent=2))
+        print(to_json({**point, "structure": structure}))
     else:
         print(f"n={params.n} J={params.J:g} H={params.H:g}")
         for field, value in point.items():

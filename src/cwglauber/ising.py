@@ -19,7 +19,6 @@ are refused above ``N_MAX_FULL`` vertices rather than silently degraded.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Full-chain builds store the 2^n-state chain sparsely, n + 1 entries per
 # row; 12 (4096 states) is the default cap, raised by `verify --n-max-full`.
@@ -69,12 +68,23 @@ def all_plus_counts(n: int) -> np.ndarray:
 
 
 def law_from_log_weights(log_weights) -> np.ndarray:
-    """Probabilities exp(log_weights) normalized by scipy's logsumexp along
-    the last axis (one law per row).  Where eps * |max log-weight| outgrows
-    the log of the count of tied maxima it cannot normalize (n = 8, J = 1e20
-    reads [1, 0, ..., 0, 1]); callers refuse such chains first."""
+    """Probabilities exp(log_weights) normalized along the last axis (one law
+    per row) by scipy 1.17's logsumexp steps, bit for bit, without importing
+    scipy.special: the max, the count of tied maxima, then log1p(rest /
+    count) + log(count) + max, with the maxima kept out of the rest (the
+    max-separated form of Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021).  Where eps * |max log-weight| outgrows the log of the count
+    of tied maxima it cannot normalize (n = 8, J = 1e20 reads [1, 0, ..., 0,
+    1]); callers refuse such chains first."""
     lw = np.asarray(log_weights, dtype=float)
-    return np.exp(lw - logsumexp(lw, axis=-1, keepdims=True))
+    top = lw.max(axis=-1, keepdims=True)
+    at_top = lw == top
+    count = at_top.sum(axis=-1, keepdims=True, dtype=float)
+    rest = np.where(at_top, -np.inf, lw)
+    rest -= top
+    np.exp(rest, out=rest)
+    lse = np.log1p(rest.sum(axis=-1, keepdims=True) / count) + np.log(count) + top
+    return np.exp(lw - lse)
 
 
 def log_weights_full(params: ModelParams) -> np.ndarray:

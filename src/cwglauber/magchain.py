@@ -20,10 +20,10 @@ all H, and bitwise the s-based form at H = 0.  Chain, law and derivative
 also take a column of J.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .ising import ModelParams, all_plus_counts, law_from_log_weights, logistic
 
@@ -80,6 +80,44 @@ def positive_rates(chain: Tridiagonal) -> np.ndarray:
     return chain.up.all(axis=-1) & chain.down.all(axis=-1)
 
 
+# cephes lgam's Stirling series for x >= 13, as scipy's gammaln runs it:
+# ln Gamma(x) = (x - 1/2) ln x - x + ln sqrt(2 pi) + A(1/x^2)/x below 1000,
+# a shorter series up to 1e8 and none above.
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _stirling(x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """cephes lgam at ascending x >= 13 from libm's log x, in its order of
+    operations."""
+    q = (x - 0.5) * log_x
+    q -= x
+    q += _LS2PI
+    mid, end = np.searchsorted(x, 1000.0), np.searchsorted(x, 1e8, "right")
+    p = 1.0 / (x[:end] * x[:end])
+    series = np.full(mid, _LGAM_A[0])
+    for a in _LGAM_A[1:]:
+        series = series * p[:mid] + a
+    q[:mid] += series / x[:mid]
+    p = p[mid:]
+    q[mid:end] += ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3)
+                   * p + 0.0833333333333333333333) / x[mid:end]
+    return q
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, bit for bit scipy's gammaln(k + 1), which is
+    cephes lgam at x = k + 1, without importing scipy.special.  Below x = 13
+    it is the log of the exact factorial; from 13 on, the Stirling series.
+    Every log is math.log, the libm routine the compiled gammaln calls:
+    numpy's SIMD np.log differs from it in the last bit at some integers."""
+    small = [math.log(math.factorial(k)) for k in range(min(n, 11) + 1)]
+    log_x = np.fromiter(map(math.log, range(13, n + 2)), float, max(n - 11, 0))
+    return np.concatenate([small, _stirling(np.arange(13.0, n + 2), log_x)])
+
+
 def reduced_stationary(params: ModelParams) -> np.ndarray:
     """Stationary law pi_k ~ C(n,k) exp(J (2k-n)^2 / 2 + H (2k-n)) of the
     chain, in log space; C(n,k) counts the configurations lumped into k."""
@@ -87,7 +125,8 @@ def reduced_stationary(params: ModelParams) -> np.ndarray:
     J = params.J * (n > 1)  # no spin pair at n = 1, so J drops out
     k = np.arange(n + 1, dtype=float)
     m = 2 * k - n
-    lw = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    log_fact = log_factorials(n)
+    lw = (log_fact[n] - log_fact - log_fact[::-1]
           + J * m * m / 2.0 + H * m)
     return law_from_log_weights(lw)
 

@@ -108,7 +108,10 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Magnetization samples m_t = 2 k_t - n, one per sweep."""
+    """Magnetization samples m_t = 2 k_t - n, one per sweep: from the
+    simulators in the narrowest signed integer dtype that holds 2n (int8 up
+    to n = 63; numpy integer arithmetic wraps past it, so widen before
+    squaring), from ``reports.trajectory_from_csv`` as float64."""
 
     params: ModelParams
     seed: int
@@ -294,7 +297,10 @@ def _run(params: ModelParams, seed: int, steps: int, burn_in: int,
     chunk = max(1, CHUNK_UPDATES // per_sweep)
     width = LANE_SWEEPS * per_sweep
     size = max(1, SUPERBLOCK_UPDATES // width) * width if lane else chunk * per_sweep
-    samples, t, trying = np.empty(steps), -burn_in, lane is not None
+    # _record forms 2k before it subtracts n, so the dtype must hold 2n: the
+    # least signed one that holds -(2n + 1) does (int8 up to n = 63)
+    samples = np.empty(steps, np.min_scalar_type(-2 * params.n - 1))
+    t, trying = -burn_in, lane is not None
     for sweeps, draws in _superblocks(rng, per_sweep, sites, burn_in + steps, size):
         lanes, done = sweeps // LANE_SWEEPS, 0
         if trying and lanes >= MIN_LANES:
@@ -451,7 +457,9 @@ def simulate_full(params: ModelParams, seed: int, steps: int,
 
 def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
     """Autocovariance gamma(l) = (1/N) sum_t (x_t - xbar)(x_{t+l} - xbar)
-    for l = 0..lags-1, lags <= N, block by block.
+    for l = 0..lags-1, lags <= N, block by block, with no float copy of an
+    integer x: its sum is exact in any order, so x and its float64 copy give
+    the same bits.
 
     Blocks hold B samples of x - xbar, the least power of two >= max(lags,
     min(N, MIN_BLOCK)), each zero-padded to 2B and transformed once, about
@@ -461,9 +469,9 @@ def autocovariance(x: np.ndarray, lags: int) -> np.ndarray:
     the next block, conj(F_b) F_{b+1} times (-1)^j at frequency j (block
     b + 1 sits B later, half the transform), transforms back to N gamma(l)
     for every l < B with no circular wrap."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     N = len(x)
-    xbar = x.mean()
+    xbar = x.mean(dtype=float)
     B = 1 << (max(lags, min(N, MIN_BLOCK)) - 1).bit_length()
     step = max(1, GROUP_SAMPLES // B) * B
     power, cross = np.zeros(B + 1), np.zeros(B + 1, complex)

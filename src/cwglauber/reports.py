@@ -7,7 +7,9 @@ the column names and one row per grid point.  Floats are printed with 17
 significant digits so that re-parsing reproduces the in-memory report
 exactly.  With a temperature constant a trailing T = c/J column is appended
 (a derived view; parsers ignore it).  The JSON form holds the fields of the
-report and of its points, keyed and ordered as the dataclasses declare them.
+report and of its points, keyed and ordered as the dataclasses declare them;
+RFC 8259 JSON has no infinity or NaN, so ``to_json`` writes those floats as
+the strings "inf", "-inf" and "nan".
 
 Trajectory CSV is a single magnetization column under one metadata comment
 carrying (n, J, H, seed, sweeps, burn_in).  It contains no timestamp, so
@@ -117,12 +119,38 @@ def sweep_from_csv(text: str) -> SweepReport:
     return SweepReport(points=points, **verdict)
 
 
+def _finite_json(value):
+    """value with every non-finite float in it made its repr text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))  # 'inf', '-inf' or 'nan'
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return value
+
+
+def to_json(doc) -> str:
+    """doc as indented JSON, a non-finite float as "inf", "-inf" or "nan"."""
+    return json.dumps(_finite_json(doc), indent=2, allow_nan=False)
+
+
+# The float fields of a sweep point, which sweep_from_json reads back through
+# _json_float: to_json's "inf", "-inf" and "nan" as the floats they were.
+_FLOATS = [field for _, field, _, parse in COLUMNS if parse is float]
+_NON_FINITE = {text: float(text) for text in ("inf", "-inf", "nan")}
+
+
+def _json_float(value) -> float:
+    return _NON_FINITE[value] if isinstance(value, str) else float(value)
+
+
 def sweep_to_json(report: SweepReport, command: str | None = None) -> str:
     doc = {"format": "cwglauber-sweep", "version": 1, **vars(report),
            "points": [vars(p) for p in report.points]}
     if command:
         doc["command"] = command
-    return json.dumps(doc, indent=2)
+    return to_json(doc)
 
 
 def sweep_from_json(text: str) -> SweepReport:
@@ -132,7 +160,9 @@ def sweep_from_json(text: str) -> SweepReport:
         raise ValueError("not a cwglauber sweep JSON document")
     report = {f.name: doc[f.name] for f in fields(SweepReport) if f.name in doc}
     try:
-        points = [SweepPoint(**d) for d in report.pop("points")]
+        report["max_violation"] = _json_float(report["max_violation"])
+        points = [SweepPoint(**{**d, **{f: _json_float(d[f]) for f in _FLOATS}})
+                  for d in report.pop("points")]
         return SweepReport(points=points, **report)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cwglauber sweep JSON: {exc!r}") from None

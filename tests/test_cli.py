@@ -49,6 +49,18 @@ class TestGapCommand:
         assert doc["gap"] == pytest.approx(0.125, abs=1e-10)
         assert doc["structure"]["eigenvector_increasing"] is True
 
+    def test_json_writes_inf_as_text(self, capsys):
+        """A gap that rounds to 0 gives t_rel = inf, which RFC 8259 JSON
+        cannot hold as a number: it is the string "inf", no bare Infinity."""
+        assert run_cli(["gap", "--n", "12", "--J", "0.6666666666666666",
+                        "--format", "json"]) == 0
+
+        def bare(name):
+            raise AssertionError(f"bare {name} in the JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=bare)
+        assert doc["gap"] == 0.0 and doc["t_rel"] == "inf"
+
     def test_single_spin(self, capsys):
         assert run_cli(["gap", "--n", "1", "--J", "5", "--H", "0",
                         "--format", "json"]) == 0
@@ -801,13 +813,15 @@ class TestSimulateCommand:
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
     """scipy.sparse costs tens of milliseconds of import, and only the
-    full-chain oracle needs it."""
+    full-chain oracle needs it; scipy.special (3.7 MiB and 35-60 ms) is
+    needed by none: the library repeats the logsumexp and gammaln it used."""
     src = str(Path(cwglauber.__file__).resolve().parents[1])
-    code = "import sys, cwglauber.cli; print('scipy.sparse' in sys.modules)"
+    code = ("import sys, cwglauber.cli; "
+            "print('scipy.sparse' in sys.modules, 'scipy.special' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_missing_dstemr_exits_3_on_one_line():
@@ -831,11 +845,14 @@ def test_missing_dstemr_exits_3_on_one_line():
 # line and temperature constant given (None: left out).  Recorded while the
 # stationary law was still normalized by scipy's logsumexp and solved twice
 # per point; the inline log-sum-exp and the one law per point leave every
-# byte as it was.  The n = 8 case was recorded before the column table.
+# byte as it was.  The n = 8 case was recorded before the column table.  The
+# JSON digests of the n = 12, H = 0 and n = 1000 sweeps, whose rows with a
+# gap of 0 hold t_rel = inf (2 and 3 of them), were re-pinned when JSON
+# output came to write it as "inf" where it wrote a bare Infinity.
 PINNED_SWEEPS = [
     (12, 0.0, 0.6, 241,
      "d9612d9ef913f98db4d681fa239c58101c8b642abbc4c1d7e4532bc5b4111f27",
-     "7717d62f686b9725fb0ca6f26a723499c3821d2dba144d23b305c065d91f4660",
+     "ffaa4e2d2488b55d2fa85bd105ffe969cc4e0309e73055520496cf51d37a0571",
      None, None),
     (12, 0.2, 0.6, 241,
      "28286de390aa1873e5ff517dcb70be7c54ea78ce2eb3297eca3ab30cab85c9c5",
@@ -843,7 +860,7 @@ PINNED_SWEEPS = [
      None, None),
     (1000, 0.0, 0.0015, 16,
      "057323348f3fd4b79e51e1cbec8cc8552852dbd29da68a998f65c8c70656edf2",
-     "d6753694e5efea02d1d69245ee2f3de1f324a927d012e5386ff81bc86ea318f4",
+     "5150e18b8b2832ed2adaa45d31dfe6367c1a2bef3b6dcd21c54130404c6352ea",
      None, None),
     (8, 1.0, 0.3125, 26,
      "faec27cad1449fa08dc102243a52771b27a133804c561498ba0907d1af86d6b9",
@@ -981,6 +998,26 @@ class TestSerializationRoundTrips:
     def test_sweep_json_exact(self):
         report = sweep_monotonicity(6, 0.1, [0.0, 0.2, 0.4])
         assert sweep_from_json(sweep_to_json(report)) == report
+
+    def test_sweep_json_non_finite_exact(self):
+        """inf, -inf and nan go out as the strings "inf", "-inf" and "nan"
+        (RFC 8259 has no such numbers) and come back as the same floats;
+        bare Infinity and NaN, as files written before read, still parse."""
+        report = sweep_monotonicity(12, 0.0, [0.1, 0.6666666666666666])
+        assert report.points[1].t_rel == math.inf
+        text = sweep_to_json(report)
+        assert "Infinity" not in text and '"t_rel": "inf"' in text
+        assert sweep_from_json(text) == report
+        assert sweep_from_json(text.replace('"inf"', "Infinity")) == report
+        odd = replace(
+            report, max_violation=math.nan,
+            points=[replace(report.points[0], gap=-math.inf,
+                            hf_derivative=math.nan)])
+        text = sweep_to_json(odd)
+        assert "NaN" not in text and "Infinity" not in text
+        assert repr(sweep_from_json(text)) == repr(odd)
+        with pytest.raises(ValueError, match="malformed"):
+            sweep_from_json(text.replace('"-inf"', '"-Infinity"'))
 
     def test_sweep_csv_17_digit_floats(self):
         report = sweep_monotonicity(4, 0.0, [1 / 3, 2 / 3])

@@ -202,9 +202,9 @@ class TestDistribution:
     @pytest.mark.parametrize("spread", [0.0, 1e-3, 1.0, 700.0, 1e4])
     @pytest.mark.parametrize("ties", [1, 2, 4])
     def test_bitwise_scipy_logsumexp(self, size, spread, ties):
-        """The law's axis=-1, keepdims=True call to scipy's logsumexp gives
-        the bytes of the 1-D call; pairwise summation makes sizes past 8 and
-        128 distinct."""
+        """The inline log-sum-exp repeats scipy's steps: the bytes of
+        scipy's 1-D call, and of its axis=-1 call on a stack of rows, one law
+        per row; pairwise summation makes sizes past 8 and 128 distinct."""
         rng = np.random.default_rng(size * 1000 + ties)
         lw = rng.uniform(-spread, 0.0, size) + rng.normal(0.0, 50.0)
         lw[rng.choice(size, min(ties, size), replace=False)] = lw.max() + 0.25
@@ -212,6 +212,9 @@ class TestDistribution:
             expected = np.exp(weights - logsumexp(weights))
             got = law_from_log_weights(weights)
             assert got.tobytes() == expected.tobytes()
+        rows = np.stack([lw, np.round(lw), lw[::-1]])
+        expected = np.exp(rows - logsumexp(rows, axis=-1, keepdims=True))
+        assert law_from_log_weights(rows).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_stationary_full_bitwise_scipy(self, n):

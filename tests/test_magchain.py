@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 from scipy.stats import binom
 
 from cwglauber.ising import ModelParams, all_plus_counts, stationary_full
-from cwglauber.magchain import (Tridiagonal, build_reduced_chain,
+from cwglauber.magchain import (Tridiagonal, _stirling, build_reduced_chain,
                                 derivative_matrix, inv_one_plus_cosh,
-                                lump_vector, reduced_stationary, s_values)
+                                log_factorials, lump_vector,
+                                reduced_stationary, s_values)
 from cwglauber.ising import full_transition_matrix
 from cwglauber.spectral import second_eigenpair
 
@@ -109,6 +111,40 @@ class TestReducedStationary:
         chain = build_reduced_chain(params)
         p = reduced_stationary(params)
         assert np.abs(p[:-1] * chain.up - p[1:] * chain.down).max() < 1e-12
+
+
+class TestLogFactorials:
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 13, 999, 1000, 1001,
+                                   10**5, 10**6])
+    def test_bitwise_scipy_gammaln(self, n):
+        """log k! is scipy's gammaln(k + 1) to the bit for every k <= n, on
+        either side of cephes lgam's branch edges at x = k + 1 = 13 and
+        1000: a platform whose libm log or scipy differs fails here, at the
+        n that shows it."""
+        expected = gammaln(np.arange(n + 1) + 1.0)
+        assert log_factorials(n).tobytes() == expected.tobytes()
+
+    def test_stirling_bitwise_past_1e8(self):
+        """Above x = 1e8 lgam drops the series: checked at points, as a
+        table of log k! up to there would take 800 MB."""
+        x = np.array([13.0, 999.0, 1000.0, 1e8 - 1, 1e8, 1e8 + 1, 1e9,
+                      2.0**52])
+        got = _stirling(x, np.array([math.log(v) for v in x]))
+        assert got.tobytes() == gammaln(x).tobytes()
+
+    @pytest.mark.parametrize("n,J,H", GRID + [(1000, 0.0015, 0.0),
+                                             (40, 0.03, -0.2)])
+    def test_stationary_law_bitwise_scipy(self, n, J, H):
+        """The law is the one scipy's gammaln and logsumexp gave, for a
+        point and for a grid column."""
+        for Js in (J, np.array([[J], [J / 3], [0.0]])):
+            k = np.arange(n + 1.0)
+            m = 2 * k - n
+            lw = (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                  + Js * (n > 1) * m * m / 2.0 + H * m)
+            expected = np.exp(lw - logsumexp(lw, axis=-1, keepdims=True))
+            got = reduced_stationary(ModelParams(n=n, J=Js, H=H))
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSValues:

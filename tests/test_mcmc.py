@@ -819,10 +819,64 @@ def traced_peak(f, *args):
                                     "integrated_autocorrelation"])
 def test_estimate_in_bounded_memory(long_run, method):
     """On a 10^6-sweep run the estimate's transient memory is set by its lag
-    blocks, not by the run: below 8 MiB (the samples take 7.6)."""
+    blocks, not by the run: below 8 MiB (float64 samples take 7.6)."""
     est, used = traced_peak(estimate_relaxation, long_run, method)
     assert not est.floor_limited
     assert used < 8 << 20
+
+
+@pytest.mark.parametrize("method", ["exponential_fit",
+                                    "integrated_autocorrelation"])
+def test_estimate_of_integer_samples_makes_no_float_copy(long_run, method):
+    """The simulators' int8 samples are read block by block: the estimate
+    peaks below 5 MiB, where a float64 copy of them would add 7.6."""
+    assert long_run.samples.dtype == np.int8
+    est, used = traced_peak(estimate_relaxation, long_run, method)
+    assert not est.floor_limited
+    assert used < 5 << 20, used
+
+
+@pytest.mark.parametrize("simulate", [simulate_reduced, simulate_full])
+def test_simulate_in_bounded_memory(simulate):
+    """10^6 sweeps at n = 10 peak below 16 MiB traced: the draw buffers and
+    1 MiB of int8 samples (float64 samples took 7.6 MiB more)."""
+    traj, used = traced_peak(simulate, ModelParams(n=10, J=0.08), 7, 10**6)
+    assert traj.sweeps == 10**6
+    assert used < 16 << 20, used
+
+
+@pytest.mark.parametrize("simulate", [simulate_reduced, simulate_full])
+@pytest.mark.parametrize("method", ["exponential_fit",
+                                    "integrated_autocorrelation"])
+def test_estimate_bitwise_on_a_float_copy(simulate, method):
+    """Integer samples and their float64 copy give the same estimate, bit
+    for bit: sums of integers are exact in any order."""
+    traj = simulate(ModelParams(n=10, J=0.08), seed=5, steps=200_000)
+    copy = Trajectory(params=traj.params, seed=traj.seed,
+                      burn_in=traj.burn_in,
+                      samples=traj.samples.astype(np.float64))
+    assert estimate_relaxation(traj, method) == estimate_relaxation(copy, method)
+
+
+@pytest.mark.parametrize("simulate,n,dtype,reference", [
+    (simulate_reduced, 63, np.int8, reference_simulate_reduced),
+    (simulate_reduced, 64, np.int16, reference_simulate_reduced),
+    (simulate_reduced, 513, np.int16, reference_simulate_lumped),
+    (simulate_full, 24, np.int8, reference_simulate_full),
+])
+def test_samples_are_the_narrowest_integers_holding_2n(simulate, n, dtype,
+                                                      reference):
+    """m = 2k - n is formed in place from 2k, so the samples take the least
+    signed integer dtype that holds 2n: int8 up to n = 63, int16 from 64
+    (which np.min_scalar_type(-2 n) would make int8).  The field keeps the
+    walk at k = n, where 2k peaks, and the values are the float oracle's."""
+    params = ModelParams(n=n, J=0.5 / n, H=3.0)
+    steps = 3000 if n < 100 else 600
+    traj = simulate(params, seed=9, steps=steps, burn_in=5)
+    assert traj.samples.dtype == dtype
+    assert traj.samples.max() == n
+    np.testing.assert_array_equal(traj.samples,
+                                  reference(params, 9, steps, 5))
 
 
 def test_trajectory_write_in_bounded_memory(long_run):
